@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import (DimensionMismatch, NotElliptic, NotPositive,
-                     ZeroCovector)
+from .errors import (DimensionMismatch, NonConvergent, NotElliptic,
+                     NotPositive, ZeroCovector)
 from .symbols import (DEGREE_TOL, ClassicalSymbol, Diffeo, HomogeneousTerm,
                       MultiIndex, differentiate, is_zero, multi_indices)
 
@@ -145,25 +145,29 @@ def _grid_points(n: int, per_axis: int = 16) -> np.ndarray:
     return np.vstack([m.ravel() for m in mesh])
 
 
+def _sphere_samples(e: ex.Expr, n: int, per_axis: int, directions: int):
+    """Values of e on an x-grid times unit sphere directions, in one
+    evaluation: (grid, directions, values of shape (ndirs, npoints))."""
+    xg = _grid_points(n, per_axis)
+    dirs = _sphere_directions(n, directions)
+    vals = e.ev(np.tile(xg, dirs.shape[1]),
+                np.repeat(dirs, xg.shape[1], axis=1))
+    return xg, dirs, vals.reshape(dirs.shape[1], xg.shape[1])
+
+
 def is_elliptic(P: ClassicalSymbol, per_axis: int = 16,
                 directions: int = 64,
                 threshold: float = ELLIPTIC_THRESHOLD) -> EllipticityReport:
     """Sample |principal(P)| on an x-grid times unit sphere directions.
-    Sampling can miss zeros; the argmin is reported so near-characteristic
-    locations are inspectable."""
-    n = P.dimension
-    p = principal(P)
-    xg = _grid_points(n, per_axis)
-    dirs = _sphere_directions(n, directions)
-    best = (np.inf, None)
-    for k in range(dirs.shape[1]):
-        xiv = np.repeat(dirs[:, k:k + 1], xg.shape[1], axis=1)
-        vals = np.abs(p.expr.ev(xg, xiv))
-        idx = int(np.argmin(vals))
-        if vals[idx] < best[0]:
-            best = (float(vals[idx]),
-                    (tuple(xg[:, idx]), tuple(dirs[:, k])))
-    min_mod, argmin = best
+    Sampling can miss zeros; the argmin (first direction, then first
+    point, among ties) is reported so near-characteristic locations are
+    inspectable."""
+    xg, dirs, vals = _sphere_samples(principal(P).expr, P.dimension,
+                                     per_axis, directions)
+    mods = np.abs(vals)
+    k, idx = np.unravel_index(np.argmin(mods), mods.shape)
+    min_mod = float(mods[k, idx])
+    argmin = (tuple(xg[:, idx]), tuple(dirs[:, k]))
     return EllipticityReport(min_mod, argmin, min_mod >= threshold, threshold)
 
 
@@ -181,12 +185,13 @@ def micro_elliptic_at(P: ClassicalSymbol, point,
     return abs(val) >= threshold
 
 
-def _residual_correction_loop(P, make_first, next_term, cutoff, n_out,
+def _residual_correction_loop(make_first, next_term, cutoff, n_out,
                               residual_of, max_iter):
     """Shared driver for parametrix/sqrt: repeatedly kill the highest
-    residual level that fails the semantic zero test."""
+    residual level that fails the semantic zero test.  Raises
+    NonConvergent if a level still survives after max_iter corrections."""
     q_terms = [make_first()]
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         Q = ClassicalSymbol.from_terms(q_terms, n_out)
         R = residual_of(Q)
         target = None
@@ -198,8 +203,11 @@ def _residual_correction_loop(P, make_first, next_term, cutoff, n_out,
                 break
         if target is None:
             return Q
+        if it == max_iter:
+            raise NonConvergent(
+                f"residual level of degree {target.degree:g} survives "
+                f"{max_iter} corrections")
         q_terms.append(next_term(target))
-    return ClassicalSymbol.from_terms(q_terms, n_out)
 
 
 def parametrix(P: ClassicalSymbol, N: int) -> ClassicalSymbol:
@@ -226,7 +234,7 @@ def parametrix(P: ClassicalSymbol, N: int) -> ClassicalSymbol:
     def residual(Q):
         return compose(P, Q, truncation=N) - ident
 
-    return _residual_correction_loop(P, first, correction, -N, N,
+    return _residual_correction_loop(first, correction, -N, N,
                                      residual, max_iter=4 * N + 4)
 
 
@@ -236,16 +244,16 @@ def sqrt_approx(P: ClassicalSymbol, N: int) -> ClassicalSymbol:
     n = P.dimension
     m = P.leading_order
     p_m = principal(P)
-    xg = _grid_points(n, 8)
-    dirs = _sphere_directions(n, 32)
-    for k in range(dirs.shape[1]):
-        xiv = np.repeat(dirs[:, k:k + 1], xg.shape[1], axis=1)
-        vals = p_m.expr.ev(xg, xiv)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if np.any(np.abs(vals.imag) > 1e-9 * scale):
-            raise NotPositive("principal symbol takes non-real values")
-        if np.any(vals.real <= ELLIPTIC_THRESHOLD):
-            raise NotPositive("principal symbol is not strictly positive")
+    _, _, vals = _sphere_samples(p_m.expr, n, 8, 32)
+    # judged direction by direction, each on its own magnitude scale
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=1, keepdims=True))
+    nonreal = np.any(np.abs(vals.imag) > 1e-9 * scale, axis=1)
+    bad = nonreal | np.any(vals.real <= ELLIPTIC_THRESHOLD, axis=1)
+    if np.any(bad):
+        raise NotPositive(
+            "principal symbol takes non-real values"
+            if nonreal[np.argmax(bad)]
+            else "principal symbol is not strictly positive")
     q0 = ex.sqrt(p_m.expr)
 
     def first():
@@ -258,7 +266,7 @@ def sqrt_approx(P: ClassicalSymbol, N: int) -> ClassicalSymbol:
     def residual(Q):
         return P - compose(Q, Q, truncation=N)
 
-    return _residual_correction_loop(P, first, correction, m - N, N,
+    return _residual_correction_loop(first, correction, m - N, N,
                                      residual, max_iter=4 * N + 4)
 
 

@@ -37,10 +37,6 @@ def _emit(text: str, out: str | None):
     print(text)
 
 
-def _symbol_report(P) -> str:
-    return P.render()
-
-
 def _parse_map_file(path: str) -> Diffeo:
     """Map files list `dim=n`, then `forward j: "expr"` and
     `inverse j: "expr"` lines (expressions in x1..xn)."""
@@ -63,8 +59,6 @@ def _parse_map_file(path: str) -> Diffeo:
 
 def _add_common(sp):
     sp.add_argument("--out", help="write the report/CSV here as well")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for any randomized internals")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +164,7 @@ def _cmd_symbolic(args) -> int:
         return 0
     else:
         raise ValueError(cmd)
-    _emit(_symbol_report(out), args.out)
+    _emit(out.render(), args.out)
     return 0
 
 
@@ -317,7 +311,6 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    np.random.seed(args.seed)
     try:
         return _DISPATCH[args.command](args)
     except (ValidationError, SyntaxError, OSError, ValueError) as err:

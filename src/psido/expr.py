@@ -5,15 +5,23 @@ products, quotients, real powers, sin, cos, exp -- and is closed under
 differentiation with respect to any variable.  Negation is Mul(-1, .) and
 square roots are Pow(., 0.5).  There is no simplification beyond constant
 folding and neutral-element elimination: semantic questions (is this tree
-zero?) are settled by sampling, not by rewriting.
+zero?) are settled by sampling, not by rewriting.  All values are
+immutable after construction.
 
-Evaluation is vectorized: `ev` takes numpy arrays of x and xi samples and
-returns a complex array.  All values are immutable after construction.
+Evaluation is vectorized and has one implementation, `Program`: it
+compiles a list of roots into a topologically ordered list of steps,
+computes each distinct node once per batch of samples, drops each array
+after its last use and holds every domain check (vanishing denominator,
+negative or fractional power of a bad base -> DomainError).  The entry
+points are `Program(roots)(x, xi)` for several trees or repeated batches,
+`e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
+`evaluate(e, point)` for one phase-space point.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
 
 import numpy as np
 
@@ -66,11 +74,11 @@ class Expr:
     def __neg__(self):
         return neg(self)
 
-    # -- interface implemented by subclasses ------------------------------
     def ev(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Evaluate at sample points.  x, xi have shape (n, m) (or (n,))."""
-        raise NotImplementedError
+        return Program([self])(x, xi)[0]
 
+    # -- interface implemented by subclasses ------------------------------
     def diff(self, kind: str, j: int) -> "Expr":
         """Plain partial derivative with respect to x_j or xi_j (1-based)."""
         raise NotImplementedError
@@ -101,10 +109,6 @@ class Const(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
-
-    def ev(self, x, xi):
-        m = x.shape[1] if x.ndim == 2 else 1
-        return np.full(m, self.value, dtype=complex)
 
     def diff(self, kind, j):
         return ZERO
@@ -152,11 +156,6 @@ class Var(Expr):
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    def ev(self, x, xi):
-        arr = x if self.kind == "x" else xi
-        v = arr[self.j - 1]
-        return np.asarray(v, dtype=complex).reshape(-1)
-
     def diff(self, kind, j):
         return ONE if (kind, j) == (self.kind, self.j) else ZERO
 
@@ -181,12 +180,6 @@ class Add(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
-
-    def ev(self, x, xi):
-        out = self.terms[0].ev(x, xi).copy()
-        for t in self.terms[1:]:
-            out += t.ev(x, xi)
-        return out
 
     def diff(self, kind, j):
         return add(*(t.diff(kind, j) for t in self.terms))
@@ -215,12 +208,6 @@ class Mul(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
-
-    def ev(self, x, xi):
-        out = self.factors[0].ev(x, xi).copy()
-        for f in self.factors[1:]:
-            out *= f.ev(x, xi)
-        return out
 
     def diff(self, kind, j):
         parts = []
@@ -258,12 +245,6 @@ class Div(Expr):
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    def ev(self, x, xi):
-        d = self.den.ev(x, xi)
-        if np.any(np.abs(d) < _DIV_EPS):
-            raise DomainError(f"denominator underflow in {self.den.render()}")
-        return self.num.ev(x, xi) / d
-
     def diff(self, kind, j):
         dn = self.num.diff(kind, j)
         dd = self.den.diff(kind, j)
@@ -296,28 +277,6 @@ class Pow(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
-
-    def ev(self, x, xi):
-        b = self.base.ev(x, xi)
-        p = self.expo
-        if p == int(p):
-            if p < 0 and np.any(np.abs(b) < _DIV_EPS):
-                raise DomainError(
-                    f"negative power of vanishing base {self.base.render()}")
-            return b ** int(p)
-        scale = np.max(np.abs(b)) if b.size else 1.0
-        if np.any(np.abs(b.imag) > 1e-9 * max(1.0, scale)):
-            raise DomainError(
-                f"fractional power of non-real base {self.base.render()}")
-        br = b.real
-        if np.any(br < -1e-12 * max(1.0, scale)):
-            raise DomainError(
-                f"fractional power of negative base {self.base.render()}")
-        br = np.maximum(br, 0.0)
-        if p < 0 and np.any(br < _DIV_EPS):
-            raise DomainError(
-                f"negative power of vanishing base {self.base.render()}")
-        return (br ** p).astype(complex)
 
     def diff(self, kind, j):
         db = self.base.diff(kind, j)
@@ -367,9 +326,6 @@ class Sin(_Fn):
     __slots__ = ()
     name = "sin"
 
-    def ev(self, x, xi):
-        return np.sin(self.arg.ev(x, xi))
-
     def diff(self, kind, j):
         d = self.arg.diff(kind, j)
         if d is ZERO:
@@ -381,9 +337,6 @@ class Cos(_Fn):
     __slots__ = ()
     name = "cos"
 
-    def ev(self, x, xi):
-        return np.cos(self.arg.ev(x, xi))
-
     def diff(self, kind, j):
         d = self.arg.diff(kind, j)
         if d is ZERO:
@@ -394,9 +347,6 @@ class Cos(_Fn):
 class Exp(_Fn):
     __slots__ = ()
     name = "exp"
-
-    def ev(self, x, xi):
-        return np.exp(self.arg.ev(x, xi))
 
     def diff(self, kind, j):
         d = self.arg.diff(kind, j)
@@ -495,7 +445,12 @@ def pow_(base, expo) -> Expr:
         if v.imag == 0 and (v.real >= 0 or expo == int(expo)):
             return Const(v ** expo)
     if isinstance(base, Pow):
-        return Pow(base.base, base.expo * expo)
+        # (a^p)^q = a^(pq) only where both sides share domain and branch
+        p = base.expo
+        if ((not p.is_integer() and not (p * expo).is_integer())
+                or (p.is_integer() and expo.is_integer()
+                    and p > 0 and expo > 0)):
+            return pow_(base.base, p * expo)
     return Pow(base, expo)
 
 
@@ -531,111 +486,154 @@ def xi_norm(n: int) -> Expr:
     return sqrt(xi_norm_sq(n))
 
 
-def _children(node):
-    if isinstance(node, Add):
-        return node.terms
+# -- evaluation --------------------------------------------------------------
+#
+# One op per node kind, op(node, a, x, xi, reuse): the node's value from the
+# list `a` of its children's values at samples x, xi.  `reuse` says the
+# array a[0] is read by no later step and may be overwritten.  Sums and
+# products are compiled into binary steps, so `a` has at most two entries.
+
+def _const(node, a, x, xi, reuse):
+    return np.full(x.shape[1] if x.ndim == 2 else 1, node.value,
+                   dtype=complex)
+
+
+def _var(node, a, x, xi, reuse):
+    # a copy, never a view of the input, so a parent may accumulate into it
+    return np.array((x if node.kind == "x" else xi)[node.j - 1],
+                    dtype=complex).reshape(-1)
+
+
+def _fold(inplace):
+    def op(node, a, x, xi, reuse):
+        out = a[0] if reuse else a[0].copy()
+        for t in a[1:]:
+            out = inplace(out, t)
+        return out
+
+    return op
+
+
+_sum = _fold(operator.iadd)
+_product = _fold(operator.imul)
+
+
+def _quotient(node, a, x, xi, reuse):
+    num, den = a
+    if np.any(np.abs(den) < _DIV_EPS):
+        raise DomainError(f"denominator underflow in {node.den.render()}")
+    return num / den
+
+
+def _power(node, a, x, xi, reuse):
+    """b ** expo; a non-integer exponent needs a real, non-negative base."""
+    b, p = a[0], node.expo
+    if p != int(p):
+        scale = max(1.0, np.max(np.abs(b)) if b.size else 1.0)
+        if np.any(np.abs(b.imag) > 1e-9 * scale):
+            raise DomainError(
+                f"fractional power of non-real base {node.base.render()}")
+        if np.any(b.real < -1e-12 * scale):
+            raise DomainError(
+                f"fractional power of negative base {node.base.render()}")
+        b = np.maximum(b.real, 0.0)
+    if p < 0 and np.any(np.abs(b) < _DIV_EPS):
+        raise DomainError(
+            f"negative power of vanishing base {node.base.render()}")
+    if p == int(p):
+        return b ** int(p)
+    return (b ** p).astype(complex)
+
+
+def _function(node, a, x, xi, reuse):
+    return getattr(np, node.name)(a[0])       # np.sin, np.cos, np.exp
+
+
+def _node_op(node):
+    """(children, op) of one node: the only place where evaluation looks
+    at the kind of a node."""
     if isinstance(node, Mul):
-        return node.factors
+        return node.factors, _product
+    if isinstance(node, Add):
+        return node.terms, _sum
+    if isinstance(node, Const):
+        return (), _const
+    if isinstance(node, Var):
+        return (), _var
     if isinstance(node, Div):
-        return (node.num, node.den)
+        return (node.num, node.den), _quotient
     if isinstance(node, Pow):
-        return (node.base,)
+        return (node.base,), _power
     if isinstance(node, _Fn):
-        return (node.arg,)
-    return ()
+        return (node.arg,), _function
+    raise TypeError(f"cannot evaluate {type(node).__name__}")
+
+
+class Program:
+    """Root expressions compiled into one topologically ordered list of
+    steps, evaluated on a batch of samples by calling it with x, xi of
+    shape (n, m) (or (n,)); returns one complex array per root.
+
+    Trees produced by repeated differentiation share subtrees heavily (the
+    product and quotient rules reuse child references), and callers often
+    need several related trees on the same samples.  Each distinct node,
+    by identity, is one step, so it is computed once per call however many
+    parents or roots share it.  Each intermediate array is dropped after
+    the last step that reads it, keeping peak memory proportional to the
+    live frontier, not the whole DAG.  Compile once and call many times
+    when the same trees meet many batches."""
+
+    def __init__(self, roots):
+        slot = {}               # id(node) -> step number of its value
+        steps = []              # (op, node, argument step numbers)
+        last = []               # step number -> last step reading it
+
+        def emit(op, node, args):
+            k = len(steps)
+            for j in args:
+                last[j] = k
+            steps.append((op, node, args))
+            last.append(k)
+            return k
+
+        def visit(node):
+            k = slot.get(id(node))
+            if k is None:
+                children, op = _node_op(node)
+                k = emit(op, node, tuple(map(visit, children[:2])))
+                # an n-ary sum or product takes in each further term as
+                # soon as it is computed, so its terms are never all live
+                for c in children[2:]:
+                    k = emit(op, node, (k, visit(c)))
+                slot[id(node)] = k
+            return k
+
+        self._roots = list(map(visit, roots))
+        visit = None            # drop its self-reference: no garbage cycle
+        for r in self._roots:
+            last[r] = len(steps)          # roots outlive every step
+        self._steps = steps
+        self._last = last
+        # a step may overwrite its first argument's array when no later
+        # step reads it (x += x and x *= x are still right)
+        self._reuse = [bool(a) and last[a[0]] == i
+                       for i, (_, _, a) in enumerate(steps)]
+
+    def __call__(self, x: np.ndarray, xi: np.ndarray) -> list:
+        vals = []
+        last = self._last
+        for i, ((op, node, args), reuse) in enumerate(
+                zip(self._steps, self._reuse)):
+            vals.append(op(node, [vals[k] for k in args], x, xi, reuse))
+            for k in args:
+                if last[k] == i:
+                    vals[k] = None
+        return [vals[r] for r in self._roots]
 
 
 def ev_cached(e: Expr, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate with per-node memoization.  Trees produced by repeated
-    differentiation share subtrees heavily (the product and quotient rules
-    reuse child references), so caching by node identity turns an
-    exponentially redundant walk into a linear one.  A reference-count
-    prepass lets each cached array be dropped after its last use, keeping
-    peak memory proportional to the live frontier, not the whole DAG."""
-    refs = {}
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        key = id(node)
-        if key in refs:
-            refs[key] += 1
-            continue
-        refs[key] = 1
-        stack.extend(_children(node))
-    cache = {}
-
-    def _owned(v, node):
-        # safe to accumulate in place only if nobody else holds this array:
-        # not still cached for another parent, and not a possible view of
-        # the caller's input (Var)
-        if cache.get(id(node)) is v or isinstance(node, Var):
-            return v.copy()
-        return v
-
-    def rec(node):
-        key = id(node)
-        hit = cache.get(key)
-        if hit is not None:
-            refs[key] -= 1
-            if refs[key] == 0:
-                del cache[key]
-            return hit
-        if isinstance(node, (Const, Var)):
-            out = node.ev(x, xi)
-        elif isinstance(node, Add):
-            out = _owned(rec(node.terms[0]), node.terms[0])
-            for t in node.terms[1:]:
-                out += rec(t)
-        elif isinstance(node, Mul):
-            out = _owned(rec(node.factors[0]), node.factors[0])
-            for f in node.factors[1:]:
-                out *= rec(f)
-        elif isinstance(node, Div):
-            d = rec(node.den)
-            if np.any(np.abs(d) < _DIV_EPS):
-                raise DomainError(
-                    f"denominator underflow in {node.den.render()}")
-            out = rec(node.num) / d
-        elif isinstance(node, Pow):
-            b = rec(node.base)
-            p = node.expo
-            if p == int(p):
-                if p < 0 and np.any(np.abs(b) < _DIV_EPS):
-                    raise DomainError(
-                        f"negative power of vanishing base "
-                        f"{node.base.render()}")
-                out = b ** int(p)
-            else:
-                scale = np.max(np.abs(b)) if b.size else 1.0
-                if np.any(np.abs(b.imag) > 1e-9 * max(1.0, scale)):
-                    raise DomainError(
-                        f"fractional power of non-real base "
-                        f"{node.base.render()}")
-                br = b.real
-                if np.any(br < -1e-12 * max(1.0, scale)):
-                    raise DomainError(
-                        f"fractional power of negative base "
-                        f"{node.base.render()}")
-                br = np.maximum(br, 0.0)
-                if p < 0 and np.any(br < _DIV_EPS):
-                    raise DomainError(
-                        f"negative power of vanishing base "
-                        f"{node.base.render()}")
-                out = (br ** p).astype(complex)
-        elif isinstance(node, Sin):
-            out = np.sin(rec(node.arg))
-        elif isinstance(node, Cos):
-            out = np.cos(rec(node.arg))
-        elif isinstance(node, Exp):
-            out = np.exp(rec(node.arg))
-        else:
-            out = node.ev(x, xi)
-        refs[key] -= 1
-        if refs[key] > 0:
-            cache[key] = out
-        return out
-
-    return rec(e)
+    """Evaluate one tree at sample points; the same as `e.ev(x, xi)`."""
+    return Program([e])(x, xi)[0]
 
 
 def evaluate(e: Expr, point) -> complex:
@@ -644,6 +642,4 @@ def evaluate(e: Expr, point) -> complex:
     if pt.ndim != 1 or pt.size % 2 != 0:
         raise ValueError("point must be a flat (x, xi) vector of even length")
     n = pt.size // 2
-    xv = pt[:n].reshape(n, 1)
-    xiv = pt[n:].reshape(n, 1)
-    return complex(e.ev(xv, xiv)[0])
+    return complex(e.ev(pt[:n].reshape(n, 1), pt[n:].reshape(n, 1))[0])

@@ -88,19 +88,16 @@ def hamiltonian_field(p: HomogeneousTerm, check: bool = True):
     if check:
         _check_real(p)
     n = p.dimension
-    dxi = [p.expr.diff("xi", j) for j in range(1, n + 1)]
-    dx = [p.expr.diff("x", j) for j in range(1, n + 1)]
+    grad = ex.Program([p.expr.diff(kind, j) for kind in ("xi", "x")
+                       for j in range(1, n + 1)])
 
     def field_at(z) -> np.ndarray:
         if isinstance(z, PhasePoint):
             z = z.as_vector()
         z = np.asarray(z, dtype=float)
-        xv = z[:n].reshape(n, 1)
-        xiv = z[n:].reshape(n, 1)
-        out = np.empty(2 * n)
-        for j in range(n):
-            out[j] = dxi[j].ev(xv, xiv)[0].real
-            out[n + j] = -dx[j].ev(xv, xiv)[0].real
+        vals = grad(z[:n].reshape(n, 1), z[n:].reshape(n, 1))
+        out = np.array([v[0].real for v in vals])
+        out[n:] = -out[n:]
         return out
 
     return field_at
@@ -145,8 +142,7 @@ def flow(p: HomogeneousTerm, start, T: float,
                 "trajectory entered |xi| < 1e-8 (symbol singularity)")
         times = sol.t
         pts = sol.y.T
-    pv = np.array([
-        ex.evaluate(p.expr, row).real for row in pts])
+    pv = p.expr.ev(pts[:, :n].T, pts[:, n:].T).real
     return Bicharacteristic(times, pts, pv,
                             meta={"tol": tol, "n_steps": len(times) - 1})
 
@@ -155,24 +151,19 @@ def propagate_wavefront(p: HomogeneousTerm, initial, T: float,
                         tol: float = 1e-9) -> list:
     """Flow a set of characteristic points for time T.  Every input must
     lie on char(p) (|p| <= 1e-6); conservation keeps the outputs there."""
-    pts = list(initial)
-    for pt in pts:
-        v = pt.as_vector() if isinstance(pt, PhasePoint) else np.asarray(pt)
-        val = ex.evaluate(p.expr, v)
-        if abs(val) > 1e-6:
+    n = p.dimension
+    pts = [pt if isinstance(pt, PhasePoint)
+           else PhasePoint.of(pt[:n], pt[n:]) for pt in initial]
+    if pts:
+        z = np.array([pt.as_vector() for pt in pts])
+        mods = np.abs(p.expr.ev(z[:, :n].T, z[:, n:].T))
+        if np.any(mods > 1e-6):
+            k = int(np.argmax(mods > 1e-6))
             raise NotCharacteristic(
-                f"initial point {tuple(v)} has |p| = {abs(val):.2e} > 1e-6")
-    out = []
-    for pt in pts:
-        if T == 0.0:
-            if not isinstance(pt, PhasePoint):
-                v = np.asarray(pt, dtype=float)
-                n = p.dimension
-                pt = PhasePoint.of(v[:n], v[n:])
-            out.append(pt)
-            continue
-        out.append(flow(p, pt, T, tol=tol, check=False).endpoint())
-    return out
+                f"initial point {tuple(z[k])} has |p| = {mods[k]:.2e} > 1e-6")
+    if T == 0.0:
+        return pts
+    return [flow(p, pt, T, tol=tol, check=False).endpoint() for pt in pts]
 
 
 def transport_solve(p1: HomogeneousTerm, q_init: ex.Expr, t: float,

@@ -204,8 +204,3 @@ def parse_symbol_document(text: str) -> SymbolDocument:
 def parse_symbol_text(text: str) -> ClassicalSymbol:
     """Parse and fully validate a symbol document."""
     return parse_symbol_document(text).to_symbol()
-
-
-def render_report(P: ClassicalSymbol) -> str:
-    """Stable `degree <d>: <expression>` listing (diff-friendly)."""
-    return P.render()

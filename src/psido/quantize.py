@@ -206,14 +206,15 @@ def _term_multiplier(term: HomogeneousTerm, h: ex.Expr,
     xdummy = np.zeros_like(flat)
     out = np.zeros(flat.shape[1], dtype=complex)
     nz = ~zero_mask
+    hprog = ex.Program([h])
     if np.any(nz):
-        out[nz] = ex.ev_cached(h, xdummy[:, nz], flat[:, nz])
+        out[nz] = hprog(xdummy[:, nz], flat[:, nz])[0]
     if np.any(zero_mask):
         if abs(term.degree) <= _DEGREE_ZERO_TOL:
             e1 = np.zeros((n, 1))
             e1xi = np.zeros((n, 1))
             e1xi[0, 0] = 1.0
-            out[zero_mask] = h.ev(e1, e1xi)[0]
+            out[zero_mask] = hprog(e1, e1xi)[0][0]
         # nonzero degree: excised extension contributes 0 at k = 0
     return out.reshape(shape)
 
@@ -267,6 +268,7 @@ def _dense_apply(term, u, kgrid, uhat_fft, xflat):
     active = np.argwhere(np.abs(uhat) > _MODE_EPS * mx)
     ks = np.fft.fftfreq(M, d=1.0 / M).astype(int)
     mesh = lattice(n, M)
+    term_prog = ex.Program([term.expr])
     for idx in active:
         k = np.array([ks[i] for i in idx], dtype=float)
         if np.all(k == 0.0):
@@ -278,7 +280,7 @@ def _dense_apply(term, u, kgrid, uhat_fft, xflat):
                 continue
         else:
             kv = np.repeat(k.reshape(n, 1), xflat.shape[1], axis=1)
-        pvals = ex.ev_cached(term.expr, xflat, kv).reshape((M,) * n)
+        pvals = term_prog(xflat, kv)[0].reshape((M,) * n)
         phase = sum(k[j] * mesh[j] for j in range(n))
         out += uhat[tuple(idx)] * pvals * np.exp(1j * phase)
     return out
@@ -416,10 +418,11 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
                 f"regularizations disagree: {ve} vs {vp}")
         return 0.5 * (ve + vp)
     psif = _PsiTransform(psi, support)
+    amp_prog = ex.Program([a])
 
     def amp(theta):
         th = np.asarray(theta, dtype=float).reshape(1, -1)
-        return a.ev(np.zeros_like(th), th)
+        return amp_prog(np.zeros_like(th), th)[0]
 
     if method == "epsilon-cutoff":
         vals = []
@@ -483,25 +486,24 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
         # serves every transform
         xrow = psif.xn.reshape(1, -1)
         zrow = np.zeros_like(xrow)
-        wmat = np.stack([psif.w * ex.mul(G, psi_k[k]).ev(xrow, zrow)
-                         for k, F, G in terms], axis=1)
+        x_prog = ex.Program([ex.mul(G, psi_k[k]) for k, F, G in terms])
+        wmat = np.stack([psif.w * v for v in x_prog(xrow, zrow)], axis=1)
         floors = 1e-9 * np.maximum(1.0, np.sum(np.abs(wmat), axis=0))
-        f_exprs = [F for k, F, G in terms]
+        theta_prog = ex.Program([F for k, F, G in terms])
+        near_prog = ex.Program([near_expr])
 
         def far_theta_integrand(th):
             row = th.reshape(1, -1)
-            zero = np.zeros_like(row)
             vals = np.exp(1j * np.outer(th, psif.xn)) @ wmat
             vals[np.abs(vals) < floors[None, :]] = 0.0
             out = np.zeros(th.size, dtype=complex)
-            for j, F in enumerate(f_exprs):
-                out += F.ev(zero, row) * vals[:, j]
+            for j, fv in enumerate(theta_prog(np.zeros_like(row), row)):
+                out += fv * vals[:, j]
             return out
 
         def near_theta_integrand(th):
-            av = near_expr.ev(np.zeros((1, th.size)),
-                              th.reshape(1, -1))
-            return av * psif(th)
+            row = th.reshape(1, -1)
+            return near_prog(np.zeros_like(row), row)[0] * psif(th)
 
         # near part carries the non-excised remainder 1/(1+theta^8)
         near = _outward_theta_quad(near_theta_integrand, 0.0, 64.0,

@@ -97,20 +97,16 @@ def sample_points(n: int):
     return _sample_cache[n]
 
 
-def _additive_scale(e: ex.Expr, xs, xis) -> float:
-    """Magnitude scale of the top-level additive subterms on the samples."""
-    parts = e.terms if isinstance(e, ex.Add) else (e,)
-    total = np.zeros(xs.shape[1])
-    for p in parts:
-        total += np.abs(p.ev(xs, xis))
-    return float(np.max(total)) if total.size else 0.0
-
-
 def is_zero_expr(e: ex.Expr, n: int, tol: float = ZERO_TOL) -> bool:
-    """Semantic zero test on the seeded sample set."""
+    """Semantic zero test on the seeded sample set, relative to the
+    magnitude scale of the top-level additive subterms."""
     xs, xis = sample_points(n)
-    vals = e.ev(xs, xis)
-    scale = _additive_scale(e, xs, xis)
+    parts = e.terms if isinstance(e, ex.Add) else (e,)
+    vals, *part_vals = ex.Program([e, *parts])(xs, xis)
+    total = np.zeros(xs.shape[1])
+    for v in part_vals:
+        total += np.abs(v)
+    scale = float(np.max(total)) if total.size else 0.0
     return bool(np.max(np.abs(vals)) <= tol * max(1.0, scale))
 
 
@@ -193,8 +189,9 @@ def check_homogeneity(term: HomogeneousTerm) -> float:
     xs, xis = sample_points(n)
     radial = ex.add(*(ex.mul(ex.xi(j), term.expr.diff("xi", j))
                       for j in range(1, n + 1)))
-    resid = radial.ev(xs, xis) - term.degree * term.expr.ev(xs, xis)
-    scale = max(1.0, float(np.max(np.abs(term.expr.ev(xs, xis)))))
+    rvals, vals = ex.Program([radial, term.expr])(xs, xis)
+    resid = rvals - term.degree * vals
+    scale = max(1.0, float(np.max(np.abs(vals))))
     return float(np.max(np.abs(resid))) / scale
 
 
@@ -367,14 +364,14 @@ class Diffeo:
         # round-trip inverse(forward(x)) = x at the samples
         sub = {("x", j + 1): self.forward[j] for j in range(n)}
         comp = [g.subst(sub) for g in self.inverse]
-        vals = np.array([c.ev(xs, xis) for c in comp])
+        vals = np.array(ex.Program(comp)(xs, xis))
         err = np.max(np.abs(vals - xs))
         if err > tol:
             raise DegreeOrderError(
                 f"inverse(forward) deviates from identity by {err:.2e}")
         jac = self.jacobian()
-        jv = np.array([[jac[i][j].ev(xs, xis) for j in range(n)]
-                       for i in range(n)])
+        jv = np.array(ex.Program([e for row in jac for e in row])(xs, xis))
+        jv = jv.reshape(n, n, -1)
         dets = np.linalg.det(np.moveaxis(jv, 2, 0))
         if np.min(np.abs(dets)) < 1e-12:
             raise DegreeOrderError("Jacobian determinant vanishes at a sample")

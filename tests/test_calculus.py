@@ -4,7 +4,8 @@ import pytest
 from psido import calculus as ca
 from psido import expr as ex
 from psido import symbols as sy
-from psido.errors import NotElliptic, ZeroCovector
+from psido.errors import (NonConvergent, NotElliptic, NotPositive,
+                          ZeroCovector)
 
 
 def _sym(e, degree, n, trunc=4):
@@ -153,6 +154,57 @@ def test_is_elliptic_wave_operator_fails_on_diagonal():
     assert not rep.verdict
     _, xi = rep.argmin
     assert abs(abs(xi[0]) - abs(xi[1])) < 1e-6
+
+
+def _is_elliptic_by_direction(P, per_axis=16, directions=64):
+    """One direction at a time; ties go to the first direction, then to
+    the first grid point."""
+    p = ca.principal(P).expr
+    xg = ca._grid_points(P.dimension, per_axis)
+    dirs = ca._sphere_directions(P.dimension, directions)
+    best = (np.inf, None)
+    for k in range(dirs.shape[1]):
+        xiv = np.repeat(dirs[:, k:k + 1], xg.shape[1], axis=1)
+        vals = np.abs(p.ev(xg, xiv))
+        idx = int(np.argmin(vals))
+        if vals[idx] < best[0]:
+            best = (float(vals[idx]), (tuple(xg[:, idx]), tuple(dirs[:, k])))
+    return best
+
+
+def test_is_elliptic_matches_direction_by_direction_sampling():
+    coef = ex.ONE + ex.mul(ex.Const(0.5), ex.sin(ex.x(1)))
+    for P in (_sym(ex.xi_norm_sq(2), 2.0, 2),          # ties in x
+              _sym(ex.mul(coef, ex.xi_norm_sq(2)), 2.0, 2),
+              _sym(ex.mul(ex.xi(1), ex.xi(1)) - ex.mul(ex.xi(2), ex.xi(2)),
+                   2.0, 2),
+              _sym(ex.xi(1), 1.0, 1),
+              _sym(ex.mul(coef, ex.xi_norm(3)), 1.0, 3)):
+        rep = ca.is_elliptic(P, per_axis=8)
+        assert (rep.min_modulus, rep.argmin) == \
+            _is_elliptic_by_direction(P, per_axis=8)
+
+
+def test_sqrt_approx_needs_a_real_positive_principal_symbol():
+    with pytest.raises(NotPositive, match="not strictly positive"):
+        ca.sqrt_approx(_sym(ex.xi(1), 1.0, 1), 2)
+    with pytest.raises(NotPositive, match="non-real"):
+        ca.sqrt_approx(_sym(ex.mul(ex.I, ex.xi_norm_sq(2)), 2.0, 2), 2)
+
+
+def test_correction_loop_raises_when_a_level_survives():
+    # a correction that adds nothing never kills the degree -1 level of
+    # P o (1/p) - 1 for a variable-coefficient P
+    P = _sym(ex.mul(ex.ONE + ex.mul(ex.Const(0.5), ex.sin(ex.x(1))),
+                    ex.xi_norm_sq(2)), 2.0, 2, trunc=3)
+    p = ca.principal(P).expr
+    ident = sy.ClassicalSymbol.identity(2, 3)
+    with pytest.raises(NonConvergent, match="degree -1 survives 2"):
+        ca._residual_correction_loop(
+            lambda: sy.HomogeneousTerm(ex.div(ex.ONE, p), -2.0, 2),
+            lambda t: sy.HomogeneousTerm.zero(t.degree - 2.0, 2),
+            -3, 3, lambda Q: ca.compose(P, Q, truncation=3) - ident,
+            max_iter=2)
 
 
 def test_micro_elliptic_at():

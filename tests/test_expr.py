@@ -1,8 +1,59 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psido import expr as ex
 from psido.errors import DomainError
+
+
+def _reference(e, x, xi, memo=None):
+    """Plain recursion over the node kinds, kept apart from the program
+    evaluator as the reference it must reproduce; memoized by identity
+    only so that shared subtrees stay cheap."""
+    memo = {} if memo is None else memo
+    if id(e) in memo:
+        return memo[id(e)]
+
+    def rec(c):
+        return _reference(c, x, xi, memo)
+
+    if isinstance(e, ex.Const):
+        out = np.full(x.shape[1], e.value, dtype=complex)
+    elif isinstance(e, ex.Var):
+        out = (x if e.kind == "x" else xi)[e.j - 1].astype(complex)
+    elif isinstance(e, ex.Add):
+        out = functools.reduce(np.add, [rec(t) for t in e.terms])
+    elif isinstance(e, ex.Mul):
+        out = functools.reduce(np.multiply, [rec(f) for f in e.factors])
+    elif isinstance(e, ex.Div):
+        num, den = rec(e.num), rec(e.den)
+        if np.any(np.abs(den) < 1e-14):
+            raise DomainError("denominator")
+        out = num / den
+    elif isinstance(e, ex.Pow):
+        b, p = rec(e.base), e.expo
+        if p == int(p):
+            if p < 0 and np.any(np.abs(b) < 1e-14):
+                raise DomainError("vanishing base")
+            out = b ** int(p)
+        else:
+            scale = max(1.0, float(np.max(np.abs(b))))
+            if np.any(np.abs(b.imag) > 1e-9 * scale):
+                raise DomainError("non-real base")
+            if np.any(b.real < -1e-12 * scale):
+                raise DomainError("negative base")
+            br = np.maximum(b.real, 0.0)
+            if p < 0 and np.any(br < 1e-14):
+                raise DomainError("vanishing base")
+            out = (br ** p).astype(complex)
+    else:
+        out = {ex.Sin: np.sin, ex.Cos: np.cos, ex.Exp: np.exp}[type(e)](
+            rec(e.arg))
+    memo[id(e)] = out
+    return out
 
 
 def test_polynomial_evaluation():
@@ -25,6 +76,26 @@ def test_fractional_power_of_negative_base_raises():
     e = ex.pow_(ex.x(1), 0.5)
     with pytest.raises(DomainError):
         ex.evaluate(e, [-1.0, 0.0])
+
+
+def test_sqrt_of_square_is_absolute_value():
+    e = ex.sqrt(ex.pow_(ex.xi(1), 2))
+    assert ex.evaluate(e, [0.0, -2.0]) == 2.0
+
+
+def test_square_of_sqrt_keeps_its_domain():
+    e = ex.pow_(ex.sqrt(ex.x(1)), 2)
+    with pytest.raises(DomainError):
+        ex.evaluate(e, [-1.0, 0.0])
+
+
+def test_nested_powers_fold_only_where_both_forms_agree():
+    a = ex.x(1)
+    for p, q, folded in ((2, 3, 6.0), (0.5, 0.5, 0.25), (1.5, -1, -1.5)):
+        e = ex.pow_(ex.pow_(a, p), q)
+        assert e.base is a and e.expo == folded
+    for p, q in ((2, 0.5), (0.5, 2), (-1, -1), (2, -1)):
+        assert ex.pow_(ex.pow_(a, p), q).base.base is a
 
 
 def test_derivatives_stay_in_node_set():
@@ -57,9 +128,9 @@ def test_ev_cached_matches_plain_ev():
         e = e.diff("x", 1)
     x = rng.uniform(0, 2 * np.pi, size=(2, 50))
     xi = rng.uniform(-3, 3, size=(2, 50))
-    a = e.ev(x, xi)
-    b = ex.ev_cached(e, x, xi)
-    assert np.allclose(a, b, rtol=0, atol=1e-12)
+    ref = _reference(e, x, xi)
+    assert np.allclose(ex.ev_cached(e, x, xi), ref, rtol=0, atol=1e-12)
+    assert np.allclose(e.ev(x, xi), ref, rtol=0, atol=1e-12)
 
 
 def test_ev_cached_does_not_mutate_inputs():
@@ -77,3 +148,92 @@ def test_conj_and_render_round_trip():
     assert ex.evaluate(c, [0.5, 0.0, 3.0, 4.0]) == \
         np.conj(ex.evaluate(e, [0.5, 0.0, 3.0, 4.0]))
     assert isinstance(e.render(), str) and e.render()
+
+
+_LEAVES = (ex.x(1), ex.x(2), ex.xi(1), ex.xi(2), ex.ZERO, ex.Const(0.5),
+           ex.Const(-1.5 + 0.5j))
+_EXPONENTS = (-2.0, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0)
+_COORDS = (-2.0, -1.0, -0.25, -1e-9, 0.0, 0.5, 1.0, 2.5)
+
+
+@st.composite
+def _shared_dags(draw):
+    """A random tree over every node kind, built bottom-up from a pool:
+    children are drawn from the whole pool, so parents share subtrees.
+    Returns the last node, optionally differentiated, and one pool node."""
+    pool = list(_LEAVES)
+    for _ in range(draw(st.integers(1, 8))):
+        pick = st.sampled_from(list(pool))
+        kind = draw(st.sampled_from(
+            (ex.Add, ex.Mul, ex.Div, ex.Pow, ex.Sin, ex.Cos, ex.Exp)))
+        if kind in (ex.Add, ex.Mul):
+            node = kind(draw(st.lists(pick, min_size=2, max_size=3)))
+        elif kind is ex.Div:
+            node = ex.Div(draw(pick), draw(pick))
+        elif kind is ex.Pow:
+            node = ex.Pow(draw(pick), draw(st.sampled_from(_EXPONENTS)))
+        else:
+            node = kind(draw(pick))
+        pool.append(node)
+    e = pool[-1]
+    for kind, j in draw(st.lists(st.tuples(st.sampled_from(("x", "xi")),
+                                           st.integers(1, 2)), max_size=2)):
+        try:
+            e = e.diff(kind, j)
+        except DomainError:     # raw Div by the constant zero
+            break
+    return e, draw(st.sampled_from(pool))
+
+
+@st.composite
+def _samples(draw):
+    """x, xi of shape (2, m); few points, so that a single bad point
+    decides whether a domain check fires."""
+    m = draw(st.integers(1, 4))
+    coords = draw(st.lists(st.sampled_from(_COORDS), min_size=4 * m,
+                           max_size=4 * m))
+    pts = np.array(coords).reshape(4, m)
+    return pts[:2], pts[2:]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DomainError:
+        return DomainError
+
+
+def _at(x1):
+    return np.array([[x1], [1.0]]), np.ones((2, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_dags(), _samples())
+# the edges of the domain checks, which random draws rarely isolate
+@example((ex.Pow(ex.x(1), 0.5), ex.x(1)), _at(-1e-9))
+@example((ex.Pow(ex.x(1), 0.5), ex.x(1)), _at(-1e-13))
+@example((ex.Pow(ex.x(1), -0.5), ex.x(1)), _at(0.0))
+@example((ex.Pow(ex.x(1), -1.0), ex.x(1)), _at(1e-15))
+@example((ex.Pow(ex.Add([ex.x(1), ex.Const(1e-10j)]), 0.5), ex.x(1)),
+         _at(1.0))
+@example((ex.Pow(ex.Add([ex.x(1), ex.Const(1e-8j)]), 0.5), ex.x(1)),
+         _at(1.0))
+@example((ex.Div(ex.ONE, ex.x(1)), ex.x(1)), _at(1e-15))
+def test_program_matches_reference_recursion(dag, samples):
+    e, shared = dag
+    x, xi = samples
+    with np.errstate(all="ignore"):
+        want = [_outcome(lambda r=r: _reference(r, x, xi))
+                for r in (e, shared)]
+        got = _outcome(lambda: ex.Program([e, shared, e])(x, xi))
+        single = _outcome(lambda: e.ev(x, xi))
+    if any(w is DomainError for w in want):
+        assert got is DomainError
+    else:
+        # a root that is also a child of another root keeps its own value
+        for g, w in zip(got, want + want[:1]):
+            np.testing.assert_array_equal(g, w)
+    if want[0] is DomainError:
+        assert single is DomainError
+    else:
+        np.testing.assert_array_equal(single, want[0])
