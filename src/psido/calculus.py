@@ -23,7 +23,8 @@ from . import expr as ex
 from .errors import (DimensionMismatch, NonConvergent, NotElliptic,
                      NotPositive, ZeroCovector)
 from .symbols import (DEGREE_TOL, ClassicalSymbol, Diffeo, HomogeneousTerm,
-                      MultiIndex, differentiate, is_zero, multi_indices)
+                      MultiIndex, conjugate, differentiate, is_zero,
+                      multi_indices)
 
 ELLIPTIC_THRESHOLD = 1e-8
 
@@ -60,20 +61,12 @@ def compose(P: ClassicalSymbol, Q: ClassicalSymbol,
 
 
 def adjoint(P: ClassicalSymbol) -> ClassicalSymbol:
-    """Formal adjoint: sum_alpha (1/alpha!) d_x^alpha D_xi^alpha conj(p)."""
-    n = P.dimension
-    cutoff = P.leading_order - P.truncation_order
-    terms = []
-    for p in P.terms:
-        span = p.degree - cutoff
-        lmax = int(math.floor(span - DEGREE_TOL))
-        pc = HomogeneousTerm(p.expr.conj(), p.degree, n)
-        for alpha in multi_indices(n, max(lmax, 0)):
-            t = differentiate(pc, "xi", alpha)
-            t = differentiate(t, "x", alpha)
-            terms.append(t.scale(1.0 / alpha.factorial))
-    return ClassicalSymbol(P.leading_order, tuple(terms),
-                           P.truncation_order, n)
+    """Formal adjoint: sum_alpha (1/alpha!) d_x^alpha D_xi^alpha conj(p),
+    the right-to-left conversion of the termwise conjugate of P."""
+    conj = ClassicalSymbol(P.leading_order,
+                           tuple(conjugate(t) for t in P.terms),
+                           P.truncation_order, P.dimension)
+    return convert_left_right(conj, "right-to-left")
 
 
 def convert_left_right(P: ClassicalSymbol, direction: str) -> ClassicalSymbol:

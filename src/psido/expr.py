@@ -529,7 +529,8 @@ def _power(node, a, x, xi, reuse):
     """b ** expo; a non-integer exponent needs a real, non-negative base."""
     b, p = a[0], node.expo
     if p != int(p):
-        scale = max(1.0, np.max(np.abs(b)) if b.size else 1.0)
+        # per sample, so the verdict on a point does not depend on its batch
+        scale = np.maximum(1.0, np.abs(b))
         if np.any(np.abs(b.imag) > 1e-9 * scale):
             raise DomainError(
                 f"fractional power of non-real base {node.base.render()}")

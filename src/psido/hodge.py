@@ -152,17 +152,26 @@ class FormField:
             header = fh.readline().strip()
             if not header.startswith("#"):
                 raise GridMismatch("missing form CSV header")
-            fields = dict(kv.split("=") for kv in header[1:].split()
+            fields = dict(kv.split("=", 1) for kv in header[1:].split()
                           if "=" in kv)
+            if not {"n", "j", "M"} <= fields.keys():
+                raise GridMismatch("form CSV header needs n=, j= and M=")
             n, j, M = int(fields["n"]), int(fields["j"]), int(fields["M"])
             order = basis_indices(n, j)
             coeffs = {a: np.zeros((M,) * n, dtype=complex) for a in order}
             for row in csv.reader(fh):
                 if not row:
                     continue
-                alpha = order[int(row[0])]
+                if len(row) < n + 3:
+                    raise GridMismatch(f"form CSV row {row} is short")
+                a = int(row[0])
                 idx = tuple(int(c) for c in row[1:1 + n])
-                coeffs[alpha][idx] = float(row[1 + n]) + 1j * float(row[2 + n])
+                if not (0 <= a < len(order)
+                        and all(0 <= i < M for i in idx)):
+                    raise GridMismatch(
+                        f"form CSV entry {a}, {idx} is off the grid")
+                coeffs[order[a]][idx] = (float(row[1 + n])
+                                         + 1j * float(row[2 + n]))
         return cls(n, j, M, coeffs)
 
 

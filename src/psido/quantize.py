@@ -1,9 +1,13 @@
 """Numerical realization of the calculus on the torus [0, 2pi)^n, n <= 2.
 
-Quantization is the finite Fourier sum (Pu)(x) = sum_k e^{ikx} p(x,k) u^(k).
-The xi-singularity of a homogeneous term meets the integer lattice only at
-k = 0, so excision reduces to a k = 0 policy: degree-0 terms contribute
-their value along the e1 ray, terms of nonzero degree contribute 0.
+Quantization is the finite Fourier sum (Pu)(x) = sum_k e^{ikx} p(x,k) u^(k)
+over the modes of u above the fft noise floor.  The xi-singularity of a
+homogeneous term meets the integer lattice only at k = 0, so excision
+reduces to one k = 0 policy: degree-0 terms contribute their value along
+the e1 ray, terms of nonzero degree contribute 0.  `op_apply` is one loop
+over the terms: a term that factors into at most _PAIR_CAP products
+c(x) h(xi) is applied as sum c(x) F^-1[h u^], any other term is summed
+mode by mode.
 
 Also here: Sobolev norms and the H^s/H^-s duality pairing, the two
 regularized definitions of an oscillatory integral (mutual oracles), and
@@ -22,10 +26,12 @@ from numpy.polynomial.legendre import leggauss
 from . import expr as ex
 from .errors import (DomainError, GridMismatch, NonConvergent,
                      SymbolVanishes, Unstable)
-from .symbols import ClassicalSymbol, HomogeneousTerm
+from .symbols import ClassicalSymbol
 
 _MODE_EPS = 1e-12          # below the fft roundoff floor a mode is noise
 _DEGREE_ZERO_TOL = 1e-9
+_PAIR_CAP = 256            # a term with more (x, xi) pairs is summed by mode
+_PAIR_GROUP = 16           # factor pairs evaluated and transformed together
 
 
 def lattice(n: int, M: int):
@@ -55,11 +61,6 @@ class GridFunction:
             raise GridMismatch("points-per-axis must be a power of two")
         self.values = np.asarray(self.values, dtype=complex).reshape(
             (self.M,) * self.dimension)
-
-    @classmethod
-    def from_callable(cls, n: int, M: int, f) -> "GridFunction":
-        mesh = lattice(n, M)
-        return cls(n, M, f(*mesh))
 
     @classmethod
     def from_expr(cls, e: ex.Expr, n: int, M: int) -> "GridFunction":
@@ -93,9 +94,6 @@ class GridFunction:
         coef = np.fft.fftn(self.values) / self.M ** self.dimension
         return GridSpectrum(self.dimension, self.M, coef)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.dimension, self.M, self.values.copy())
-
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2)
                              / self.M ** self.dimension))
@@ -116,14 +114,20 @@ class GridFunction:
             header = fh.readline().strip()
             if not header.startswith("#"):
                 raise GridMismatch("missing grid CSV header")
-            fields = dict(kv.split("=") for kv in header[1:].split()
+            fields = dict(kv.split("=", 1) for kv in header[1:].split()
                           if "=" in kv)
+            if not {"n", "M"} <= fields.keys():
+                raise GridMismatch("grid CSV header needs n= and M=")
             n, M = int(fields["n"]), int(fields["M"])
             vals = np.zeros((M,) * n, dtype=complex)
             for row in csv.reader(fh):
                 if not row:
                     continue
+                if len(row) < n + 2:
+                    raise GridMismatch(f"grid CSV row {row} is short")
                 idx = tuple(int(c) for c in row[:n])
+                if not all(0 <= i < M for i in idx):
+                    raise GridMismatch(f"grid CSV index {idx} is off the grid")
                 vals[idx] = float(row[n]) + 1j * float(row[n + 1])
         return cls(n, M, vals)
 
@@ -152,39 +156,39 @@ class GridSpectrum:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
-def _separate(e: ex.Expr, limit: int = 256):
-    """Try to write e as a sum of products c(x) * h(xi).  Returns a list of
-    (x_factor, xi_factor) pairs or None when the tree does not factor."""
-    vs = e.vars()
-    if not any(k == "xi" for k, _ in vs):
+def _separate(e: ex.Expr):
+    """Try to write e as a sum of at most _PAIR_CAP products c(x) * h(xi).
+    Returns a list of (x_factor, xi_factor) pairs or None when the tree
+    does not factor or its expansion has more pairs than the cap."""
+    kinds = {k for k, _ in e.vars()}
+    if "xi" not in kinds:
         return [(e, ex.ONE)]
-    if not any(k == "x" for k, _ in vs):
+    if "x" not in kinds:
         return [(ex.ONE, e)]
     if isinstance(e, ex.Add):
         out = []
         for t in e.terms:
-            sub = _separate(t, limit)
+            sub = _separate(t)
             if sub is None:
                 return None
             out.extend(sub)
-            if len(out) > limit:
+            if len(out) > _PAIR_CAP:
                 return None
         return out
     if isinstance(e, ex.Mul):
         pairs = [(ex.ONE, ex.ONE)]
         for f in e.factors:
-            sub = _separate(f, limit)
+            sub = _separate(f)
             if sub is None:
                 return None
             pairs = [(ex.mul(cx, sx), ex.mul(ck, sk))
                      for (cx, ck) in pairs for (sx, sk) in sub]
-            if len(pairs) > limit:
+            if len(pairs) > _PAIR_CAP:
                 return None
         return pairs
     if isinstance(e, ex.Div):
-        dv = e.den.vars()
-        den_kinds = {k for k, _ in dv}
-        sub = _separate(e.num, limit)
+        den_kinds = {k for k, _ in e.den.vars()}
+        sub = _separate(e.num)
         if sub is None:
             return None
         if den_kinds <= {"xi"}:
@@ -195,95 +199,48 @@ def _separate(e: ex.Expr, limit: int = 256):
     return None
 
 
-def _term_multiplier(term: HomogeneousTerm, h: ex.Expr,
-                     kgrid) -> np.ndarray:
-    """Evaluate the xi-factor h on the wavenumber lattice with the k = 0
-    excision policy determined by the term's homogeneity degree."""
-    n = term.dimension
-    shape = kgrid[0].shape
-    flat = np.vstack([K.ravel().astype(float) for K in kgrid])
-    zero_mask = np.all(flat == 0.0, axis=0)
-    xdummy = np.zeros_like(flat)
-    out = np.zeros(flat.shape[1], dtype=complex)
-    nz = ~zero_mask
-    hprog = ex.Program([h])
-    if np.any(nz):
-        out[nz] = hprog(xdummy[:, nz], flat[:, nz])[0]
-    if np.any(zero_mask):
-        if abs(term.degree) <= _DEGREE_ZERO_TOL:
-            e1 = np.zeros((n, 1))
-            e1xi = np.zeros((n, 1))
-            e1xi[0, 0] = 1.0
-            out[zero_mask] = hprog(e1, e1xi)[0][0]
-        # nonzero degree: excised extension contributes 0 at k = 0
-    return out.reshape(shape)
-
-
 def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
-    """Apply the quantization of P to u.  Exact for Fourier multipliers
-    and for differential symbols on sufficiently band-limited input."""
+    """Apply the quantization of P to u: sum_k e^{ikx} p(x, k) u^(k) over
+    the modes k of u above the noise floor, under the k = 0 policy.  Each
+    term takes one of two routes, by its own structure: if `_separate`
+    factors it into pairs (c(x), h(xi)) it is applied as
+    sum c(x) F^-1[h u^], a fixed group of pairs at a time; otherwise it
+    is summed mode by mode, one compiled program for the whole term.
+    Exact for Fourier multipliers and for differential symbols on
+    sufficiently band-limited input."""
     n, M = u.dimension, u.M
     if P.dimension != n:
         raise GridMismatch("symbol/grid dimension mismatch")
-    kgrid = wavenumbers(n, M)
-    uhat_fft = np.fft.fftn(u.values)
-    out = np.zeros_like(u.values)
-    mesh = lattice(n, M)
-    xflat = np.vstack([m.ravel() for m in mesh])
-    mx = float(np.max(np.abs(uhat_fft)))
-    if mx > 0.0:
-        nactive = int(np.count_nonzero(np.abs(uhat_fft) > _MODE_EPS * mx))
-        if nactive <= 8:
-            # few excited modes: summing over them directly is cheaper
-            # than factoring and weighting every term on the full lattice
-            for term in P.terms:
-                out += _dense_apply(term, u, kgrid, uhat_fft, xflat)
-            return GridFunction(n, M, out)
+    uhat = np.fft.fftn(u.values)
+    active = (np.abs(uhat) > _MODE_EPS * np.abs(uhat).max()).ravel()
+    x = np.vstack([m.ravel() for m in lattice(n, M)])
+    k = np.vstack([K.ravel() for K in wavenumbers(n, M)]).astype(float)
+    # the k = 0 policy: degree-0 terms read k = 0 at xi = e1, others drop it
+    zero = ~k.any(axis=0)
+    kread = k.copy()
+    kread[0, zero] = 1.0
+    out = np.zeros(M ** n, dtype=complex)
     for term in P.terms:
+        modes = active & (~zero | (abs(term.degree) <= _DEGREE_ZERO_TOL))
+        if not modes.any():
+            continue
         pairs = _separate(term.expr)
-        if pairs is not None:
-            for cx, ck in pairs:
-                w = _term_multiplier(term, ck, kgrid)
-                spectral = np.fft.ifftn(w * uhat_fft)
-                if isinstance(cx, ex.Const):
-                    out += cx.value * spectral
-                else:
-                    cvals = ex.ev_cached(cx, xflat,
-                                         np.zeros_like(xflat))
-                    out += cvals.reshape((M,) * n) * spectral
-        else:
-            out += _dense_apply(term, u, kgrid, uhat_fft, xflat)
+        if pairs is None:
+            prog = ex.Program([term.expr])
+            for j in np.flatnonzero(modes):
+                p = prog(x, np.repeat(kread[:, j:j + 1], M ** n, axis=1))[0]
+                out += uhat.flat[j] / M ** n * p * np.exp(1j * (k[:, j] @ x))
+            continue
+        for g in range(0, len(pairs), _PAIR_GROUP):
+            c, h = zip(*pairs[g:g + _PAIR_GROUP])
+            w = np.zeros((len(h), M ** n), dtype=complex)
+            w[:, modes] = ex.Program(h)(np.zeros((n, modes.sum())),
+                                        kread[:, modes])
+            spectral = np.fft.ifftn(w.reshape((-1,) + uhat.shape) * uhat,
+                                    axes=tuple(range(1, n + 1)))
+            out += np.einsum("gi,gi->i", ex.Program(c)(x, np.zeros_like(x)),
+                             spectral.reshape(len(h), -1))
     return GridFunction(n, M, out)
-
-
-def _dense_apply(term, u, kgrid, uhat_fft, xflat):
-    """Fallback mode-by-mode sum for non-separable terms, restricted to
-    modes that actually carry energy."""
-    n, M = u.dimension, u.M
-    uhat = uhat_fft / M ** n
-    mx = np.max(np.abs(uhat))
-    out = np.zeros((M,) * n, dtype=complex)
-    if mx == 0.0:
-        return out
-    active = np.argwhere(np.abs(uhat) > _MODE_EPS * mx)
-    ks = np.fft.fftfreq(M, d=1.0 / M).astype(int)
-    mesh = lattice(n, M)
-    term_prog = ex.Program([term.expr])
-    for idx in active:
-        k = np.array([ks[i] for i in idx], dtype=float)
-        if np.all(k == 0.0):
-            if abs(term.degree) <= _DEGREE_ZERO_TOL:
-                e1 = np.zeros((n, 1))
-                e1[0] = 1.0
-                kv = np.repeat(e1, xflat.shape[1], axis=1)
-            else:
-                continue
-        else:
-            kv = np.repeat(k.reshape(n, 1), xflat.shape[1], axis=1)
-        pvals = term_prog(xflat, kv)[0].reshape((M,) * n)
-        phase = sum(k[j] * mesh[j] for j in range(n))
-        out += uhat[tuple(idx)] * pvals * np.exp(1j * phase)
-    return out
 
 
 def sobolev_norm(u: GridFunction, s: float) -> float:

@@ -159,24 +159,21 @@ class HomogeneousTerm:
                                self.degree + other.degree, self.dimension)
 
 
-def differentiate(term: HomogeneousTerm, var_kind: str, alpha,
-                  convention: str | None = None) -> HomogeneousTerm:
-    """Differentiate |alpha| times.  Convention defaults to D = (1/i) d/dxi
-    for xi-derivatives and the plain partial for x-derivatives; pass
-    convention="D" or "partial" to override.  xi-differentiation lowers the
+def differentiate(term: HomogeneousTerm, var_kind: str,
+                  alpha) -> HomogeneousTerm:
+    """Differentiate |alpha| times: D = (1/i) d/dxi for xi-derivatives,
+    the plain partial for x-derivatives.  xi-differentiation lowers the
     degree by |alpha|; x-differentiation leaves it unchanged.
     """
     if not isinstance(alpha, MultiIndex):
         alpha = MultiIndex(alpha)
     if len(alpha) != term.dimension:
         raise DimensionMismatch("multi-index length != dimension")
-    if convention is None:
-        convention = "D" if var_kind == "xi" else "partial"
     e = term.expr
     for j, k in enumerate(alpha, start=1):
         for _ in range(k):
             e = e.diff(var_kind, j)
-    if convention == "D":
+    if var_kind == "xi":
         e = ex.mul(ex.Const((-1j) ** alpha.order), e)
     deg = term.degree - (alpha.order if var_kind == "xi" else 0)
     return HomogeneousTerm(e, deg, term.dimension)
@@ -294,17 +291,6 @@ class ClassicalSymbol:
         return ClassicalSymbol(self.leading_order,
                                tuple(t.scale(c) for t in self.terms),
                                self.truncation_order, self.dimension)
-
-    def mul_pointwise(self, other: "ClassicalSymbol") -> "ClassicalSymbol":
-        """Plain term-by-term product of the two series (no operator
-        composition corrections)."""
-        if other.dimension != self.dimension:
-            raise DimensionMismatch("symbols live in different dimensions")
-        m = self.leading_order + other.leading_order
-        n_out = min(self.truncation_order, other.truncation_order)
-        prods = [a.mul(b) for a in self.terms for b in other.terms
-                 if a.degree + b.degree > m - n_out + DEGREE_TOL]
-        return ClassicalSymbol(m, tuple(prods), n_out, self.dimension)
 
     def render(self) -> str:
         lines = [f"degree {t.degree:g}: {t.expr.render()}"

@@ -40,7 +40,7 @@ def _reference(e, x, xi, memo=None):
                 raise DomainError("vanishing base")
             out = b ** int(p)
         else:
-            scale = max(1.0, float(np.max(np.abs(b))))
+            scale = np.maximum(1.0, np.abs(b))
             if np.any(np.abs(b.imag) > 1e-9 * scale):
                 raise DomainError("non-real base")
             if np.any(b.real < -1e-12 * scale):
@@ -76,6 +76,14 @@ def test_fractional_power_of_negative_base_raises():
     e = ex.pow_(ex.x(1), 0.5)
     with pytest.raises(DomainError):
         ex.evaluate(e, [-1.0, 0.0])
+
+
+def test_fractional_power_verdict_does_not_depend_on_the_batch():
+    e = ex.sqrt(ex.x(1))
+    for x1 in ([-1e-9], [-1e-9, 1e4]):
+        x = np.array([x1])
+        with pytest.raises(DomainError):
+            e.ev(x, np.zeros_like(x))
 
 
 def test_sqrt_of_square_is_absolute_value():
@@ -219,6 +227,9 @@ def _at(x1):
 @example((ex.Pow(ex.Add([ex.x(1), ex.Const(1e-8j)]), 0.5), ex.x(1)),
          _at(1.0))
 @example((ex.Div(ex.ONE, ex.x(1)), ex.x(1)), _at(1e-15))
+# a large sample in the same batch must not excuse a negative base
+@example((ex.Pow(ex.x(1), 0.5), ex.x(1)),
+         (np.array([[-1e-9, 1e4], [1.0, 1.0]]), np.ones((2, 2))))
 def test_program_matches_reference_recursion(dag, samples):
     e, shared = dag
     x, xi = samples

@@ -175,3 +175,34 @@ def test_cli_hodge_parametrix_check(capsys):
 
 def test_cli_missing_file_exits_one(tmp_path):
     assert main(["adjoint", str(tmp_path / "missing.sym")]) == 1
+
+
+_BAD_GRIDS = {
+    "missing_M": "# gridfunction n=1\n0,1.0,0.0\n",
+    "index_off_grid": "# gridfunction n=1 M=4\n4,1.0,0.0\n",
+    "negative_index": "# gridfunction n=1 M=4\n-1,1.0,0.0\n",
+    "short_row": "# gridfunction n=1 M=4\n0,1.0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_GRIDS))
+def test_cli_apply_rejects_malformed_grid(tmp_path, capsys, name):
+    p = _write(tmp_path / "q.sym", FIRST_ORDER_DOC)
+    grid = _write(tmp_path / "u.csv", _BAD_GRIDS[name])
+    assert main(["apply", p, "--grid", grid]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_BAD_FORMS = {
+    "missing_j": "# formfield n=1 M=4\n0,0,1.0,0.0\n",
+    "alpha_off_basis": "# formfield n=1 j=1 M=4\n1,0,1.0,0.0\n",
+    "index_off_grid": "# formfield n=1 j=1 M=4\n0,4,1.0,0.0\n",
+    "short_row": "# formfield n=1 j=1 M=4\n0,0,1.0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_FORMS))
+def test_cli_hodge_rejects_malformed_form(tmp_path, capsys, name):
+    form = _write(tmp_path / "w.csv", _BAD_FORMS[name])
+    assert main(["hodge", "d", "--form", form]) == 1
+    assert capsys.readouterr().err.startswith("error:")

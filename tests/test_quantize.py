@@ -3,8 +3,9 @@ import pytest
 
 from psido import expr as ex
 from psido import symbols as sy
-from psido.quantize import (GridFunction, circle_index, op_apply,
-                            oscint_eval, sobolev_norm)
+from psido.quantize import (_PAIR_CAP, _PAIR_GROUP, GridFunction, _separate,
+                            circle_index, op_apply, oscint_eval,
+                            sobolev_norm)
 from psido.errors import SymbolVanishes
 
 
@@ -52,6 +53,110 @@ def test_zero_mode_policy():
     P = _sym(ex.xi_norm_sq(1), 2.0, 1)
     u = GridFunction.single_mode(1, 16, [0])
     assert op_apply(P, u).l2_norm() < 1e-12
+
+
+def _direct_sum(P, u):
+    """sum_k e^{ikx} p(x, k) u^(k) over every lattice mode k, one mode and
+    one term at a time; at k = 0 a degree-0 term is read at xi = e1 and
+    every other term drops out."""
+    n, M = u.dimension, u.M
+    uhat = np.fft.fftn(u.values) / M ** n
+    ks = np.fft.fftfreq(M, d=1.0 / M)
+    axis = 2.0 * np.pi * np.arange(M) / M
+    x = np.vstack([m.ravel()
+                   for m in np.meshgrid(*([axis] * n), indexing="ij")])
+    e1 = np.eye(n)[0]
+    out = np.zeros(x.shape[1], dtype=complex)
+    for idx in np.ndindex(*uhat.shape):
+        k = ks[list(idx)]
+        for t in P.terms:
+            if not k.any() and abs(t.degree) > 1e-9:
+                continue
+            xi = np.repeat((k if k.any() else e1)[:, None], x.shape[1], 1)
+            out += t.expr.ev(x, xi) * uhat[idx] * np.exp(1j * (k @ x))
+    return out.reshape(u.values.shape)
+
+
+def _assert_direct(P, u):
+    want = _direct_sum(P, u)
+    got = op_apply(P, u).values
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# degree 2 factors into (x, xi) pairs; degree 0 divides by a mixed x/xi
+# denominator, so it does not factor and is summed mode by mode
+_SEPARABLE = ex.add(
+    ex.mul(ex.ONE + ex.mul(ex.Const(0.5), ex.sin(ex.x(1))),
+           ex.xi_norm_sq(2)),
+    ex.mul(ex.cos(ex.x(2)), ex.xi(1), ex.xi(2)))
+_MIXED_DEN = ex.add(
+    ex.mul(ex.Const(2.0) + ex.sin(ex.x(1)), ex.xi(1), ex.xi(1)),
+    ex.mul(ex.xi(2), ex.xi(2)))
+_MIXED = sy.ClassicalSymbol.from_terms(
+    [sy.HomogeneousTerm(_SEPARABLE, 2.0, 2),
+     sy.HomogeneousTerm(ex.div(ex.mul(ex.xi(1), ex.xi(1)), _MIXED_DEN),
+                        0.0, 2)], 4)
+
+
+def test_mixed_symbol_takes_both_paths():
+    assert _separate(_MIXED.terms[0].expr) is not None
+    assert _separate(_MIXED.terms[1].expr) is None
+
+
+@pytest.mark.parametrize("k", [None, [3, -2], [0, 5]])
+def test_mixed_symbol_matches_direct_sum(k):
+    if k is None:
+        u = GridFunction.random_band_limited(2, 16, 4,
+                                             np.random.default_rng(21))
+    else:
+        u = GridFunction.single_mode(2, 16, k)
+    _assert_direct(_MIXED, u)
+
+
+def test_degree_zero_term_reads_k_zero_at_e1_on_both_paths():
+    x1, x2 = np.meshgrid(*([2.0 * np.pi * np.arange(16) / 16] * 2),
+                         indexing="ij")
+    u = GridFunction.single_mode(2, 16, [0, 0])
+    # mode by mode: xi1^2 / den at xi = e1 is 1 / (2 + sin x1); the
+    # degree-2 term drops k = 0
+    v = op_apply(_MIXED, u)
+    assert np.allclose(v.values, 1.0 / (2.0 + np.sin(x1)), atol=1e-13)
+    # factored: cos(x2) xi1/|xi| + sin(x1) at xi = e1
+    e = ex.add(ex.mul(ex.cos(ex.x(2)), ex.xi(1), ex.pow_(ex.xi_norm_sq(2),
+                                                          -0.5)),
+               ex.sin(ex.x(1)))
+    assert len(_separate(e)) == 2
+    P = _sym(e, 0.0, 2)
+    v = op_apply(P, u)
+    assert np.allclose(v.values, np.cos(x2) + np.sin(x1), atol=1e-13)
+    _assert_direct(P, u)
+    _assert_direct(P, GridFunction.random_band_limited(
+        2, 16, 3, np.random.default_rng(22)))
+
+
+def _cosine_series(j, terms):
+    return ex.add(*(ex.mul(ex.cos(ex.Const(m) * ex.x(j)), ex.xi(j))
+                    for m in range(1, terms + 1)))
+
+
+def test_factored_term_spanning_several_pair_groups():
+    e = ex.mul(_cosine_series(1, 17), _cosine_series(2, 5))
+    assert _PAIR_GROUP < len(_separate(e)) <= _PAIR_CAP
+    P = _sym(e, 2.0, 2)
+    _assert_direct(P, GridFunction.single_mode(2, 16, [2, -3]))
+    _assert_direct(P, GridFunction.random_band_limited(
+        2, 16, 3, np.random.default_rng(24)))
+
+
+def test_term_over_the_pair_cap_is_summed_mode_by_mode():
+    a, b = _cosine_series(1, 17), _cosine_series(2, 17)
+    e = ex.mul(a, b)
+    assert len(_separate(a)) * len(_separate(b)) > _PAIR_CAP
+    assert _separate(e) is None
+    P = _sym(e, 2.0, 2)
+    _assert_direct(P, GridFunction.single_mode(2, 16, [2, -3]))
+    _assert_direct(P, GridFunction.random_band_limited(
+        2, 16, 3, np.random.default_rng(23)))
 
 
 def test_sobolev_norm_single_mode():
