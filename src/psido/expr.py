@@ -16,6 +16,15 @@ negative or fractional power of a bad base -> DomainError).  The entry
 points are `Program(roots)(x, xi)` for several trees or repeated batches,
 `e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
 `evaluate(e, point)` for one phase-space point.
+
+Each node kind lists its children once, as `args` in evaluation order,
+and `rebuild(args)` makes the same kind of node over new children
+through the smart constructors (a leaf rebuilds to itself).  Transforms
+are rules for `_walk`, which applies a rule bottom up once per distinct
+node, so they stay linear on the shared DAGs that differentiation
+builds: `conj` conjugates the constants, `subst` looks the variables up
+in a table, and `quantize._separate` splits a term into x and xi
+factors.  `diff` and `render` are per-class recursions.
 """
 
 from __future__ import annotations
@@ -42,6 +51,10 @@ class Expr:
     """Base class.  Subclasses are immutable and hashable by identity."""
 
     __slots__ = ()
+    args = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
 
     # -- arithmetic sugar -------------------------------------------------
     def __add__(self, other):
@@ -78,19 +91,25 @@ class Expr:
         """Evaluate at sample points.  x, xi have shape (n, m) (or (n,))."""
         return Program([self])(x, xi)[0]
 
-    # -- interface implemented by subclasses ------------------------------
-    def diff(self, kind: str, j: int) -> "Expr":
-        """Plain partial derivative with respect to x_j or xi_j (1-based)."""
-        raise NotImplementedError
+    def rebuild(self, args) -> "Expr":
+        """This kind of node over new children; a leaf is itself."""
+        return self
 
     def conj(self) -> "Expr":
-        raise NotImplementedError
+        """Complex conjugate: every constant conjugated."""
+        return _walk(self, lambda node, args: (
+            Const(node.value.conjugate()) if isinstance(node, Const)
+            else node.rebuild(args)))
 
     def subst(self, table: dict) -> "Expr":
         """Replace variables per table {("x", j): Expr, ...}."""
-        raise NotImplementedError
+        return _walk(self, lambda node, args: (
+            table.get((node.kind, node.j), node) if isinstance(node, Var)
+            else node.rebuild(args)))
 
-    def vars(self) -> set:
+    # -- interface implemented by subclasses ------------------------------
+    def diff(self, kind: str, j: int) -> "Expr":
+        """Plain partial derivative with respect to x_j or xi_j (1-based)."""
         raise NotImplementedError
 
     def render(self) -> str:
@@ -101,26 +120,27 @@ class Expr:
         return self.render()
 
 
+def _walk(root: Expr, rule, memo=None):
+    """rule(node, results for node.args) applied bottom up, once per
+    distinct node (by identity) however many parents share it; returns
+    the result for root and leaves every node's result in memo, under
+    id(node).  Linear in the DAG, where a tree recursion is exponential
+    in its depth of sharing."""
+    memo = {} if memo is None else memo
+    k = id(root)
+    if k not in memo:
+        memo[k] = rule(root, [_walk(c, rule, memo) for c in root.args])
+    return memo[k]
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
         object.__setattr__(self, "value", complex(value))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
     def diff(self, kind, j):
         return ZERO
-
-    def conj(self):
-        return Const(self.value.conjugate())
-
-    def subst(self, table):
-        return self
-
-    def vars(self):
-        return set()
 
     def render(self):
         z = self.value
@@ -153,20 +173,8 @@ class Var(Expr):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "j", int(j))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
     def diff(self, kind, j):
         return ONE if (kind, j) == (self.kind, self.j) else ZERO
-
-    def conj(self):
-        return self
-
-    def subst(self, table):
-        return table.get((self.kind, self.j), self)
-
-    def vars(self):
-        return {(self.kind, self.j)}
 
     def render(self):
         return f"{self.kind}{self.j}"
@@ -178,23 +186,13 @@ class Add(Expr):
     def __init__(self, terms):
         object.__setattr__(self, "terms", tuple(terms))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+    args = property(operator.attrgetter("terms"))
+
+    def rebuild(self, args):
+        return add(*args)
 
     def diff(self, kind, j):
         return add(*(t.diff(kind, j) for t in self.terms))
-
-    def conj(self):
-        return add(*(t.conj() for t in self.terms))
-
-    def subst(self, table):
-        return add(*(t.subst(table) for t in self.terms))
-
-    def vars(self):
-        out = set()
-        for t in self.terms:
-            out |= t.vars()
-        return out
 
     def render(self):
         return "(" + " + ".join(t.render() for t in self.terms) + ")"
@@ -206,8 +204,10 @@ class Mul(Expr):
     def __init__(self, factors):
         object.__setattr__(self, "factors", tuple(factors))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+    args = property(operator.attrgetter("factors"))
+
+    def rebuild(self, args):
+        return mul(*args)
 
     def diff(self, kind, j):
         parts = []
@@ -218,18 +218,6 @@ class Mul(Expr):
                 continue
             parts.append(mul(*fs[:k], d, *fs[k + 1:]))
         return add(*parts)
-
-    def conj(self):
-        return mul(*(f.conj() for f in self.factors))
-
-    def subst(self, table):
-        return mul(*(f.subst(table) for f in self.factors))
-
-    def vars(self):
-        out = set()
-        for f in self.factors:
-            out |= f.vars()
-        return out
 
     def render(self):
         return "(" + "*".join(f.render() for f in self.factors) + ")"
@@ -242,8 +230,10 @@ class Div(Expr):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+    args = property(operator.attrgetter("num", "den"))
+
+    def rebuild(self, args):
+        return div(*args)
 
     def diff(self, kind, j):
         dn = self.num.diff(kind, j)
@@ -251,15 +241,6 @@ class Div(Expr):
         if dd is ZERO:
             return div(dn, self.den)
         return div(dn * self.den - self.num * dd, mul(self.den, self.den))
-
-    def conj(self):
-        return div(self.num.conj(), self.den.conj())
-
-    def subst(self, table):
-        return div(self.num.subst(table), self.den.subst(table))
-
-    def vars(self):
-        return self.num.vars() | self.den.vars()
 
     def render(self):
         return f"({self.num.render()}/{self.den.render()})"
@@ -275,23 +256,16 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "expo", float(expo))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+    args = property(lambda self: (self.base,))
+
+    def rebuild(self, args):
+        return pow_(args[0], self.expo)
 
     def diff(self, kind, j):
         db = self.base.diff(kind, j)
         if db is ZERO:
             return ZERO
         return Const(self.expo) * pow_(self.base, self.expo - 1.0) * db
-
-    def conj(self):
-        return pow_(self.base.conj(), self.expo)
-
-    def subst(self, table):
-        return pow_(self.base.subst(table), self.expo)
-
-    def vars(self):
-        return self.base.vars()
 
     def render(self):
         if self.expo == 0.5:
@@ -306,17 +280,10 @@ class _Fn(Expr):
     def __init__(self, arg):
         object.__setattr__(self, "arg", arg)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+    args = property(lambda self: (self.arg,))
 
-    def conj(self):
-        return type(self)(self.arg.conj())
-
-    def subst(self, table):
-        return type(self)(self.arg.subst(table))
-
-    def vars(self):
-        return self.arg.vars()
+    def rebuild(self, args):
+        return type(self)(args[0])
 
     def render(self):
         return f"{self.name}({self.arg.render()})"
@@ -550,24 +517,17 @@ def _function(node, a, x, xi, reuse):
     return getattr(np, node.name)(a[0])       # np.sin, np.cos, np.exp
 
 
+_OPS = {Const: _const, Var: _var, Add: _sum, Mul: _product, Div: _quotient,
+        Pow: _power, Sin: _function, Cos: _function, Exp: _function}
+
+
 def _node_op(node):
     """(children, op) of one node: the only place where evaluation looks
     at the kind of a node."""
-    if isinstance(node, Mul):
-        return node.factors, _product
-    if isinstance(node, Add):
-        return node.terms, _sum
-    if isinstance(node, Const):
-        return (), _const
-    if isinstance(node, Var):
-        return (), _var
-    if isinstance(node, Div):
-        return (node.num, node.den), _quotient
-    if isinstance(node, Pow):
-        return (node.base,), _power
-    if isinstance(node, _Fn):
-        return (node.arg,), _function
-    raise TypeError(f"cannot evaluate {type(node).__name__}")
+    op = _OPS.get(type(node))
+    if op is None:
+        raise TypeError(f"cannot evaluate {type(node).__name__}")
+    return node.args, op
 
 
 class Program:

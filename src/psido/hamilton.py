@@ -150,7 +150,9 @@ def flow(p: HomogeneousTerm, start, T: float,
 def propagate_wavefront(p: HomogeneousTerm, initial, T: float,
                         tol: float = 1e-9) -> list:
     """Flow a set of characteristic points for time T.  Every input must
-    lie on char(p) (|p| <= 1e-6); conservation keeps the outputs there."""
+    lie on char(p) (|p| <= 1e-6); conservation keeps the outputs there.
+    A complex-valued p raises NotReal, as `flow` does."""
+    _check_real(p)
     n = p.dimension
     pts = [pt if isinstance(pt, PhasePoint)
            else PhasePoint.of(pt[:n], pt[n:]) for pt in initial]

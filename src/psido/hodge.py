@@ -19,6 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BottomDegree, GridMismatch, TopDegree
+from .quantize import lattice, wavenumbers
 
 _DIAG_TOL = 1e-12
 
@@ -83,8 +84,7 @@ class FormField:
 
     @classmethod
     def from_callables(cls, n: int, j: int, M: int, table) -> "FormField":
-        ax = 2.0 * np.pi * np.arange(M) / M
-        mesh = np.meshgrid(*([ax] * n), indexing="ij")
+        mesh = lattice(n, M)
         return cls(n, j, M,
                    {alpha: f(*mesh) for alpha, f in table.items()})
 
@@ -92,8 +92,7 @@ class FormField:
     def random_band_limited(cls, n: int, j: int, M: int, band: int = 4,
                             rng=None) -> "FormField":
         rng = rng or np.random.default_rng(0)
-        ks = np.fft.fftfreq(M, d=1.0 / M).astype(int)
-        kg = np.meshgrid(*([ks] * n), indexing="ij")
+        kg = wavenumbers(n, M)
         mask = np.ones_like(kg[0], dtype=bool)
         for K in kg:
             mask &= np.abs(K) <= band
@@ -176,10 +175,9 @@ class FormField:
 
 
 def _spectral_partial(v: np.ndarray, axis: int, M: int) -> np.ndarray:
-    ks = np.fft.fftfreq(M, d=1.0 / M).astype(int)
     shape = [1] * v.ndim
     shape[axis] = M
-    kf = ks.reshape(shape)
+    kf = wavenumbers(1, M)[0].reshape(shape)     # broadcast along axis
     return np.fft.ifftn(1j * kf * np.fft.fftn(v))
 
 
@@ -241,10 +239,7 @@ def laplacian(w: FormField) -> FormField:
 def green(w: FormField) -> FormField:
     """Spectral pseudo-inverse of the Hodge Laplacian: divide each nonzero
     Fourier mode by |k|^2, zero the k = 0 modes."""
-    n, M = w.dimension, w.M
-    ks = np.fft.fftfreq(M, d=1.0 / M).astype(int)
-    kg = np.meshgrid(*([ks] * n), indexing="ij")
-    k2 = sum(K.astype(float) ** 2 for K in kg)
+    k2 = sum(K.astype(float) ** 2 for K in wavenumbers(w.dimension, w.M))
     inv = np.zeros_like(k2)
     nz = k2 > 0
     inv[nz] = 1.0 / k2[nz]

@@ -18,20 +18,22 @@ circle.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import expr as ex
-from .errors import (DomainError, GridMismatch, NonConvergent,
-                     SymbolVanishes, Unstable)
+from .errors import GridMismatch, NonConvergent, SymbolVanishes, Unstable
 from .symbols import ClassicalSymbol
 
 _MODE_EPS = 1e-12          # below the fft roundoff floor a mode is noise
 _DEGREE_ZERO_TOL = 1e-9
 _PAIR_CAP = 256            # a term with more (x, xi) pairs is summed by mode
 _PAIR_GROUP = 16           # factor pairs evaluated and transformed together
+_X, _XI = 1, 2             # the variable kinds in a term, as bits
+_QUIET_PANELS = 3          # empty theta panels in a row that end a quadrature
 
 
 def lattice(n: int, M: int):
@@ -159,44 +161,60 @@ class GridSpectrum:
 def _separate(e: ex.Expr):
     """Try to write e as a sum of at most _PAIR_CAP products c(x) * h(xi).
     Returns a list of (x_factor, xi_factor) pairs or None when the tree
-    does not factor or its expansion has more pairs than the cap."""
-    kinds = {k for k, _ in e.vars()}
-    if "xi" not in kinds:
-        return [(e, ex.ONE)]
-    if "x" not in kinds:
-        return [(ex.ONE, e)]
-    if isinstance(e, ex.Add):
-        out = []
-        for t in e.terms:
-            sub = _separate(t)
-            if sub is None:
-                return None
-            out.extend(sub)
-            if len(out) > _PAIR_CAP:
-                return None
-        return out
-    if isinstance(e, ex.Mul):
-        pairs = [(ex.ONE, ex.ONE)]
-        for f in e.factors:
-            sub = _separate(f)
-            if sub is None:
-                return None
-            pairs = [(ex.mul(cx, sx), ex.mul(ck, sk))
-                     for (cx, ck) in pairs for (sx, sk) in sub]
-            if len(pairs) > _PAIR_CAP:
-                return None
-        return pairs
-    if isinstance(e, ex.Div):
-        den_kinds = {k for k, _ in e.den.vars()}
-        sub = _separate(e.num)
-        if sub is None:
-            return None
-        if den_kinds <= {"xi"}:
-            return [(cx, ex.div(ck, e.den)) for (cx, ck) in sub]
-        if den_kinds <= {"x"}:
-            return [(ex.div(cx, e.den), ck) for (cx, ck) in sub]
+    does not factor or its expansion has more pairs than the cap.  The
+    pairs are counted before they are built, so a term that does not
+    factor builds none."""
+    shape = {}
+    if ex._walk(e, _pair_count, shape)[1] is None:
         return None
-    return None
+
+    def split(node, parts):
+        kinds = shape[id(node)][0]
+        if not kinds & _XI:
+            return [(node, ex.ONE)]
+        if not kinds & _X:
+            return [(ex.ONE, node)]
+        if isinstance(node, ex.Add):
+            return [pair for sub in parts for pair in sub]
+        if isinstance(node, ex.Mul):
+            pairs = [(ex.ONE, ex.ONE)]
+            for sub in parts:
+                pairs = [(ex.mul(cx, sx), ex.mul(ck, sk))
+                         for (cx, ck) in pairs for (sx, sk) in sub]
+            return pairs
+        if shape[id(node.den)][0] & _X:        # a quotient by c(x)
+            return [(ex.div(cx, node.den), ck) for (cx, ck) in parts[0]]
+        return [(cx, ex.div(ck, node.den)) for (cx, ck) in parts[0]]
+
+    return ex._walk(e, split)
+
+
+def _pair_count(node, parts):
+    """`_walk` rule of `_separate`: the variable kinds in node (bits _X,
+    _XI) and the number of (x, xi) factor pairs it splits into, None when
+    it does not split into at most _PAIR_CAP."""
+    if isinstance(node, ex.Var):
+        kinds = _X if node.kind == "x" else _XI
+    else:
+        kinds = 0
+        for k, _ in parts:
+            kinds |= k
+    if kinds != _X | _XI:
+        return kinds, 1
+    counts = [c for _, c in parts]
+    if None in counts:
+        count = None
+    elif isinstance(node, ex.Add):
+        count = sum(counts)
+    elif isinstance(node, ex.Mul):
+        count = math.prod(counts)
+    elif isinstance(node, ex.Div) and parts[1][0] != _X | _XI:
+        count = counts[0]
+    else:
+        count = None
+    if count is not None and count > _PAIR_CAP:
+        count = None
+    return kinds, count
 
 
 def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
@@ -275,9 +293,9 @@ def _panel_quad(f, a: float, b: float) -> complex:
 
 
 def _outward_theta_quad(f, start: float, theta_max: float,
-                        width: float = 1.0, quiet_after: int = 3) -> complex:
+                        width: float = 1.0) -> complex:
     """Integrate f over start <= |theta| <= theta_max symmetric outward,
-    stopping once panels stop contributing."""
+    stopping after _QUIET_PANELS panels in a row contribute nothing."""
     total = 0.0 + 0.0j
     quiet = 0
     a = start
@@ -288,7 +306,7 @@ def _outward_theta_quad(f, start: float, theta_max: float,
         scale = max(1.0, abs(total))
         if abs(c) < 1e-9 * scale and a > 8.0:
             quiet += 1
-            if quiet >= quiet_after:
+            if quiet >= _QUIET_PANELS:
                 break
         else:
             quiet = 0
@@ -297,15 +315,15 @@ def _outward_theta_quad(f, start: float, theta_max: float,
 
 
 class _PsiTransform:
-    """Cached Fourier transform Psi(theta) = int e^{ix theta} psi(x) dx."""
+    """Cached Fourier transform Psi(theta) = int e^{ix theta} psi(x) dx
+    over psi's support [-pi, pi]."""
 
-    def __init__(self, psi: ex.Expr, support):
-        a, b = support
+    def __init__(self, psi: ex.Expr):
         nodes, weights = [], []
         # dense enough that the discrete transform is machine accurate
         # wherever |Psi| is above the noise floor below
         panels = 128
-        edges = np.linspace(a, b, panels + 1)
+        edges = np.linspace(-np.pi, np.pi, panels + 1)
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             nodes.append(mid + half * _GL_NODES)
@@ -334,17 +352,10 @@ class _PsiTransform:
         return out
 
 
-def _cutoff_profile(u: np.ndarray, kind: str) -> np.ndarray:
-    """Smooth chi with chi=1 for |u|<1 and chi=0 for |u|>2."""
-    au = np.abs(u)
-    t = np.clip(au - 1.0, 0.0, 1.0)
-    if kind == "smoothstep":
-        s = t * t * t * (t * (6 * t - 15) + 10)
-    elif kind == "cosine":
-        s = 0.5 * (1.0 - np.cos(np.pi * t))
-    else:
-        raise ValueError(f"unknown cutoff profile {kind!r}")
-    return 1.0 - s
+def _cutoff_profile(u: np.ndarray) -> np.ndarray:
+    """Smooth chi with chi=1 for |u|<1 and chi=0 for |u|>2 (smoothstep)."""
+    t = np.clip(np.abs(u) - 1.0, 0.0, 1.0)
+    return 1.0 - t * t * t * (t * (6 * t - 15) + 10)
 
 
 def _estimate_order(a: ex.Expr) -> float:
@@ -357,24 +368,23 @@ def _estimate_order(a: ex.Expr) -> float:
 
 
 def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
-                support=(-np.pi, np.pi), cutoff: str = "smoothstep",
                 tol: float = 1e-6):
     """Regularized oscillatory integral <u, psi> for phase x*theta.
 
-    a is an amplitude in theta (variable xi1), psi a smooth compactly
-    supported test function in x (variable x1).  The two regularizations
+    a is an amplitude in theta (variable xi1), psi a smooth test function
+    in x (variable x1) supported in [-pi, pi].  The two regularizations
     (epsilon-cutoff limit, and integration by parts against M = chi^-1 L)
     define the same distribution; computing both gives a built-in oracle.
     """
     if method == "both":
-        ve = oscint_eval(a, psi, "epsilon-cutoff", support, cutoff, tol)
-        vp = oscint_eval(a, psi, "parts", support, cutoff, tol)
+        ve = oscint_eval(a, psi, "epsilon-cutoff", tol)
+        vp = oscint_eval(a, psi, "parts", tol)
         scale = max(1.0, abs(ve), abs(vp))
         if abs(ve - vp) > 100 * tol * scale:
             raise NonConvergent(
                 f"regularizations disagree: {ve} vs {vp}")
         return 0.5 * (ve + vp)
-    psif = _PsiTransform(psi, support)
+    psif = _PsiTransform(psi)
     amp_prog = ex.Program([a])
 
     def amp(theta):
@@ -387,8 +397,7 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
             eps = 2.0 ** (-4 - j)
 
             def f(th):
-                return (amp(th) * _cutoff_profile(eps * th, cutoff)
-                        * psif(th))
+                return amp(th) * _cutoff_profile(eps * th) * psif(th)
 
             vals.append(_outward_theta_quad(f, 0.0, 2.0 / eps))
         diffs = [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]

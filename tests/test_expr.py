@@ -1,4 +1,4 @@
-import functools
+import operator
 
 import numpy as np
 import pytest
@@ -7,6 +7,16 @@ from hypothesis import strategies as st
 
 from psido import expr as ex
 from psido.errors import DomainError
+
+
+def _fold(inplace, values):
+    """Fold sums and products in place on a copy of the first operand,
+    the arithmetic `Program` documents: numpy may round `a * b` and
+    `a *= b` differently on a length-1 batch."""
+    out = values[0].copy()
+    for v in values[1:]:
+        out = inplace(out, v)
+    return out
 
 
 def _reference(e, x, xi, memo=None):
@@ -25,9 +35,9 @@ def _reference(e, x, xi, memo=None):
     elif isinstance(e, ex.Var):
         out = (x if e.kind == "x" else xi)[e.j - 1].astype(complex)
     elif isinstance(e, ex.Add):
-        out = functools.reduce(np.add, [rec(t) for t in e.terms])
+        out = _fold(operator.iadd, [rec(t) for t in e.terms])
     elif isinstance(e, ex.Mul):
-        out = functools.reduce(np.multiply, [rec(f) for f in e.factors])
+        out = _fold(operator.imul, [rec(f) for f in e.factors])
     elif isinstance(e, ex.Div):
         num, den = rec(e.num), rec(e.den)
         if np.any(np.abs(den) < 1e-14):
@@ -158,6 +168,44 @@ def test_conj_and_render_round_trip():
     assert isinstance(e.render(), str) and e.render()
 
 
+def _nodes(e):
+    """Distinct node objects reachable from e."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.args)
+    return len(seen)
+
+
+def _squaring_dag(leaf, unit):
+    """12 levels of e <- e*(e + unit*xi1): each level reads the previous
+    one twice, so the DAG has 5 nodes per level and the tree 2^12 paths."""
+    e = leaf
+    for _ in range(12):
+        e = e * (e + unit * ex.xi(1))
+    return e
+
+
+def test_transforms_keep_the_sharing_of_a_dag():
+    e = _squaring_dag(ex.x(1), 1j)
+    assert _nodes(e) == 61
+    calls = []
+    ex._walk(e, lambda node, args: calls.append(node))
+    assert len(calls) == 61
+    c = e.conj()
+    s = e.subst({("x", 1): ex.sin(ex.x(2))})
+    assert _nodes(c) == 61 and _nodes(s) == 62
+    rng = np.random.default_rng(5)
+    x = np.vstack([rng.uniform(-0.5, 0.5, 20), rng.uniform(-0.3, 0.3, 20)])
+    xi = rng.uniform(0.5, 1.5, (2, 20))
+    np.testing.assert_array_equal(
+        c.ev(x, xi), _squaring_dag(ex.x(1), -1j).ev(x, xi))
+    np.testing.assert_array_equal(
+        s.ev(x, xi), _squaring_dag(ex.sin(ex.x(2)), 1j).ev(x, xi))
+
+
 _LEAVES = (ex.x(1), ex.x(2), ex.xi(1), ex.xi(2), ex.ZERO, ex.Const(0.5),
            ex.Const(-1.5 + 0.5j))
 _EXPONENTS = (-2.0, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0)
@@ -230,6 +278,9 @@ def _at(x1):
 # a large sample in the same batch must not excuse a negative base
 @example((ex.Pow(ex.x(1), 0.5), ex.x(1)),
          (np.array([[-1e-9, 1e4], [1.0, 1.0]]), np.ones((2, 2))))
+# a product on one sample, where numpy's a * b and a *= b round apart
+@example((ex.Mul([_LEAVES[-1], ex.Cos(_LEAVES[-1])]), _LEAVES[-1]),
+         (np.full((2, 1), -2.0), np.full((2, 1), -2.0)))
 def test_program_matches_reference_recursion(dag, samples):
     e, shared = dag
     x, xi = samples

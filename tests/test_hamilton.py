@@ -113,6 +113,17 @@ def test_wavefront_rejects_non_characteristic_point():
         propagate_wavefront(p, [[0.0, 0.0, 1.0, 0.0]], 0.5)
 
 
+def test_wavefront_rejects_complex_symbol():
+    # p vanishes at the start, so only the realness check can stop the ray
+    p = sy.HomogeneousTerm(
+        ex.add(ex.xi(1), ex.mul(ex.I, ex.sin(ex.x(1)), ex.xi(2))), 1.0, 2)
+    start = [0.0, 0.0, 0.0, 1.0]
+    with pytest.raises(NotReal):
+        flow(p, start, 1.0)
+    with pytest.raises(NotReal):
+        propagate_wavefront(p, [start], 1.0)
+
+
 def test_transport_is_translation_for_xi1():
     p = sy.HomogeneousTerm(ex.xi(1), 1.0, 2)
     q = ex.sin(ex.x(1))

@@ -131,6 +131,15 @@ def test_cli_flow_writes_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_wavefront_of_complex_symbol_exits_one(tmp_path, capsys):
+    doc = ('symbol P {\n  dim=2 order=1 trunc=3\n'
+           '  term 1: "xi1 + i*sin(x1)*xi2"\n}\n')
+    p = _write(tmp_path / "p.sym", doc)
+    init = _write(tmp_path / "init.csv", "0,0,0,1\n")
+    assert main(["wavefront", p, "--init", init, "--time", "1.0"]) == 1
+    assert "real-valued" in capsys.readouterr().err
+
+
 def test_cli_apply_and_sobolev(tmp_path, capsys):
     p = _write(tmp_path / "p.sym", LAPLACIAN_DOC)
     grid = tmp_path / "u.csv"

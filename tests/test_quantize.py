@@ -159,6 +159,17 @@ def test_term_over_the_pair_cap_is_summed_mode_by_mode():
         2, 16, 3, np.random.default_rng(23)))
 
 
+def test_term_that_does_not_factor_builds_no_pairs(monkeypatch):
+    # 64 pairs in the first factors, then a factor that mixes x and xi
+    e = ex.mul(_cosine_series(1, 8), _cosine_series(2, 8),
+               ex.sqrt(ex.x(1) * ex.x(1) + ex.xi(1) * ex.xi(1)))
+    built = []
+    mul = ex.mul
+    monkeypatch.setattr(ex, "mul", lambda *f: built.append(f) or mul(*f))
+    assert _separate(e) is None
+    assert not built
+
+
 def test_sobolev_norm_single_mode():
     u = GridFunction.single_mode(2, 32, [3, 4])
     assert sobolev_norm(u, 1.0) == pytest.approx(np.sqrt(26.0))
