@@ -19,12 +19,16 @@ points are `Program(roots)(x, xi)` for several trees or repeated batches,
 
 Each node kind lists its children once, as `args` in evaluation order,
 and `rebuild(args)` makes the same kind of node over new children
-through the smart constructors (a leaf rebuilds to itself).  Transforms
-are rules for `_walk`, which applies a rule bottom up once per distinct
-node, so they stay linear on the shared DAGs that differentiation
-builds: `conj` conjugates the constants, `subst` looks the variables up
-in a table, and `quantize._separate` splits a term into x and xi
-factors.  `diff` and `render` are per-class recursions.
+through the smart constructors (a leaf rebuilds to itself).  What each
+kind means is one rule in a table per operation: `_OPS` evaluates,
+`_DIFF` differentiates and `_RENDER` serializes.  Transforms are rules
+for `_walk`, which applies a rule bottom up once per distinct node, so
+they stay linear on the shared DAGs that differentiation builds:
+`render` joins the rendered children, `conj` conjugates the constants,
+`subst` looks the variables up in a table, and `quantize._separate`
+splits a term into x and xi factors.  `diff` keeps each derivative in a
+memo on its node, keyed by variable, so it is linear too and a later
+call, from any caller, finds it there.
 """
 
 from __future__ import annotations
@@ -48,9 +52,10 @@ def _as_expr(v) -> "Expr":
 
 
 class Expr:
-    """Base class.  Subclasses are immutable and hashable by identity."""
+    """Base class.  Subclasses are immutable and hashable by identity.
+    `_d` is the node's derivative memo, made on the first `diff`."""
 
-    __slots__ = ()
+    __slots__ = ("_d",)
     args = ()
 
     def __setattr__(self, *a):
@@ -107,14 +112,23 @@ class Expr:
             table.get((node.kind, node.j), node) if isinstance(node, Var)
             else node.rebuild(args)))
 
-    # -- interface implemented by subclasses ------------------------------
     def diff(self, kind: str, j: int) -> "Expr":
-        """Plain partial derivative with respect to x_j or xi_j (1-based)."""
-        raise NotImplementedError
+        """Plain partial derivative with respect to x_j or xi_j (1-based),
+        built once per node and variable and kept in the node's memo, so
+        a DAG differentiates in linear time and a repeated call returns
+        the same object."""
+        try:
+            return self._d[kind, j]
+        except AttributeError:
+            object.__setattr__(self, "_d", {})
+        except KeyError:
+            pass
+        d = self._d[kind, j] = _DIFF[type(self)](self, kind, j)
+        return d
 
     def render(self) -> str:
         """Serialize in the CLI grammar (re-parseable)."""
-        raise NotImplementedError
+        return _walk(self, lambda node, args: _RENDER[type(node)](node, args))
 
     def __repr__(self):
         return self.render()
@@ -139,30 +153,6 @@ class Const(Expr):
     def __init__(self, value):
         object.__setattr__(self, "value", complex(value))
 
-    def diff(self, kind, j):
-        return ZERO
-
-    def render(self):
-        z = self.value
-        if z.imag == 0.0:
-            return _fmt_real(z.real)
-        if z.real == 0.0:
-            if z.imag == 1.0:
-                return "i"
-            if z.imag == -1.0:
-                return "(-i)"
-            return f"({_fmt_real(z.imag)}*i)"
-        sign = "+" if z.imag >= 0 else "-"
-        return f"({_fmt_real(z.real)}{sign}{_fmt_real(abs(z.imag))}*i)"
-
-
-def _fmt_real(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        s = str(int(v))
-    else:
-        s = repr(v)
-    return f"({s})" if v < 0 else s
-
 
 class Var(Expr):
     __slots__ = ("kind", "j")
@@ -172,12 +162,6 @@ class Var(Expr):
             raise ValueError("variable kind must be 'x' or 'xi'")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "j", int(j))
-
-    def diff(self, kind, j):
-        return ONE if (kind, j) == (self.kind, self.j) else ZERO
-
-    def render(self):
-        return f"{self.kind}{self.j}"
 
 
 class Add(Expr):
@@ -191,12 +175,6 @@ class Add(Expr):
     def rebuild(self, args):
         return add(*args)
 
-    def diff(self, kind, j):
-        return add(*(t.diff(kind, j) for t in self.terms))
-
-    def render(self):
-        return "(" + " + ".join(t.render() for t in self.terms) + ")"
-
 
 class Mul(Expr):
     __slots__ = ("factors",)
@@ -208,19 +186,6 @@ class Mul(Expr):
 
     def rebuild(self, args):
         return mul(*args)
-
-    def diff(self, kind, j):
-        parts = []
-        fs = self.factors
-        for k in range(len(fs)):
-            d = fs[k].diff(kind, j)
-            if d is ZERO:
-                continue
-            parts.append(mul(*fs[:k], d, *fs[k + 1:]))
-        return add(*parts)
-
-    def render(self):
-        return "(" + "*".join(f.render() for f in self.factors) + ")"
 
 
 class Div(Expr):
@@ -234,16 +199,6 @@ class Div(Expr):
 
     def rebuild(self, args):
         return div(*args)
-
-    def diff(self, kind, j):
-        dn = self.num.diff(kind, j)
-        dd = self.den.diff(kind, j)
-        if dd is ZERO:
-            return div(dn, self.den)
-        return div(dn * self.den - self.num * dd, mul(self.den, self.den))
-
-    def render(self):
-        return f"({self.num.render()}/{self.den.render()})"
 
 
 class Pow(Expr):
@@ -261,17 +216,6 @@ class Pow(Expr):
     def rebuild(self, args):
         return pow_(args[0], self.expo)
 
-    def diff(self, kind, j):
-        db = self.base.diff(kind, j)
-        if db is ZERO:
-            return ZERO
-        return Const(self.expo) * pow_(self.base, self.expo - 1.0) * db
-
-    def render(self):
-        if self.expo == 0.5:
-            return f"sqrt({self.base.render()})"
-        return f"({self.base.render()}^{_fmt_real(self.expo)})"
-
 
 class _Fn(Expr):
     __slots__ = ("arg",)
@@ -285,41 +229,20 @@ class _Fn(Expr):
     def rebuild(self, args):
         return type(self)(args[0])
 
-    def render(self):
-        return f"{self.name}({self.arg.render()})"
-
 
 class Sin(_Fn):
     __slots__ = ()
     name = "sin"
-
-    def diff(self, kind, j):
-        d = self.arg.diff(kind, j)
-        if d is ZERO:
-            return ZERO
-        return Cos(self.arg) * d
 
 
 class Cos(_Fn):
     __slots__ = ()
     name = "cos"
 
-    def diff(self, kind, j):
-        d = self.arg.diff(kind, j)
-        if d is ZERO:
-            return ZERO
-        return neg(Sin(self.arg)) * d
-
 
 class Exp(_Fn):
     __slots__ = ()
     name = "exp"
-
-    def diff(self, kind, j):
-        d = self.arg.diff(kind, j)
-        if d is ZERO:
-            return ZERO
-        return self * d
 
 
 # -- smart constructors (constant folding, neutral elements) --------------
@@ -451,6 +374,81 @@ def xi_norm_sq(n: int) -> Expr:
 
 def xi_norm(n: int) -> Expr:
     return sqrt(xi_norm_sq(n))
+
+
+# -- differentiation and rendering -------------------------------------------
+#
+# One rule per node kind in each table.  A derivative rule(node, kind, j)
+# builds on its children's derivatives, which `Expr.diff` memoizes on each
+# child; a render rule(node, a) joins the rendered children a, for `_walk`.
+
+def _d_product(node, kind, j):
+    fs = node.factors
+    ds = [f.diff(kind, j) for f in fs]
+    return add(*(mul(*fs[:k], d, *fs[k + 1:])
+                 for k, d in enumerate(ds) if d is not ZERO))
+
+
+def _d_quotient(node, kind, j):
+    dn = node.num.diff(kind, j)
+    dd = node.den.diff(kind, j)
+    if dd is ZERO:
+        return div(dn, node.den)
+    return div(dn * node.den - node.num * dd, mul(node.den, node.den))
+
+
+def _chain(outer):
+    """Chain rule for a one-argument node: outer(node) * d(argument)."""
+    def rule(node, kind, j):
+        d = node.args[0].diff(kind, j)
+        return ZERO if d is ZERO else outer(node) * d
+
+    return rule
+
+
+_DIFF = {
+    Const: lambda node, kind, j: ZERO,
+    Var: lambda node, kind, j: (
+        ONE if (kind, j) == (node.kind, node.j) else ZERO),
+    Add: lambda node, kind, j: add(*(t.diff(kind, j) for t in node.terms)),
+    Mul: _d_product,
+    Div: _d_quotient,
+    Pow: _chain(lambda n: Const(n.expo) * pow_(n.base, n.expo - 1.0)),
+    Sin: _chain(lambda n: Cos(n.arg)),
+    Cos: _chain(lambda n: neg(Sin(n.arg))),
+    Exp: _chain(lambda n: n),
+}
+
+
+def _render_const(node, a):
+    z = node.value
+    if z.imag == 0.0:
+        return _fmt_real(z.real)
+    if z.real == 0.0:
+        if z.imag == 1.0:
+            return "i"
+        if z.imag == -1.0:
+            return "(-i)"
+        return f"({_fmt_real(z.imag)}*i)"
+    sign = "+" if z.imag >= 0 else "-"
+    return f"({_fmt_real(z.real)}{sign}{_fmt_real(abs(z.imag))}*i)"
+
+
+def _fmt_real(v: float) -> str:
+    s = str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
+    return f"({s})" if v < 0 else s
+
+
+_RENDER = {
+    Const: _render_const,
+    Var: lambda node, a: f"{node.kind}{node.j}",
+    Add: lambda node, a: "(" + " + ".join(a) + ")",
+    Mul: lambda node, a: "(" + "*".join(a) + ")",
+    Div: lambda node, a: f"({a[0]}/{a[1]})",
+    Pow: lambda node, a: (f"sqrt({a[0]})" if node.expo == 0.5
+                          else f"({a[0]}^{_fmt_real(node.expo)})"),
+    **dict.fromkeys((Sin, Cos, Exp), lambda node, a: f"{node.name}({a[0]})"),
+}
 
 
 # -- evaluation --------------------------------------------------------------

@@ -82,6 +82,15 @@ def _check_real(p: HomogeneousTerm):
         raise NotReal("Hamiltonian flow needs a real-valued symbol")
 
 
+def _phase_vector(pt, n: int) -> np.ndarray:
+    """A start point, PhasePoint or sequence, as a flat (x, xi) vector."""
+    z = pt.as_vector() if isinstance(pt, PhasePoint) \
+        else np.asarray(pt, dtype=float)
+    if z.size != 2 * n:
+        raise ValueError(f"start must have length {2 * n}")
+    return z
+
+
 def hamiltonian_field(p: HomogeneousTerm, check: bool = True):
     """Evaluator PhasePoint-or-vector -> 2n-vector of the field
     (dp/dxi_1..n, -dp/dx_1..n), assembled by symbolic differentiation."""
@@ -111,13 +120,8 @@ def flow(p: HomogeneousTerm, start, T: float,
     symbol's phase space excludes the zero covector) or if the step
     controller fails.
     """
-    if isinstance(start, PhasePoint):
-        z0 = start.as_vector()
-    else:
-        z0 = np.asarray(start, dtype=float)
     n = p.dimension
-    if z0.size != 2 * n:
-        raise ValueError(f"start must have length {2 * n}")
+    z0 = _phase_vector(start, n)
     fld = hamiltonian_field(p, check=check)
 
     def rhs(t, z):
@@ -151,13 +155,13 @@ def propagate_wavefront(p: HomogeneousTerm, initial, T: float,
                         tol: float = 1e-9) -> list:
     """Flow a set of characteristic points for time T.  Every input must
     lie on char(p) (|p| <= 1e-6); conservation keeps the outputs there.
-    A complex-valued p raises NotReal, as `flow` does."""
+    A complex-valued p raises NotReal and a point of the wrong length
+    ValueError, as in `flow`."""
     _check_real(p)
     n = p.dimension
-    pts = [pt if isinstance(pt, PhasePoint)
-           else PhasePoint.of(pt[:n], pt[n:]) for pt in initial]
+    z = np.array([_phase_vector(pt, n) for pt in initial])
+    pts = [PhasePoint.of(v[:n], v[n:]) for v in z]
     if pts:
-        z = np.array([pt.as_vector() for pt in pts])
         mods = np.abs(p.expr.ev(z[:, :n].T, z[:, n:].T))
         if np.any(mods > 1e-6):
             k = int(np.argmax(mods > 1e-6))
@@ -175,10 +179,7 @@ def transport_solve(p1: HomogeneousTerm, q_init: ex.Expr, t: float,
     q_init evaluated at the time-t forward flow of z."""
     if abs(p1.degree - 1.0) > 1e-9:
         raise ValueError("transport equation needs a degree-1 symbol")
-    if isinstance(z, PhasePoint):
-        zv = z.as_vector()
-    else:
-        zv = np.asarray(z, dtype=float)
+    zv = _phase_vector(z, p1.dimension)
     if t == 0.0:
         return ex.evaluate(q_init, zv)
     curve = flow(p1, zv, t, tol=tol)

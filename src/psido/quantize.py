@@ -59,7 +59,7 @@ class GridFunction:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise GridMismatch("grid dimension must be 1 or 2")
-        if self.M & (self.M - 1):
+        if self.M < 1 or self.M & (self.M - 1):
             raise GridMismatch("points-per-axis must be a power of two")
         self.values = np.asarray(self.values, dtype=complex).reshape(
             (self.M,) * self.dimension)

@@ -206,6 +206,13 @@ def test_transforms_keep_the_sharing_of_a_dag():
         s.ev(x, xi), _squaring_dag(ex.sin(ex.x(2)), 1j).ev(x, xi))
 
 
+def test_diff_of_a_dag_stays_linear_and_is_kept_on_the_node():
+    e = _squaring_dag(ex.x(1), 1j)
+    d = e.diff("x", 1)
+    assert _nodes(d) <= 200     # the per-class recursion built 6 203
+    assert e.diff("x", 1) is d
+
+
 _LEAVES = (ex.x(1), ex.x(2), ex.xi(1), ex.xi(2), ex.ZERO, ex.Const(0.5),
            ex.Const(-1.5 + 0.5j))
 _EXPONENTS = (-2.0, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0)
@@ -299,3 +306,85 @@ def test_program_matches_reference_recursion(dag, samples):
         assert single is DomainError
     else:
         np.testing.assert_array_equal(single, want[0])
+
+
+def _reference_diff(e, kind, j, memo=None):
+    """The per-class derivative recursion that the `_DIFF` table replaced,
+    kept as the reference it must reproduce node for node; memoized by
+    identity within one call only, so that shared subtrees stay cheap."""
+    memo = {} if memo is None else memo
+    if id(e) in memo:
+        return memo[id(e)]
+
+    def rec(c):
+        return _reference_diff(c, kind, j, memo)
+
+    if isinstance(e, ex.Const):
+        out = ex.ZERO
+    elif isinstance(e, ex.Var):
+        out = ex.ONE if (kind, j) == (e.kind, e.j) else ex.ZERO
+    elif isinstance(e, ex.Add):
+        out = ex.add(*(rec(t) for t in e.terms))
+    elif isinstance(e, ex.Mul):
+        parts = []
+        fs = e.factors
+        for k in range(len(fs)):
+            d = rec(fs[k])
+            if d is ex.ZERO:
+                continue
+            parts.append(ex.mul(*fs[:k], d, *fs[k + 1:]))
+        out = ex.add(*parts)
+    elif isinstance(e, ex.Div):
+        dn, dd = rec(e.num), rec(e.den)
+        if dd is ex.ZERO:
+            out = ex.div(dn, e.den)
+        else:
+            out = ex.div(dn * e.den - e.num * dd, ex.mul(e.den, e.den))
+    else:
+        d = rec(e.args[0])
+        if d is ex.ZERO:
+            out = ex.ZERO
+        elif isinstance(e, ex.Pow):
+            out = ex.Const(e.expo) * ex.pow_(e.base, e.expo - 1.0) * d
+        elif isinstance(e, ex.Sin):
+            out = ex.Cos(e.arg) * d
+        elif isinstance(e, ex.Cos):
+            out = ex.neg(ex.Sin(e.arg)) * d
+        else:
+            out = e * d
+    memo[id(e)] = out
+    return out
+
+
+_VARIABLES = (("x", 1), ("x", 2), ("xi", 1), ("xi", 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_dags(), st.sampled_from(_VARIABLES),
+       st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_diff_matches_reference_recursion_and_central_differences(
+        dag, var, point):
+    e, _ = dag
+    d = _outcome(lambda: e.diff(*var))
+    ref = _outcome(lambda: _reference_diff(e, *var))
+    if d is DomainError:        # a raw Div by the constant zero
+        assert ref is DomainError
+        return
+    assert d.render() == ref.render()
+    assert e.diff(*var) is d
+    # the derivative at z against central differences of e at steps h
+    # and h/2 along the variable; their gap bounds the truncation error
+    h = 1e-4
+    k = (0 if var[0] == "x" else 2) + var[1] - 1
+    pts = np.repeat(np.array(point)[:, None], 5, axis=1)
+    pts[k] += [0.0, h, -h, h / 2, -h / 2]
+    with np.errstate(all="ignore"):
+        f = _outcome(lambda: e.ev(pts[:2], pts[2:]))
+        dv = _outcome(lambda: d.ev(pts[:2, :1], pts[2:, :1]))
+    if f is DomainError or dv is DomainError:
+        return                  # not evaluable at z or a step from it
+    if not (np.all(np.isfinite(f)) and np.isfinite(dv[0])):
+        return
+    coarse, fine = (f[1] - f[2]) / (2 * h), (f[3] - f[4]) / h
+    assert abs(fine - dv[0]) <= 10 * abs(coarse - fine) \
+        + 1e-6 * (1.0 + abs(dv[0]) + np.max(np.abs(f)))

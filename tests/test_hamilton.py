@@ -124,6 +124,12 @@ def test_wavefront_rejects_complex_symbol():
         propagate_wavefront(p, [start], 1.0)
 
 
+def test_wavefront_rejects_point_of_wrong_length():
+    p = sy.HomogeneousTerm(ex.xi(1), 1.0, 2)
+    with pytest.raises(ValueError, match="must have length 4"):
+        propagate_wavefront(p, [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], 0.5)
+
+
 def test_transport_is_translation_for_xi1():
     p = sy.HomogeneousTerm(ex.xi(1), 1.0, 2)
     q = ex.sin(ex.x(1))

@@ -140,6 +140,21 @@ def test_cli_wavefront_of_complex_symbol_exits_one(tmp_path, capsys):
     assert "real-valued" in capsys.readouterr().err
 
 
+def test_cli_wavefront_rejects_point_of_wrong_length(tmp_path, capsys):
+    p = _write(tmp_path / "p.sym", LAPLACIAN_DOC)
+    init = _write(tmp_path / "init.csv", "0.0,0.0,1.0\n")
+    assert main(["wavefront", p, "--init", init, "--time", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must have length 4" in err
+
+
+def test_cli_sobolev_rejects_zero_points_per_axis(tmp_path, capsys):
+    grid = _write(tmp_path / "u.csv", "# gridfunction n=1 M=0\n")
+    assert main(["sobolev", "--grid", grid, "--s", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "power of two" in err
+
+
 def test_cli_apply_and_sobolev(tmp_path, capsys):
     p = _write(tmp_path / "p.sym", LAPLACIAN_DOC)
     grid = tmp_path / "u.csv"

@@ -6,7 +6,7 @@ from psido import symbols as sy
 from psido.quantize import (_PAIR_CAP, _PAIR_GROUP, GridFunction, _separate,
                             circle_index, op_apply, oscint_eval,
                             sobolev_norm)
-from psido.errors import SymbolVanishes
+from psido.errors import GridMismatch, SymbolVanishes
 
 
 def _sym(e, degree, n):
@@ -215,6 +215,12 @@ def test_gridfunction_csv_round_trip(tmp_path):
     v = GridFunction.read_csv(path)
     assert v.dimension == 2 and v.M == 8
     assert np.allclose(v.values, u.values, atol=1e-12)
+
+
+def test_gridfunction_rejects_zero_points_per_axis():
+    # 0 & -1 is 0, so a power-of-two test alone lets M = 0 through
+    with pytest.raises(GridMismatch):
+        GridFunction(1, 0, np.zeros(0))
 
 
 def test_adjoint_duality():
