@@ -5,6 +5,9 @@ integral curves inside {p = 0} are the bicharacteristics along which
 singularities propagate.  Integration uses an adaptive embedded
 Runge-Kutta pair (scipy's RK45); p is conserved along the flow, which
 serves as an independent accuracy certificate on every trajectory.
+A wavefront is one integration: its rays are stacked into one system,
+the field runs once per stage for all of them, and they share the step
+size, which the error norm over the whole stacked state controls.
 
 x-components are not wrapped into the periodic box during integration;
 wrap only when reporting, if a torus interpretation is wanted.
@@ -13,7 +16,7 @@ wrap only when reporting, if a torus interpretation is wanted.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -50,7 +53,6 @@ class Bicharacteristic:
     times: np.ndarray
     points: np.ndarray          # shape (len(times), 2n)
     p_values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def dimension(self):
@@ -91,11 +93,11 @@ def _phase_vector(pt, n: int) -> np.ndarray:
     return z
 
 
-def hamiltonian_field(p: HomogeneousTerm, check: bool = True):
-    """Evaluator PhasePoint-or-vector -> 2n-vector of the field
-    (dp/dxi_1..n, -dp/dx_1..n), assembled by symbolic differentiation."""
-    if check:
-        _check_real(p)
+def hamiltonian_field(p: HomogeneousTerm):
+    """Evaluator of the field (dp/dxi_1..n, -dp/dx_1..n), assembled by
+    symbolic differentiation: a PhasePoint or 2n-vector gives a 2n-vector,
+    a (2n, rays) array one column per ray."""
+    _check_real(p)
     n = p.dimension
     grad = ex.Program([p.expr.diff(kind, j) for kind in ("xi", "x")
                        for j in range(1, n + 1)])
@@ -104,72 +106,71 @@ def hamiltonian_field(p: HomogeneousTerm, check: bool = True):
         if isinstance(z, PhasePoint):
             z = z.as_vector()
         z = np.asarray(z, dtype=float)
-        vals = grad(z[:n].reshape(n, 1), z[n:].reshape(n, 1))
-        out = np.array([v[0].real for v in vals])
+        cols = z.reshape(2 * n, -1)
+        out = np.array([v.real for v in grad(cols[:n], cols[n:])])
         out[n:] = -out[n:]
-        return out
+        return out.reshape(z.shape)
 
     return field_at
 
 
-def flow(p: HomogeneousTerm, start, T: float,
-         tol: float = 1e-9, check: bool = True) -> Bicharacteristic:
-    """Integrate the Hamiltonian flow from `start` over t in [0, T].
-
-    Aborts with StepFailure if the trajectory approaches xi = 0 (the
-    symbol's phase space excludes the zero covector) or if the step
-    controller fails.
-    """
-    n = p.dimension
-    z0 = _phase_vector(start, n)
-    fld = hamiltonian_field(p, check=check)
+def _integrate(field, n: int, z0: np.ndarray, T: float, tol: float):
+    """Integrate the (2n, rays) start z0 over t in [0, T] as one system:
+    `field` runs once per stage for all rays.  Returns the times and the
+    states, shape (len(times), 2n, rays).  Raises StepFailure if any ray
+    nears xi = 0 (outside the symbol's phase space) or a step fails."""
+    if T == 0.0 or z0.size == 0:
+        return np.array([0.0]), z0[np.newaxis]
+    shape = z0.shape
 
     def rhs(t, z):
-        return fld(z)
+        return field(z.reshape(shape)).reshape(-1)
 
     def xi_floor_event(t, z):
-        return float(np.linalg.norm(z[n:]) - XI_FLOOR)
+        xi = z.reshape(shape)[n:]
+        return float(np.min(np.linalg.norm(xi, axis=0)) - XI_FLOOR)
 
     xi_floor_event.terminal = True
+    sol = solve_ivp(rhs, (0.0, T), z0.reshape(-1), method="RK45",
+                    rtol=tol, atol=tol * 1e-3,
+                    events=[xi_floor_event])
+    if sol.status < 0:
+        raise StepFailure(f"integrator failed: {sol.message}")
+    if sol.status == 1:
+        raise StepFailure(
+            "trajectory entered |xi| < 1e-8 (symbol singularity)")
+    return sol.t, sol.y.T.reshape((-1,) + shape)
 
-    if T == 0.0:
-        times = np.array([0.0])
-        pts = z0.reshape(1, -1)
-    else:
-        sol = solve_ivp(rhs, (0.0, T), z0, method="RK45",
-                        rtol=tol, atol=tol * 1e-3,
-                        events=[xi_floor_event], dense_output=False)
-        if sol.status < 0:
-            raise StepFailure(f"integrator failed: {sol.message}")
-        if sol.status == 1:
-            raise StepFailure(
-                "trajectory entered |xi| < 1e-8 (symbol singularity)")
-        times = sol.t
-        pts = sol.y.T
+
+def flow(p: HomogeneousTerm, start, T: float,
+         tol: float = 1e-9) -> Bicharacteristic:
+    """Integrate the Hamiltonian flow from `start` over t in [0, T]: the
+    one-ray case of `_integrate`, with its StepFailure."""
+    n = p.dimension
+    z0 = _phase_vector(start, n)
+    times, states = _integrate(hamiltonian_field(p), n, z0.reshape(-1, 1),
+                               T, tol)
+    pts = states[:, :, 0]
     pv = p.expr.ev(pts[:, :n].T, pts[:, n:].T).real
-    return Bicharacteristic(times, pts, pv,
-                            meta={"tol": tol, "n_steps": len(times) - 1})
+    return Bicharacteristic(times, pts, pv)
 
 
 def propagate_wavefront(p: HomogeneousTerm, initial, T: float,
                         tol: float = 1e-9) -> list:
-    """Flow a set of characteristic points for time T.  Every input must
-    lie on char(p) (|p| <= 1e-6); conservation keeps the outputs there.
-    A complex-valued p raises NotReal and a point of the wrong length
-    ValueError, as in `flow`."""
-    _check_real(p)
+    """Flow a set of characteristic points for time T, all rays as one
+    integration.  Every input must lie on char(p) (|p| <= 1e-6);
+    conservation keeps the outputs there.  A complex-valued p raises
+    NotReal and a point of the wrong length ValueError, as in `flow`."""
+    fld = hamiltonian_field(p)
     n = p.dimension
-    z = np.array([_phase_vector(pt, n) for pt in initial])
-    pts = [PhasePoint.of(v[:n], v[n:]) for v in z]
-    if pts:
-        mods = np.abs(p.expr.ev(z[:, :n].T, z[:, n:].T))
-        if np.any(mods > 1e-6):
-            k = int(np.argmax(mods > 1e-6))
-            raise NotCharacteristic(
-                f"initial point {tuple(z[k])} has |p| = {mods[k]:.2e} > 1e-6")
-    if T == 0.0:
-        return pts
-    return [flow(p, pt, T, tol=tol, check=False).endpoint() for pt in pts]
+    z = np.reshape([_phase_vector(pt, n) for pt in initial], (-1, 2 * n)).T
+    mods = np.abs(p.expr.ev(z[:n], z[n:]))
+    if np.any(mods > 1e-6):
+        k = int(np.argmax(mods > 1e-6))
+        raise NotCharacteristic(
+            f"initial point {tuple(z[:, k])} has |p| = {mods[k]:.2e} > 1e-6")
+    _, states = _integrate(fld, n, z, T, tol)
+    return [PhasePoint.of(v[:n], v[n:]) for v in states[-1].T]
 
 
 def transport_solve(p1: HomogeneousTerm, q_init: ex.Expr, t: float,
@@ -179,8 +180,5 @@ def transport_solve(p1: HomogeneousTerm, q_init: ex.Expr, t: float,
     q_init evaluated at the time-t forward flow of z."""
     if abs(p1.degree - 1.0) > 1e-9:
         raise ValueError("transport equation needs a degree-1 symbol")
-    zv = _phase_vector(z, p1.dimension)
-    if t == 0.0:
-        return ex.evaluate(q_init, zv)
-    curve = flow(p1, zv, t, tol=tol)
+    curve = flow(p1, z, t, tol=tol)
     return ex.evaluate(q_init, curve.points[-1])

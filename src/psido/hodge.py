@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BottomDegree, GridMismatch, TopDegree
-from .quantize import lattice, wavenumbers
+from .quantize import lattice, read_csv_header, wavenumbers
 
 _DIAG_TOL = 1e-12
 
@@ -63,6 +63,8 @@ class FormField:
         n, j = self.dimension, self.degree
         if not 0 <= j <= n <= 3:
             raise GridMismatch("need 0 <= degree <= dimension <= 3")
+        if self.M < 1:
+            raise GridMismatch("points-per-axis must be positive")
         want = basis_indices(n, j)
         full = {}
         for alpha in want:
@@ -148,16 +150,9 @@ class FormField:
     @classmethod
     def read_csv(cls, path) -> "FormField":
         with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise GridMismatch("missing form CSV header")
-            fields = dict(kv.split("=", 1) for kv in header[1:].split()
-                          if "=" in kv)
-            if not {"n", "j", "M"} <= fields.keys():
-                raise GridMismatch("form CSV header needs n=, j= and M=")
-            n, j, M = int(fields["n"]), int(fields["j"]), int(fields["M"])
+            n, j, M = read_csv_header(fh, "form", ("n", "j", "M"), range(4))
+            w = cls.zero(n, j, M)
             order = basis_indices(n, j)
-            coeffs = {a: np.zeros((M,) * n, dtype=complex) for a in order}
             for row in csv.reader(fh):
                 if not row:
                     continue
@@ -169,9 +164,9 @@ class FormField:
                         and all(0 <= i < M for i in idx)):
                     raise GridMismatch(
                         f"form CSV entry {a}, {idx} is off the grid")
-                coeffs[order[a]][idx] = (float(row[1 + n])
-                                         + 1j * float(row[2 + n]))
-        return cls(n, j, M, coeffs)
+                w.coefficients[order[a]][idx] = (float(row[1 + n])
+                                                 + 1j * float(row[2 + n]))
+        return w
 
 
 def _spectral_partial(v: np.ndarray, axis: int, M: int) -> np.ndarray:

@@ -113,14 +113,7 @@ class GridFunction:
     @classmethod
     def read_csv(cls, path) -> "GridFunction":
         with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise GridMismatch("missing grid CSV header")
-            fields = dict(kv.split("=", 1) for kv in header[1:].split()
-                          if "=" in kv)
-            if not {"n", "M"} <= fields.keys():
-                raise GridMismatch("grid CSV header needs n= and M=")
-            n, M = int(fields["n"]), int(fields["M"])
+            n, M = read_csv_header(fh, "grid", ("n", "M"), (1, 2))
             vals = np.zeros((M,) * n, dtype=complex)
             for row in csv.reader(fh):
                 if not row:
@@ -132,6 +125,28 @@ class GridFunction:
                     raise GridMismatch(f"grid CSV index {idx} is off the grid")
                 vals[idx] = float(row[n]) + 1j * float(row[n + 1])
         return cls(n, M, vals)
+
+
+def read_csv_header(fh, kind: str, keys: tuple, dims) -> list:
+    """The integer fields `keys` of the `# <kind> k=v ...` first line of a
+    grid or form CSV file; GridMismatch for a missing header or field, a
+    non-integer value, M < 1 or a dimension n outside `dims`."""
+    header = fh.readline().strip()
+    if not header.startswith("#"):
+        raise GridMismatch(f"missing {kind} CSV header")
+    fields = dict(kv.split("=", 1) for kv in header[1:].split() if "=" in kv)
+    try:
+        vals = {k: int(fields[k]) for k in keys}
+    except (KeyError, ValueError):
+        raise GridMismatch(f"{kind} CSV header needs integer fields "
+                           + ", ".join(k + "=" for k in keys)) from None
+    if vals["M"] < 1:
+        raise GridMismatch(f"{kind} CSV header needs M >= 1 (a power of two "
+                           f"for a grid), got M={vals['M']}")
+    if vals["n"] not in dims:
+        raise GridMismatch(f"{kind} CSV dimension n={vals['n']} "
+                           "is not supported")
+    return [vals[k] for k in keys]
 
 
 @dataclass
@@ -512,30 +527,14 @@ def _fourier_coefs(e: ex.Expr, samples: int = 256) -> np.ndarray:
     return np.fft.fft(vals) / samples, vals
 
 
-def _coef(chat: np.ndarray, l: int) -> complex:
-    S = chat.size
-    if abs(l) >= S // 2:
-        return 0.0
-    return complex(chat[l % S])
-
-
-def _kernel_dim(columns_op, K: int, B: int, rank_tol: float = 1e-8) -> tuple:
-    """Numerical kernel dimension of the bi-infinite operator restricted
-    to columns [-K, K], with all reachable rows [-K-B, K+B] retained.  A
-    kernel vector of this rectangle extends by zero to an exact kernel
-    vector of the infinite matrix."""
-    cols = np.arange(-K, K + 1)
-    rows = np.arange(-K - B, K + B + 1)
-    A = np.zeros((rows.size, cols.size), dtype=complex)
-    for cj, j in enumerate(cols):
-        for ri, k in enumerate(rows):
-            if abs(k - j) <= B:
-                A[ri, cj] = columns_op(k, j)
+def _kernel_dim(A: np.ndarray, rank_tol: float = 1e-8) -> tuple:
+    """Numerical kernel dimension of A, with its singular values below
+    rank_tol relative to the largest."""
     sv = np.linalg.svd(A, compute_uv=False)
     smax = sv[0] if sv.size else 1.0
     rank = int(np.sum(sv > rank_tol * max(smax, 1e-300)))
     near = tuple(float(s) for s in sv[sv <= rank_tol * max(smax, 1e-300)])
-    return cols.size - rank, near
+    return A.shape[1] - rank, near
 
 
 def circle_index(aplus: ex.Expr, aminus: ex.Expr, K: int = 32) -> IndexReport:
@@ -546,22 +545,27 @@ def circle_index(aplus: ex.Expr, aminus: ex.Expr, K: int = 32) -> IndexReport:
     cm, vm = _fourier_coefs(aminus)
     wp = _winding(vp)
     wm = _winding(vm)
+    S = cp.size
     mx = max(np.max(np.abs(cp)), np.max(np.abs(cm)))
-    sig = [l for l in range(-127, 128)
-           if abs(_coef(cp, l)) > 1e-10 * mx or abs(_coef(cm, l)) > 1e-10 * mx]
-    B = max(8, max((abs(l) for l in sig), default=0))
+    ls = np.arange(1 - S // 2, S // 2)
+    sig = (np.abs(cp[ls]) > 1e-10 * mx) | (np.abs(cm[ls]) > 1e-10 * mx)
+    B = max(8, int(np.max(np.abs(ls[sig]), initial=0)))
 
-    def entry(k, j):
-        chat = cp if j >= 0 else cm
-        return _coef(chat, k - j)
-
-    def entry_adj(k, j):
-        chat = cp if k >= 0 else cm
-        return np.conj(_coef(chat, j - k))
+    def window(rows, cols):
+        # entry (k, j) of the bi-infinite matrix: coefficient k - j of a+
+        # for j >= 0, of a- for j < 0, inside the band |k - j| <= B < S/2
+        lag = rows[:, np.newaxis] - cols
+        entries = np.where(cols >= 0, cp[lag % S], cm[lag % S])
+        return np.where(np.abs(lag) <= B, entries, 0.0)
 
     def index_at(KK):
-        dk, near_k = _kernel_dim(entry, KK, B)
-        dc, near_c = _kernel_dim(entry_adj, KK, B)
+        # columns [-KK, KK] with all reachable rows [-KK-B, KK+B] retained:
+        # a kernel vector of this rectangle extends by zero to an exact
+        # kernel vector of the infinite matrix
+        cols = np.arange(-KK, KK + 1)
+        rows = np.arange(-KK - B, KK + B + 1)
+        dk, near_k = _kernel_dim(window(rows, cols))
+        dc, near_c = _kernel_dim(window(cols, rows).conj().T)
         return dk - dc, near_k + near_c
 
     idx, near = index_at(K)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psido import expr as ex
+from psido import hamilton
 from psido import symbols as sy
 from psido.hamilton import (flow, hamiltonian_field, propagate_wavefront,
                             transport_solve)
@@ -26,6 +27,13 @@ def test_field_with_x_dependence():
     x1, xi2 = 0.4, 1.5
     assert np.allclose(f([x1, 0.0, 2.0, xi2]),
                        [0.0, np.sin(x1), -np.cos(x1) * xi2, 0.0])
+    # a (2n, rays) batch gives one column per ray
+    batch = np.array([[0.4, -1.0, 2.5], [0.0, 0.3, 1.0],
+                      [2.0, 0.5, -1.0], [1.5, -2.0, 0.25]])
+    cols = f(batch)
+    assert cols.shape == batch.shape
+    for k in range(3):
+        assert np.array_equal(cols[:, k], f(batch[:, k]))
 
 
 def test_field_rejects_complex_symbol():
@@ -128,6 +136,63 @@ def test_wavefront_rejects_point_of_wrong_length():
     p = sy.HomogeneousTerm(ex.xi(1), 1.0, 2)
     with pytest.raises(ValueError, match="must have length 4"):
         propagate_wavefront(p, [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], 0.5)
+
+
+def _wave_symbol():
+    # xi1^2 - c(x1)^2 xi2^2 with c = 1 + 0.5 sin x1; char: xi1 = +-c xi2
+    c = ex.ONE + ex.mul(ex.Const(0.5), ex.sin(ex.x(1)))
+    return sy.HomogeneousTerm(
+        ex.mul(ex.xi(1), ex.xi(1)) - ex.mul(c, c, ex.xi(2), ex.xi(2)),
+        2.0, 2)
+
+
+def _wave_starts(count):
+    # characteristic rays with |xi2| in {0.5, 1, 3}, both signs of xi1, xi2
+    rng = np.random.default_rng(7)
+    starts = []
+    for k in range(count):
+        x1, x2 = rng.uniform(0.0, 2.0 * np.pi, 2)
+        s = (0.5, 1.0, 3.0)[k % 3] * (1 if k % 2 else -1)
+        starts.append([x1, x2, (1 if k % 4 < 2 else -1)
+                       * (1 + 0.5 * np.sin(x1)) * s, s])
+    return starts
+
+
+def test_wavefront_is_one_integration(monkeypatch):
+    calls = {"solve_ivp": 0, "field": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(hamilton, "solve_ivp",
+                        counting("solve_ivp", hamilton.solve_ivp))
+    monkeypatch.setattr(hamilton, "hamiltonian_field",
+                        counting("field", hamilton.hamiltonian_field))
+    ends = propagate_wavefront(_wave_symbol(), _wave_starts(16), 0.5)
+    assert len(ends) == 16
+    assert calls == {"solve_ivp": 1, "field": 1}
+
+
+def test_wavefront_matches_flow_ray_by_ray():
+    p = _wave_symbol()
+    starts = _wave_starts(6)
+    ends = propagate_wavefront(p, starts, 1.0, tol=1e-10)
+    for start, end in zip(starts, ends):
+        alone = flow(p, start, 1.0, tol=1e-10).endpoint()
+        assert np.allclose(end.as_vector(), alone.as_vector(),
+                           rtol=0.0, atol=1e-8)
+
+
+def test_wavefront_stops_when_one_ray_collapses():
+    # along x1 xi1 the first ray's xi decays like e^{-t}; the second ray
+    # stands still at |xi| = 1
+    p = sy.HomogeneousTerm(ex.mul(ex.x(1), ex.xi(1)), 1.0, 2)
+    with pytest.raises(StepFailure):
+        propagate_wavefront(p, [[0.0, 0.0, 1.0, 0.0],
+                                [0.0, 0.0, 0.0, 1.0]], 25.0)
 
 
 def test_transport_is_translation_for_xi1():

@@ -206,6 +206,7 @@ _BAD_GRIDS = {
     "index_off_grid": "# gridfunction n=1 M=4\n4,1.0,0.0\n",
     "negative_index": "# gridfunction n=1 M=4\n-1,1.0,0.0\n",
     "short_row": "# gridfunction n=1 M=4\n0,1.0\n",
+    "negative_M": "# gridfunction n=1 M=-4\n0,1.0,0.0\n",
 }
 
 
@@ -222,6 +223,8 @@ _BAD_FORMS = {
     "alpha_off_basis": "# formfield n=1 j=1 M=4\n1,0,1.0,0.0\n",
     "index_off_grid": "# formfield n=1 j=1 M=4\n0,4,1.0,0.0\n",
     "short_row": "# formfield n=1 j=1 M=4\n0,0,1.0\n",
+    "zero_M": "# formfield n=2 j=1 M=0\n",
+    "negative_M": "# formfield n=2 j=1 M=-4\n0,0,0,1.0,0.0\n",
 }
 
 

@@ -223,6 +223,21 @@ def test_gridfunction_rejects_zero_points_per_axis():
         GridFunction(1, 0, np.zeros(0))
 
 
+def test_csv_readers_reject_negative_points_per_axis(tmp_path):
+    # the header is checked before the reader allocates the grid
+    from psido.hodge import FormField
+    grid = tmp_path / "u.csv"
+    grid.write_text("# gridfunction n=1 M=-4\n0,1.0,0.0\n")
+    form = tmp_path / "w.csv"
+    form.write_text("# formfield n=2 j=1 M=-4\n0,0,0,1.0,0.0\n")
+    with pytest.raises(GridMismatch):
+        GridFunction.read_csv(grid)
+    with pytest.raises(GridMismatch):
+        FormField.read_csv(form)
+    with pytest.raises(GridMismatch):
+        FormField(2, 1, 0, {})
+
+
 def test_adjoint_duality():
     # <P u, v> = <u, P* v> in the unweighted L^2 pairing
     from psido.calculus import adjoint
