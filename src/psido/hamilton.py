@@ -2,8 +2,10 @@
 
 The Hamiltonian field of p is (dp/dxi, -dp/dx) on phase space; its
 integral curves inside {p = 0} are the bicharacteristics along which
-singularities propagate.  Integration uses an adaptive embedded
-Runge-Kutta pair (scipy's RK45); p is conserved along the flow, which
+singularities propagate.  Integration uses the adaptive embedded
+Dormand-Prince 5(4) pair (DOPRI5; Dormand & Prince, J. Comput. Appl.
+Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-5) under
+the step control of scipy's RK45; p is conserved along the flow, which
 serves as an independent accuracy certificate on every trajectory.
 A wavefront is one integration: its rays are stacked into one system,
 the field runs once per stage for all of them, and they share the step
@@ -16,17 +18,16 @@ wrap only when reporting, if a torus interpretation is wanted.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import expr as ex
 from .errors import NotCharacteristic, NotReal, StepFailure
 from .symbols import HomogeneousTerm, sample_points
 
 XI_FLOOR = 1e-8
-CONSERVATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,6 @@ class PhasePoint:
 
     def as_vector(self) -> np.ndarray:
         return np.array(self.x + self.xi, dtype=float)
-
-    @property
-    def dimension(self):
-        return len(self.x)
 
 
 @dataclass
@@ -114,32 +111,137 @@ def hamiltonian_field(p: HomogeneousTerm):
     return field_at
 
 
+# The Dormand-Prince 5(4) pair: stage matrix _A, fifth-order weights _B
+# (the seventh stage is the derivative at the new point, reused as the
+# next step's first), and _E, the fifth- minus the embedded fourth-order
+# weights over all seven stages, which estimates the local error.  The
+# nodes are not needed: the Hamiltonian field does not depend on t.
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]])
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
+               -22 / 525, 1 / 40])
+# step-size control of scipy's RK45: safety factor, limits on the change
+# of the step per attempt, and -1/(order of the error estimate + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 5
+
+
+@dataclass(frozen=True)
+class Solution:
+    """The accepted times `t`, the states `y` (one row per time) and the
+    number `nfev` of right-hand-side evaluations of one `solve_ivp`."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+
+
+def _rms(v: np.ndarray) -> float:
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+def _initial_step(rhs, y, f, T, rtol, atol):
+    """RK45's starting step (Hairer, Norsett & Wanner, II.4): a trial
+    Euler step sized from |y| and |f|, then the step at which its
+    second-derivative estimate would meet the tolerance."""
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(T))
+    d2 = _rms((rhs(y + h0 * math.copysign(1.0, T) * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+    return min(100 * h0, h1, abs(T))
+
+
+def solve_ivp(rhs, T: float, y0, rtol: float, atol: float,
+              stop=None) -> Solution:
+    """Integrate the autonomous system y' = rhs(y) from y(0) = y0, a 1-D
+    array, to t = T (backwards in time if T < 0) with the Dormand-Prince
+    5(4) pair.  The step control is scipy's RK45: the RMS norm of the
+    error estimate over atol + max(|y|, |y_new|) rtol must stay below 1,
+    and each attempt rescales the step by 0.9 norm^(-1/5), within
+    [0.2, 10], and by at most 1 right after a rejection.  `stop(y)`, if
+    given, sees each accepted state and raises to end the integration.
+    Raises StepFailure if the step would fall below 10 ulp(t) or the
+    initial step, the error estimate or a state is not finite."""
+    y = np.asarray(y0, dtype=float)
+    if T == 0.0 or y.size == 0:
+        return Solution(np.array([0.0]), y[np.newaxis], 0)
+    direction = math.copysign(1.0, T)
+    f = rhs(y)
+    h_abs = _initial_step(rhs, y, f, T, rtol, atol)
+    nfev = 2
+    if not math.isfinite(h_abs):
+        raise StepFailure("integrator failed: the initial step is not finite")
+    K = np.empty((7, y.size))
+    t, ts, ys = 0.0, [0.0], [y]
+    while direction * (t - T) < 0:
+        min_step = 10 * math.ulp(t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise StepFailure(f"integrator failed: the step fell below "
+                                  f"10 ulp(t) at t = {float(t)!r}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - T) > 0:
+                t_new = T
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = rhs(y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:6].T, _B)
+            K[6] = f_new = rhs(y_new)
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(K.T, _E) * h / scale)
+            if not math.isfinite(err):
+                raise StepFailure(f"integrator failed: the error estimate "
+                                  f"is not finite at t = {float(t)!r}")
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else \
+                    min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        if not np.all(np.isfinite(y)):
+            raise StepFailure(f"integrator failed: the state is not finite "
+                              f"at t = {float(t)!r}")
+        if stop is not None:
+            stop(y)
+        ts.append(t)
+        ys.append(y)
+    return Solution(np.array(ts), np.array(ys), nfev)
+
+
 def _integrate(field, n: int, z0: np.ndarray, T: float, tol: float):
     """Integrate the (2n, rays) start z0 over t in [0, T] as one system:
     `field` runs once per stage for all rays.  Returns the times and the
     states, shape (len(times), 2n, rays).  Raises StepFailure if any ray
     nears xi = 0 (outside the symbol's phase space) or a step fails."""
-    if T == 0.0 or z0.size == 0:
-        return np.array([0.0]), z0[np.newaxis]
     shape = z0.shape
 
-    def rhs(t, z):
+    def rhs(z):
         return field(z.reshape(shape)).reshape(-1)
 
-    def xi_floor_event(t, z):
+    def stop(z):
         xi = z.reshape(shape)[n:]
-        return float(np.min(np.linalg.norm(xi, axis=0)) - XI_FLOOR)
+        if np.min(np.linalg.norm(xi, axis=0)) < XI_FLOOR:
+            raise StepFailure(
+                "trajectory entered |xi| < 1e-8 (symbol singularity)")
 
-    xi_floor_event.terminal = True
-    sol = solve_ivp(rhs, (0.0, T), z0.reshape(-1), method="RK45",
-                    rtol=tol, atol=tol * 1e-3,
-                    events=[xi_floor_event])
-    if sol.status < 0:
-        raise StepFailure(f"integrator failed: {sol.message}")
-    if sol.status == 1:
-        raise StepFailure(
-            "trajectory entered |xi| < 1e-8 (symbol singularity)")
-    return sol.t, sol.y.T.reshape((-1,) + shape)
+    sol = solve_ivp(rhs, T, z0.reshape(-1), tol, tol * 1e-3, stop)
+    return sol.t, sol.y.reshape((-1,) + shape)
 
 
 def flow(p: HomogeneousTerm, start, T: float,

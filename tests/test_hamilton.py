@@ -84,6 +84,49 @@ def test_flow_group_law():
     assert np.allclose(e_full.xi, e_two.xi, atol=1e-6)
 
 
+def test_flow_backward_then_forward_returns_to_start():
+    # the variable-speed symbol of the group law; negative T integrates
+    # in reversed time
+    p = sy.HomogeneousTerm(ex.mul(ex.ONE + ex.mul(ex.Const(0.5),
+                                                  ex.sin(ex.x(1))),
+                                  ex.xi_norm_sq(2)), 2.0, 2)
+    start = [0.1, 0.2, 1.0, 0.5]
+    back = flow(p, start, -1.0)
+    assert back.times[-1] == -1.0
+    assert not np.allclose(back.points[-1], start, atol=1e-3)
+    end = flow(p, back.points[-1], 1.0).endpoint()
+    assert np.allclose(end.as_vector(), start, rtol=0.0, atol=1e-8)
+
+
+def test_solve_ivp_follows_a_solution_that_blows_up_later():
+    # y' = y^2, y(0) = 1: y = 1 / (1 - t)
+    sol = hamilton.solve_ivp(lambda y: y * y, 0.5, np.array([1.0]),
+                             1e-10, 1e-13)
+    assert sol.t[0] == 0.0 and sol.t[-1] == 0.5
+    assert sol.y.shape == (len(sol.t), 1)
+    # two evaluations choose the first step, each attempt takes six more
+    steps = len(sol.t) - 1
+    assert (sol.nfev - 2) % 6 == 0 and sol.nfev >= 2 + 6 * steps
+    assert sol.y[-1, 0] == pytest.approx(2.0, rel=0.0, abs=1e-8)
+
+
+def test_solve_ivp_fails_at_blow_up():
+    with pytest.raises(StepFailure, match="integrator failed"):
+        hamilton.solve_ivp(lambda y: y * y, 2.0, np.array([1.0]),
+                           1e-10, 1e-13)
+
+
+def test_solve_ivp_fails_on_non_finite_right_hand_side():
+    # a NaN field makes the initial step NaN; one that turns NaN on the way
+    # makes the error estimate NaN; neither may loop forever
+    with pytest.raises(StepFailure, match="integrator failed"):
+        hamilton.solve_ivp(lambda y: y * np.nan, 1.0, np.array([1.0]),
+                           1e-10, 1e-13)
+    with pytest.raises(StepFailure, match="integrator failed"):
+        hamilton.solve_ivp(lambda y: np.where(y > 1.5, np.nan, y), 1.0,
+                           np.array([1.0]), 1e-10, 1e-13)
+
+
 def test_flow_zero_time():
     p = sy.HomogeneousTerm(ex.xi_norm_sq(2), 2.0, 2)
     b = flow(p, [0.3, 0.4, 1.0, 2.0], 0.0)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -233,3 +238,14 @@ def test_cli_hodge_rejects_malformed_form(tmp_path, capsys, name):
     form = _write(tmp_path / "w.csv", _BAD_FORMS[name])
     assert main(["hodge", "d", "--form", form]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy's import cost every CLI call about 0.8 s; psido needs numpy only
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, psido.cli; print(sorted(m for m "
+         "in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
