@@ -184,23 +184,22 @@ def _residual_correction_loop(make_first, next_term, cutoff, n_out,
     residual level that fails the semantic zero test.  Raises
     NonConvergent if a level still survives after max_iter corrections."""
     q_terms = [make_first()]
-    for it in range(max_iter + 1):
-        Q = ClassicalSymbol.from_terms(q_terms, n_out)
-        R = residual_of(Q)
-        target = None
-        for t in R.terms:
-            if t.degree <= cutoff + DEGREE_TOL:
-                continue
-            if not is_zero(t):
-                target = t
-                break
-        if target is None:
-            return Q
-        if it == max_iter:
-            raise NonConvergent(
-                f"residual level of degree {target.degree:g} survives "
-                f"{max_iter} corrections")
-        q_terms.append(next_term(target))
+    values = {}     # node values shared by this construction's zero tests
+    try:
+        for it in range(max_iter + 1):
+            Q = ClassicalSymbol.from_terms(q_terms, n_out)
+            target = next((t for t in residual_of(Q).terms
+                           if t.degree > cutoff + DEGREE_TOL
+                           and not is_zero(t, values=values)), None)
+            if target is None:
+                return Q
+            if it == max_iter:
+                raise NonConvergent(
+                    f"residual level of degree {target.degree:g} survives "
+                    f"{max_iter} corrections")
+            q_terms.append(next_term(target))
+    finally:
+        values.clear()      # a traceback keeps this frame, not the table
 
 
 def parametrix(P: ClassicalSymbol, N: int) -> ClassicalSymbol:

@@ -15,7 +15,9 @@ after its last use and holds every domain check (vanishing denominator,
 negative or fractional power of a bad base -> DomainError).  The entry
 points are `Program(roots)(x, xi)` for several trees or repeated batches,
 `e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
-`evaluate(e, point)` for one phase-space point.
+`evaluate(e, point)` for one phase-space point.  A program seeded with a
+table of node values on one sample set (read-only arrays) computes only
+the nodes the table lacks, so callers compute a node once per sample set.
 
 Each node kind lists its children once, as `args` in evaluation order,
 and `rebuild(args)` makes the same kind of node over new children
@@ -55,7 +57,7 @@ class Expr:
     """Base class.  Subclasses are immutable and hashable by identity.
     `_d` is the node's derivative memo, made on the first `diff`."""
 
-    __slots__ = ("_d",)
+    __slots__ = ("_d", "__weakref__")
     args = ()
 
     def __setattr__(self, *a):
@@ -134,16 +136,18 @@ class Expr:
         return self.render()
 
 
-def _walk(root: Expr, rule, memo=None):
+def _walk(root: Expr, rule, memo=None, leaf=None):
     """rule(node, results for node.args) applied bottom up, once per
     distinct node (by identity) however many parents share it; returns
     the result for root and leaves every node's result in memo, under
     id(node).  Linear in the DAG, where a tree recursion is exponential
-    in its depth of sharing."""
+    in its depth of sharing.  The walk does not enter a node for which
+    leaf(node) holds: it gets rule(node, None)."""
     memo = {} if memo is None else memo
     k = id(root)
     if k not in memo:
-        memo[k] = rule(root, [_walk(c, rule, memo) for c in root.args])
+        memo[k] = rule(root, None if leaf and leaf(root) else
+                       [_walk(c, rule, memo, leaf) for c in root.args])
     return memo[k]
 
 
@@ -540,12 +544,22 @@ class Program:
     parents or roots share it.  Each intermediate array is dropped after
     the last step that reads it, keeping peak memory proportional to the
     live frontier, not the whole DAG.  Compile once and call many times
-    when the same trees meet many batches."""
+    when the same trees meet many batches.
 
-    def __init__(self, roots):
+    `values` is a table {id(node): (node, array)} of values at the samples
+    of every call; each entry keeps its node, and so its id, alive.  A node
+    in it at compilation is seeded: read from the table, nothing below it
+    compiled.  With `record`, each call adds every node it computes.  So a
+    table belongs to one sample set, and its arrays are read-only."""
+
+    def __init__(self, roots, values=None, record=False):
+        known = {} if values is None else values
         slot = {}               # id(node) -> step number of its value
         steps = []              # (op, node, argument step numbers)
         last = []               # step number -> last step reading it
+
+        def seeded(node, a, x, xi, reuse):
+            return known[id(node)][1]
 
         def emit(op, node, args):
             k = len(steps)
@@ -558,7 +572,8 @@ class Program:
         def visit(node):
             k = slot.get(id(node))
             if k is None:
-                children, op = _node_op(node)
+                children, op = (((), seeded) if id(node) in known
+                                else _node_op(node))
                 k = emit(op, node, tuple(map(visit, children[:2])))
                 # an n-ary sum or product takes in each further term as
                 # soon as it is computed, so its terms are never all live
@@ -569,8 +584,12 @@ class Program:
 
         self._roots = list(map(visit, roots))
         visit = None            # drop its self-reference: no garbage cycle
-        for r in self._roots:
-            last[r] = len(steps)          # roots outlive every step
+        kept = [k for k in slot.values() if record or steps[k][0] is seeded]
+        self._values = known
+        self._record = [(steps[k][1], k) for k in kept
+                        if steps[k][0] is not seeded]
+        for r in self._roots + kept:
+            last[r] = len(steps)          # no step overwrites these
         self._steps = steps
         self._last = last
         # a step may overwrite its first argument's array when no later
@@ -587,12 +606,12 @@ class Program:
             for k in args:
                 if last[k] == i:
                     vals[k] = None
+        for node, k in self._record:
+            self._values[id(node)] = (node, vals[k])
         return [vals[r] for r in self._roots]
 
 
-def ev_cached(e: Expr, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate one tree at sample points; the same as `e.ev(x, xi)`."""
-    return Program([e])(x, xi)[0]
+ev_cached = Expr.ev         # ev_cached(e, x, xi) is e.ev(x, xi)
 
 
 def evaluate(e: Expr, point) -> complex:

@@ -173,22 +173,20 @@ class GridSpectrum:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
-def _separate(e: ex.Expr):
+def _separate(e: ex.Expr, shape=None):
     """Try to write e as a sum of at most _PAIR_CAP products c(x) * h(xi).
     Returns a list of (x_factor, xi_factor) pairs or None when the tree
     does not factor or its expansion has more pairs than the cap.  The
     pairs are counted before they are built, so a term that does not
-    factor builds none."""
-    shape = {}
+    factor builds none.  `shape` receives `_pair_count`'s table."""
+    shape = {} if shape is None else shape
     if ex._walk(e, _pair_count, shape)[1] is None:
         return None
 
     def split(node, parts):
-        kinds = shape[id(node)][0]
-        if not kinds & _XI:
-            return [(node, ex.ONE)]
-        if not kinds & _X:
-            return [(ex.ONE, node)]
+        if parts is None:
+            return ([(ex.ONE, node)] if shape[id(node)][0] == _XI
+                    else [(node, ex.ONE)])
         if isinstance(node, ex.Add):
             return [pair for sub in parts for pair in sub]
         if isinstance(node, ex.Mul):
@@ -201,7 +199,7 @@ def _separate(e: ex.Expr):
             return [(ex.div(cx, node.den), ck) for (cx, ck) in parts[0]]
         return [(cx, ex.div(ck, node.den)) for (cx, ck) in parts[0]]
 
-    return ex._walk(e, split)
+    return ex._walk(e, split, {}, lambda c: shape[id(c)][0] != _X | _XI)
 
 
 def _pair_count(node, parts):
@@ -238,7 +236,7 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     term takes one of two routes, by its own structure: if `_separate`
     factors it into pairs (c(x), h(xi)) it is applied as
     sum c(x) F^-1[h u^], a fixed group of pairs at a time; otherwise it
-    is summed mode by mode, one compiled program for the whole term.
+    is summed mode by mode, one compiled program of its mixed nodes.
     Exact for Fourier multipliers and for differential symbols on
     sufficiently band-limited input."""
     n, M = u.dimension, u.M
@@ -257,11 +255,27 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
         modes = active & (~zero | (abs(term.degree) <= _DEGREE_ZERO_TOL))
         if not modes.any():
             continue
-        pairs = _separate(term.expr)
+        shape = {}
+        pairs = _separate(term.expr, shape)
         if pairs is None:
-            prog = ex.Program([term.expr])
-            for j in np.flatnonzero(modes):
-                p = prog(x, np.repeat(kread[:, j:j + 1], M ** n, axis=1))[0]
+            # per mode only mixed nodes run; the one-kind nodes they read
+            # run once, x-only on the lattice and xi-only on the modes
+            seen = {}
+            ex._walk(term.expr, lambda node, parts: node, seen,
+                     lambda c: shape[id(c)][0] != _X | _XI)
+            xs, hs = ([c for c in seen.values() if shape[id(c)][0] == kind]
+                      for kind in (_X, _XI))
+            cols = np.flatnonzero(modes)
+            # two columns at least: numpy rounds a *= b apart on one column
+            kk = kread[:, np.resize(cols, max(2, cols.size))]
+            hv = ex.Program(hs)(np.zeros_like(kk), kk)
+            known = {id(c): (c, v) for c, v in
+                     zip(xs + hs, ex.Program(xs)(x, np.zeros_like(x)) + hv)}
+            prog = ex.Program([term.expr], known)
+            for t, j in enumerate(cols):
+                known.update({id(h): (h, np.broadcast_to(v[t], x.shape[1:]))
+                              for h, v in zip(hs, hv)})
+                p = prog(x, np.broadcast_to(kread[:, j:j + 1], x.shape))[0]
                 out += uhat.flat[j] / M ** n * p * np.exp(1j * (k[:, j] @ x))
             continue
         for g in range(0, len(pairs), _PAIR_GROUP):
@@ -540,7 +554,8 @@ def _kernel_dim(A: np.ndarray, rank_tol: float = 1e-8) -> tuple:
 def circle_index(aplus: ex.Expr, aminus: ex.Expr, K: int = 32) -> IndexReport:
     """Winding numbers of a+/- plus a matrix oracle for the Fredholm index
     of the operator with symbol a+(x) for xi>0, a-(x) for xi<0 (the a+
-    branch also takes the xi = 0 mode)."""
+    branch also takes the xi = 0 mode).  Unstable unless the truncations
+    at K and K + 8 both give winding_minus - winding_plus."""
     cp, vp = _fourier_coefs(aplus)
     cm, vm = _fourier_coefs(aminus)
     wp = _winding(vp)
@@ -570,7 +585,7 @@ def circle_index(aplus: ex.Expr, aminus: ex.Expr, K: int = 32) -> IndexReport:
 
     idx, near = index_at(K)
     idx2, _ = index_at(K + 8)
-    if idx != idx2:
-        raise Unstable(
-            f"index changed from {idx} to {idx2} between K={K} and K={K + 8}")
+    if not idx == idx2 == wm - wp:
+        raise Unstable(f"matrix index {idx} at K={K}, {idx2} at K={K + 8}, "
+                       f"winding_minus - winding_plus = {wm} - ({wp})")
     return IndexReport(wp, wm, idx, K, near)

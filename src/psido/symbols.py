@@ -97,19 +97,6 @@ def sample_points(n: int):
     return _sample_cache[n]
 
 
-def is_zero_expr(e: ex.Expr, n: int, tol: float = ZERO_TOL) -> bool:
-    """Semantic zero test on the seeded sample set, relative to the
-    magnitude scale of the top-level additive subterms."""
-    xs, xis = sample_points(n)
-    parts = e.terms if isinstance(e, ex.Add) else (e,)
-    vals, *part_vals = ex.Program([e, *parts])(xs, xis)
-    total = np.zeros(xs.shape[1])
-    for v in part_vals:
-        total += np.abs(v)
-    scale = float(np.max(total)) if total.size else 0.0
-    return bool(np.max(np.abs(vals)) <= tol * max(1.0, scale))
-
-
 @dataclass(frozen=True)
 class HomogeneousTerm:
     """Expression homogeneous of a real degree in xi."""
@@ -192,8 +179,18 @@ def check_homogeneity(term: HomogeneousTerm) -> float:
     return float(np.max(np.abs(resid))) / scale
 
 
-def is_zero(term: HomogeneousTerm, tol: float = ZERO_TOL) -> bool:
-    return is_zero_expr(term.expr, term.dimension, tol)
+def is_zero(term: HomogeneousTerm, tol: float = ZERO_TOL,
+            values=None) -> bool:
+    """Semantic zero test on the seeded sample set, relative to the
+    magnitude scale of the top-level additive subterms.  `values` is an
+    `ex.Program` table on these samples: the test reads the nodes it
+    holds and records every node it computes."""
+    xs, xis = sample_points(term.dimension)
+    parts = term.expr.terms if isinstance(term.expr, ex.Add) else (term.expr,)
+    vals, *part_vals = ex.Program([term.expr, *parts], values,
+                                  record=values is not None)(xs, xis)
+    scale = float(np.max(sum(np.abs(v) for v in part_vals)))
+    return bool(np.max(np.abs(vals)) <= tol * max(1.0, scale))
 
 
 def conjugate(term: HomogeneousTerm) -> HomogeneousTerm:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,41 @@ def test_correction_loop_raises_when_a_level_survives():
             lambda t: sy.HomogeneousTerm.zero(t.degree - 2.0, 2),
             -3, 3, lambda Q: ca.compose(P, Q, truncation=3) - ident,
             max_iter=2)
+
+
+def _spy_on_the_table(monkeypatch, verdict=None):
+    """Make each zero test put a node into its value table that nothing
+    else holds; returns weak references to those nodes.  `verdict`, if
+    given, replaces the zero test's answer."""
+    refs = []
+    real = ca.is_zero
+
+    def spy(term, values):
+        node = ex.Sin(ex.x(1))
+        values[id(node)] = (node, np.zeros(64))
+        refs.append(weakref.ref(node))
+        out = real(term, values=values)
+        return out if verdict is None else verdict
+
+    monkeypatch.setattr(ca, "is_zero", spy)
+    return refs
+
+
+def test_zero_test_table_does_not_outlive_a_construction(monkeypatch):
+    P = _sym(ex.mul(ex.ONE + ex.mul(ex.Const(0.5), ex.sin(ex.x(1))),
+                    ex.xi_norm_sq(2)), 2.0, 2, trunc=3)
+    refs = _spy_on_the_table(monkeypatch)
+    ca.parametrix(P, 3)
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
+    # a level that never tests zero: the loop raises, and the traceback
+    # keeps the loop's frame alive, but not the table
+    refs = _spy_on_the_table(monkeypatch, verdict=False)
+    with pytest.raises(NonConvergent) as info:
+        ca.parametrix(P, 1)
+    gc.collect()
+    assert info.value.__traceback__ is not None
+    assert refs and all(r() is None for r in refs)
 
 
 def test_micro_elliptic_at():

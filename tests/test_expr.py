@@ -308,6 +308,32 @@ def test_program_matches_reference_recursion(dag, samples):
         np.testing.assert_array_equal(single, want[0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(_shared_dags(), _samples())
+def test_seeded_program_matches_a_fresh_one(dag, samples):
+    e, shared = dag
+    x, xi = samples
+    values = {}
+    with np.errstate(all="ignore"):
+        if _outcome(lambda: ex.Program([shared], values, record=True)(
+                x, xi)) is DomainError:
+            return
+        seeds = {k: v.copy() for k, (_, v) in values.items()}
+        want = _outcome(lambda: ex.Program([e, shared])(x, xi))
+        got = _outcome(lambda: ex.Program([e, shared], values, record=True)(
+            x, xi))
+        # every array in the table, seeded or recorded, is its node's value
+        for node, v in values.values():
+            np.testing.assert_array_equal(v, _reference(node, x, xi))
+    if want is DomainError:
+        assert got is DomainError
+    else:
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+    for k, v in seeds.items():
+        np.testing.assert_array_equal(values[k][1], v)
+
+
 def _reference_diff(e, kind, j, memo=None):
     """The per-class derivative recursion that the `_DIFF` table replaced,
     kept as the reference it must reproduce node for node; memoized by

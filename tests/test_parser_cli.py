@@ -191,6 +191,16 @@ def test_cli_index(capsys):
     assert "numerical_index: 1" in out
 
 
+def test_cli_index_short_of_the_winding_index_is_a_numerical_error(capsys):
+    # windings -2 and 1: the truncation at K = 16 reads index 0, not 3
+    assert main(["index", "--aplus", "exp(-2*i*x1)*(1+0.319*cos(3*x1+4.03))",
+                 "--aminus", "exp(i*x1)*(1+0.376*cos(3*x1+0.136))",
+                 "--K", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: matrix index 0 at K=16, 0 at "
+                          "K=24, winding_minus - winding_plus = 1 - (-2)")
+
+
 def test_cli_hodge_betti(capsys):
     assert main(["hodge", "betti", "--n", "2", "--j", "1"]) == 0
     assert "betti: 2" in capsys.readouterr().out

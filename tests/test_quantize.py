@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from psido import calculus as ca
 from psido import expr as ex
 from psido import symbols as sy
 from psido.quantize import (_PAIR_CAP, _PAIR_GROUP, GridFunction, _separate,
-                            circle_index, op_apply, oscint_eval,
-                            sobolev_norm)
-from psido.errors import GridMismatch, SymbolVanishes
+                            circle_index, lattice, op_apply, oscint_eval,
+                            sobolev_norm, wavenumbers)
+from psido.errors import GridMismatch, SymbolVanishes, Unstable
 
 
 def _sym(e, degree, n):
@@ -132,6 +133,60 @@ def test_degree_zero_term_reads_k_zero_at_e1_on_both_paths():
     _assert_direct(P, u)
     _assert_direct(P, GridFunction.random_band_limited(
         2, 16, 3, np.random.default_rng(22)))
+
+
+def _one_program_per_mode(P, u):
+    """The mode-by-mode route as one `Program` call per mode over the whole
+    term, every node evaluated at every mode on the full lattice: the
+    reference for op_apply on terms that do not factor."""
+    n, M = u.dimension, u.M
+    uhat = np.fft.fftn(u.values)
+    active = (np.abs(uhat) > 1e-12 * np.abs(uhat).max()).ravel()
+    x = np.vstack([m.ravel() for m in lattice(n, M)])
+    k = np.vstack([K.ravel() for K in wavenumbers(n, M)]).astype(float)
+    zero = ~k.any(axis=0)
+    kread = k.copy()
+    kread[0, zero] = 1.0
+    out = np.zeros(M ** n, dtype=complex)
+    for term in P.terms:
+        assert _separate(term.expr) is None
+        modes = active & (~zero | (abs(term.degree) <= 1e-9))
+        prog = ex.Program([term.expr])
+        for j in np.flatnonzero(modes):
+            p = prog(x, np.repeat(kread[:, j:j + 1], M ** n, axis=1))[0]
+            out += uhat.flat[j] / M ** n * p * np.exp(1j * (k[:, j] @ x))
+    return out.reshape(u.values.shape)
+
+
+def _parametrix_residual():
+    """(Q L - 1) for the order-2 parametrix Q of a variable Laplacian L:
+    its levels 0 and -1 are roundoff and -2 is not, none of them factors."""
+    L = _sym(ex.add(
+        ex.mul(ex.ONE + ex.mul(ex.Const(0.3), ex.sin(ex.x(1) + 1.2)),
+               ex.xi(1), ex.xi(1)),
+        ex.mul(ex.ONE + ex.mul(ex.Const(0.2), ex.cos(ex.x(2))),
+               ex.xi(2), ex.xi(2))), 2.0, 2)
+    return (ca.compose(ca.parametrix(L, 2), L, truncation=3)
+            - sy.ClassicalSymbol.identity(2, 3))
+
+
+def _complex_xi_factor():
+    """h exp(ih) / (2 + h sin x1) for h = (0.3+1.7i) xi1/|xi|: its xi-only
+    numerator multiplies complex by complex, which numpy rounds apart on
+    a batch of one and on a longer batch."""
+    h = ex.mul(ex.Const(0.3 + 1.7j), ex.xi(1), ex.pow_(ex.xi_norm_sq(2), -0.5))
+    return _sym(ex.div(ex.mul(h, ex.exp(ex.mul(ex.I, h))),
+                       ex.Const(2.0) + ex.mul(ex.sin(ex.x(1)), h)), 0.0, 2)
+
+
+@pytest.mark.parametrize("symbol, u", [
+    (_parametrix_residual, GridFunction.random_band_limited(
+        2, 16, 5, np.random.default_rng(25))),
+    (_complex_xi_factor, GridFunction.single_mode(2, 16, [-6, 5]))],
+    ids=["residual_dense", "one_mode"])
+def test_mode_by_mode_route_matches_one_program_per_mode(symbol, u):
+    P = symbol()
+    assert np.array_equal(op_apply(P, u).values, _one_program_per_mode(P, u))
 
 
 def _cosine_series(j, terms):
@@ -291,3 +346,26 @@ def test_circle_index_negative():
 def test_circle_index_rejects_vanishing_symbol():
     with pytest.raises(SymbolVanishes):
         circle_index(ex.cos(ex.x(1)), ex.ONE)
+
+
+# windings -2 and 1, so the index is 3, which the truncation at K <= 32
+# misses (it reads 0 at K = 16 and 24, where K + 8 agrees)
+_SLOW_PAIR = (
+    ex.mul(ex.exp(ex.mul(ex.Const(-2j), ex.x(1))),
+           ex.ONE + ex.mul(ex.Const(0.319), ex.cos(3 * ex.x(1) + 4.030))),
+    ex.mul(ex.exp(ex.mul(ex.I, ex.x(1))),
+           ex.ONE + ex.mul(ex.Const(0.376), ex.cos(3 * ex.x(1) + 0.136))))
+
+
+@pytest.mark.parametrize("K, at_K_plus_8", [(16, 0), (24, 0), (32, 3)])
+def test_circle_index_short_of_the_winding_index_is_unstable(K, at_K_plus_8):
+    with pytest.raises(Unstable, match=(
+            rf"matrix index 0 at K={K}, {at_K_plus_8} at K={K + 8}, "
+            r"winding_minus - winding_plus = 1 - \(-2\)")):
+        circle_index(*_SLOW_PAIR, K=K)
+
+
+def test_circle_index_of_a_slowly_converging_pair():
+    rep = circle_index(*_SLOW_PAIR, K=40)
+    assert (rep.winding_plus, rep.winding_minus) == (-2, 1)
+    assert rep.numerical_index == 3
