@@ -32,7 +32,7 @@ from .quantize import (GridFunction, GridSpectrum, IndexReport,
                        sobolev_norm)
 from .symbols import (ClassicalSymbol, Diffeo, HomogeneousTerm, MultiIndex,
                       check_homogeneity, conjugate, differentiate, is_zero,
-                      make_lambda_s, multi_indices)
+                      make_lambda_s, multi_indices, zero_margin)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .errors import (DimensionMismatch, NonConvergent, NotElliptic,
                      NotPositive, ZeroCovector)
 from .symbols import (DEGREE_TOL, ClassicalSymbol, Diffeo, HomogeneousTerm,
                       MultiIndex, conjugate, differentiate, is_zero,
-                      multi_indices)
+                      multi_indices, zero_margin)
 
 ELLIPTIC_THRESHOLD = 1e-8
 
@@ -196,7 +196,8 @@ def _residual_correction_loop(make_first, next_term, cutoff, n_out,
             if it == max_iter:
                 raise NonConvergent(
                     f"residual level of degree {target.degree:g} survives "
-                    f"{max_iter} corrections")
+                    f"{max_iter} corrections (zero-test margin "
+                    f"{zero_margin(target, values=values):.3g})")
             q_terms.append(next_term(target))
     finally:
         values.clear()      # a traceback keeps this frame, not the table

@@ -5,8 +5,12 @@ products, quotients, real powers, sin, cos, exp -- and is closed under
 differentiation with respect to any variable.  Negation is Mul(-1, .) and
 square roots are Pow(., 0.5).  There is no simplification beyond constant
 folding and neutral-element elimination: semantic questions (is this tree
-zero?) are settled by sampling, not by rewriting.  All values are
-immutable after construction.
+zero?) are settled by sampling, not by rewriting.
+
+Nodes are immutable and hash-consed (Filliatre & Conchon 2006): a table
+of weak references, keyed by class, child ids and payload (floats by bit
+pattern: 0.0 is not -0.0), gives each structure one live node, so
+identity means structure and all that is keyed by it shares subtrees.
 
 Evaluation is vectorized and has one implementation, `Program`: it
 compiles a list of roots into a topologically ordered list of steps,
@@ -37,6 +41,8 @@ from __future__ import annotations
 
 import numbers
 import operator
+import struct
+import weakref
 
 import numpy as np
 
@@ -54,14 +60,22 @@ def _as_expr(v) -> "Expr":
 
 
 class Expr:
-    """Base class.  Subclasses are immutable and hashable by identity.
+    """Base class.  Nodes are interned: `is` and `==` mean structure.
     `_d` is the node's derivative memo, made on the first `diff`."""
 
     __slots__ = ("_d", "__weakref__")
     args = ()
 
+    def __new__(cls, *args):
+        return _intern(cls, (cls, *map(id, args)), *args)
+
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
+
+    def __reduce__(self):       # pickle rebuilds through the constructor
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    __copy__ = __deepcopy__ = lambda self, memo=None: self  # the one node
 
     # -- arithmetic sugar -------------------------------------------------
     def __add__(self, other):
@@ -151,28 +165,50 @@ def _walk(root: Expr, rule, memo=None, leaf=None):
     return memo[k]
 
 
-class Const(Expr):
-    __slots__ = ("value",)
+_NODES = {}     # (class, child ids, payload) -> KeyedRef to the one node
+_bits = struct.Struct("<d").pack     # a float key: 0.0 and -0.0 apart
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", complex(value))
+
+def _forget(ref, nodes=_NODES):
+    if nodes.get(ref.key) is ref:       # not a newer node under the key
+        del nodes[ref.key]
+
+
+def _intern(cls, key, *fields):
+    """The live node under key, else a new cls node with `_fields` set."""
+    ref = _NODES.get(key)
+    node = ref and ref()
+    if node is None:
+        node = object.__new__(cls)
+        for name, v in zip(cls._fields, fields):
+            object.__setattr__(node, name, v)
+        _NODES[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
+class Const(Expr):
+    __slots__ = _fields = ("value",)
+
+    def __new__(cls, value):
+        v = complex(value)
+        return _intern(cls, (cls, _bits(v.real), _bits(v.imag)), v)
 
 
 class Var(Expr):
-    __slots__ = ("kind", "j")
+    __slots__ = _fields = ("kind", "j")
 
-    def __init__(self, kind, j):
+    def __new__(cls, kind, j):
         if kind not in ("x", "xi"):
             raise ValueError("variable kind must be 'x' or 'xi'")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "j", int(j))
+        return _intern(cls, (cls, kind, int(j)), kind, int(j))
 
 
 class Add(Expr):
-    __slots__ = ("terms",)
+    __slots__ = _fields = ("terms",)
 
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
+    def __new__(cls, terms):        # Mul's too: one tuple of children
+        terms = tuple(terms)
+        return _intern(cls, (cls, *map(id, terms)), terms)
 
     args = property(operator.attrgetter("terms"))
 
@@ -181,10 +217,9 @@ class Add(Expr):
 
 
 class Mul(Expr):
-    __slots__ = ("factors",)
+    __slots__ = _fields = ("factors",)
 
-    def __init__(self, factors):
-        object.__setattr__(self, "factors", tuple(factors))
+    __new__ = Add.__new__
 
     args = property(operator.attrgetter("factors"))
 
@@ -193,11 +228,7 @@ class Mul(Expr):
 
 
 class Div(Expr):
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    __slots__ = _fields = ("num", "den")
 
     args = property(operator.attrgetter("num", "den"))
 
@@ -209,11 +240,11 @@ class Pow(Expr):
     """Real, constant exponent.  Non-integer exponents require a
     non-negative real base at evaluation time."""
 
-    __slots__ = ("base", "expo")
+    __slots__ = _fields = ("base", "expo")
 
-    def __init__(self, base, expo):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "expo", float(expo))
+    def __new__(cls, base, expo):
+        expo = float(expo)
+        return _intern(cls, (cls, id(base), _bits(expo)), base, expo)
 
     args = property(lambda self: (self.base,))
 
@@ -222,11 +253,8 @@ class Pow(Expr):
 
 
 class _Fn(Expr):
-    __slots__ = ("arg",)
+    __slots__ = _fields = ("arg",)
     name = ""
-
-    def __init__(self, arg):
-        object.__setattr__(self, "arg", arg)
 
     args = property(lambda self: (self.arg,))
 
@@ -537,14 +565,11 @@ class Program:
     steps, evaluated on a batch of samples by calling it with x, xi of
     shape (n, m) (or (n,)); returns one complex array per root.
 
-    Trees produced by repeated differentiation share subtrees heavily (the
-    product and quotient rules reuse child references), and callers often
-    need several related trees on the same samples.  Each distinct node,
-    by identity, is one step, so it is computed once per call however many
-    parents or roots share it.  Each intermediate array is dropped after
-    the last step that reads it, keeping peak memory proportional to the
-    live frontier, not the whole DAG.  Compile once and call many times
-    when the same trees meet many batches.
+    Each node, one object per structure, is one step: it is computed once
+    per call however many parents or roots share it.  Each intermediate
+    array is dropped after the last step that reads it, keeping peak memory
+    proportional to the live frontier, not the whole DAG.  Compile once and
+    call many times when the same trees meet many batches.
 
     `values` is a table {id(node): (node, array)} of values at the samples
     of every call; each entry keeps its node, and so its id, alive.  A node

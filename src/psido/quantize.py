@@ -259,22 +259,29 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
         pairs = _separate(term.expr, shape)
         if pairs is None:
             # per mode only mixed nodes run; the one-kind nodes they read
-            # run once, x-only on the lattice and xi-only on the modes
+            # run once: x-only ones on the lattice, constant and xi-only
+            # ones on the modes, read as a broadcast of their mode's value
             seen = {}
             ex._walk(term.expr, lambda node, parts: node, seen,
                      lambda c: shape[id(c)][0] != _X | _XI)
-            xs, hs = ([c for c in seen.values() if shape[id(c)][0] == kind]
-                      for kind in (_X, _XI))
+            xs, hs = ([c for c in seen.values() if shape[id(c)][0] in kinds]
+                      for kinds in ((_X,), (0, _XI)))
             cols = np.flatnonzero(modes)
             # two columns at least: numpy rounds a *= b apart on one column
             kk = kread[:, np.resize(cols, max(2, cols.size))]
-            hv = ex.Program(hs)(np.zeros_like(kk), kk)
-            known = {id(c): (c, v) for c, v in
-                     zip(xs + hs, ex.Program(xs)(x, np.zeros_like(x)) + hv)}
+            hv = list(zip(hs, ex.Program(hs)(np.zeros_like(kk), kk)))
+
+            def at(t, nodes):
+                return {id(h): (h, np.broadcast_to(v[t], x.shape[1:]))
+                        for h, v in nodes}
+
+            known = at(0, hv)       # a constant keeps this value
+            known.update({id(c): (c, v) for c, v in
+                          zip(xs, ex.Program(xs)(x, np.zeros_like(x)))})
             prog = ex.Program([term.expr], known)
+            moving = [(h, v) for h, v in hv if shape[id(h)][0] == _XI]
             for t, j in enumerate(cols):
-                known.update({id(h): (h, np.broadcast_to(v[t], x.shape[1:]))
-                              for h, v in zip(hs, hv)})
+                known.update(at(t, moving))
                 p = prog(x, np.broadcast_to(kread[:, j:j + 1], x.shape))[0]
                 out += uhat.flat[j] / M ** n * p * np.exp(1j * (k[:, j] @ x))
             continue

@@ -179,18 +179,25 @@ def check_homogeneity(term: HomogeneousTerm) -> float:
     return float(np.max(np.abs(resid))) / scale
 
 
-def is_zero(term: HomogeneousTerm, tol: float = ZERO_TOL,
-            values=None) -> bool:
-    """Semantic zero test on the seeded sample set, relative to the
-    magnitude scale of the top-level additive subterms.  `values` is an
-    `ex.Program` table on these samples: the test reads the nodes it
-    holds and records every node it computes."""
+def zero_margin(term: HomogeneousTerm, tol: float = ZERO_TOL,
+                values=None) -> float:
+    """max|value| / (tol * max(1, scale)) on the seeded sample set, where
+    scale is the magnitude of the top-level additive subterms: the term
+    tests zero when this is at most 1.  `values` is an `ex.Program` table
+    on these samples: the test reads the nodes it holds and records every
+    node it computes."""
     xs, xis = sample_points(term.dimension)
     parts = term.expr.terms if isinstance(term.expr, ex.Add) else (term.expr,)
     vals, *part_vals = ex.Program([term.expr, *parts], values,
                                   record=values is not None)(xs, xis)
     scale = float(np.max(sum(np.abs(v) for v in part_vals)))
-    return bool(np.max(np.abs(vals)) <= tol * max(1.0, scale))
+    return float(np.max(np.abs(vals)) / (tol * max(1.0, scale)))
+
+
+def is_zero(term: HomogeneousTerm, tol: float = ZERO_TOL,
+            values=None) -> bool:
+    """Semantic zero test on the seeded sample set: `zero_margin` <= 1."""
+    return zero_margin(term, tol, values) <= 1.0
 
 
 def conjugate(term: HomogeneousTerm) -> HomogeneousTerm:

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -202,23 +203,27 @@ def test_correction_loop_raises_when_a_level_survives():
                     ex.xi_norm_sq(2)), 2.0, 2, trunc=3)
     p = ca.principal(P).expr
     ident = sy.ClassicalSymbol.identity(2, 3)
-    with pytest.raises(NonConvergent, match="degree -1 survives 2"):
+    with pytest.raises(NonConvergent, match=r"degree -1 survives 2 "
+                       r"corrections \(zero-test margin \S+\)") as info:
         ca._residual_correction_loop(
             lambda: sy.HomogeneousTerm(ex.div(ex.ONE, p), -2.0, 2),
             lambda t: sy.HomogeneousTerm.zero(t.degree - 2.0, 2),
             -3, 3, lambda Q: ca.compose(P, Q, truncation=3) - ident,
             max_iter=2)
+    # the margin named is the surviving level's, far from passing
+    assert float(re.search(r"margin (\S+)\)", str(info.value))[1]) > 1e3
 
 
 def _spy_on_the_table(monkeypatch, verdict=None):
     """Make each zero test put a node into its value table that nothing
-    else holds; returns weak references to those nodes.  `verdict`, if
+    else holds (nodes are interned, so it is one that no construction
+    builds); returns weak references to those nodes.  `verdict`, if
     given, replaces the zero test's answer."""
     refs = []
     real = ca.is_zero
 
     def spy(term, values):
-        node = ex.Sin(ex.x(1))
+        node = ex.Sin(ex.x(9))
         values[id(node)] = (node, np.zeros(64))
         refs.append(weakref.ref(node))
         out = real(term, values=values)

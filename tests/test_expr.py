@@ -1,4 +1,7 @@
+import copy
+import gc
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 
 from psido import expr as ex
 from psido.errors import DomainError
+from psido.parser import parse_expr
+from psido.symbols import sample_points
 
 
 def _fold(inplace, values):
@@ -181,7 +186,9 @@ def _nodes(e):
 
 def _squaring_dag(leaf, unit):
     """12 levels of e <- e*(e + unit*xi1): each level reads the previous
-    one twice, so the DAG has 5 nodes per level and the tree 2^12 paths."""
+    one twice, so the tree has 2^12 paths.  The DAG has 28 nodes: x1,
+    xi1, the constant unit and unit*xi1, built once since nodes are
+    interned, then a sum and a product per level."""
     e = leaf
     for _ in range(12):
         e = e * (e + unit * ex.xi(1))
@@ -190,13 +197,13 @@ def _squaring_dag(leaf, unit):
 
 def test_transforms_keep_the_sharing_of_a_dag():
     e = _squaring_dag(ex.x(1), 1j)
-    assert _nodes(e) == 61
+    assert _nodes(e) == 28
     calls = []
     ex._walk(e, lambda node, args: calls.append(node))
-    assert len(calls) == 61
+    assert len(calls) == 28
     c = e.conj()
     s = e.subst({("x", 1): ex.sin(ex.x(2))})
-    assert _nodes(c) == 61 and _nodes(s) == 62
+    assert _nodes(c) == 28 and _nodes(s) == 29
     rng = np.random.default_rng(5)
     x = np.vstack([rng.uniform(-0.5, 0.5, 20), rng.uniform(-0.3, 0.3, 20)])
     xi = rng.uniform(0.5, 1.5, (2, 20))
@@ -414,3 +421,93 @@ def test_diff_matches_reference_recursion_and_central_differences(
     coarse, fine = (f[1] - f[2]) / (2 * h), (f[3] - f[4]) / h
     assert abs(fine - dv[0]) <= 10 * abs(coarse - fine) \
         + 1e-6 * (1.0 + abs(dv[0]) + np.max(np.abs(f)))
+
+
+def test_equal_constructions_are_one_node():
+    def build():
+        s = ex.sin(ex.x(1) + 0.5)
+        return ex.div(ex.mul(s, ex.xi(2)), ex.sqrt(ex.ONE + ex.mul(s, s)))
+
+    assert build() is build()
+    assert ex.Const(2.0) is ex.Const(2) and ex.Var("x", 1) is ex.x(1)
+    assert ex.Add([ex.x(1), ex.xi(1)]) is not ex.Add([ex.xi(1), ex.x(1)])
+    assert ex.Pow(ex.x(1), 2) is not ex.Pow(ex.x(1), 2.5)
+    assert ex.Sin(ex.x(1)) is not ex.Cos(ex.x(1))
+    text = "sin(x1)*xi1^2 + (1.5-0.25*i)/sqrt(1 + x2^2)"
+    assert parse_expr(text, 2) is parse_expr(text, 2)
+
+
+def test_constants_are_keyed_by_their_bits():
+    assert ex.Const(0.0) is ex.ZERO
+    assert ex.Const(-0.0) is not ex.Const(0.0)
+    assert ex.Const(complex(0.0, -0.0)) is not ex.ZERO
+    assert ex.Const(float("nan")) is ex.Const(float("nan"))
+    assert ex.Pow(ex.x(1), -0.0) is not ex.Pow(ex.x(1), 0.0)
+
+
+def test_a_dropped_node_leaves_the_table():
+    gc.collect()
+    size = len(ex._NODES)
+    e = ex.exp(ex.sin(ex.x(7)) * ex.xi(7))
+    e.diff("x", 7)      # the memo on exp(.) refers back to it: a cycle
+    ref = ex._NODES[(ex.Var, "x", 7)]
+    assert len(ex._NODES) > size
+    del e
+    gc.collect()
+    assert ref() is None and len(ex._NODES) == size
+
+
+def test_a_rebuilt_root_adds_no_program_steps():
+    e = _squaring_dag(ex.x(1), 1j).diff("x", 1)
+    again = _squaring_dag(ex.x(1), 1j).diff("x", 1)
+    assert again is e
+    assert len(ex.Program([e, again])._steps) == len(ex.Program([e])._steps)
+
+
+def _construct(node, args):
+    """`_walk` rule: node's own class constructor over the rebuilt
+    children, without the smart constructors' folding."""
+    if isinstance(node, (ex.Add, ex.Mul)):
+        return type(node)(args)
+    if isinstance(node, ex.Pow):
+        return ex.Pow(args[0], node.expo)
+    cls, fields = node.__reduce__()
+    return cls(*(args or fields))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_dags())
+def test_rebuilding_a_dag_returns_the_identical_root(dag):
+    e, _ = dag
+    assert ex._walk(e, _construct) is e
+    # through the smart constructors: once their folds have run, a second
+    # rebuild is the identical root
+    rebuild = lambda node, args: node.rebuild(args)     # noqa: E731
+    try:
+        r = ex._walk(e, rebuild)
+    except (DomainError, ZeroDivisionError):   # folds of constant zeros
+        return
+    assert ex._walk(r, rebuild) is r
+
+
+def test_copy_and_pickle_return_the_interned_node():
+    e = ex.div(ex.Const(1 - 2j) * ex.sin(ex.x(1)), ex.sqrt(ex.xi_norm_sq(2)))
+    e.diff("xi", 1)
+    assert copy.copy(e) is e and copy.deepcopy(e) is e
+    assert copy.deepcopy([e, e.args]) == [e, e.args]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(e, protocol)) is e
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_dags())
+def test_render_parses_back_to_the_same_values(dag):
+    x, xi = sample_points(2)
+    for e in dag:
+        with np.errstate(all="ignore"):
+            want = _outcome(lambda: e.ev(x, xi))
+            if want is DomainError or not np.all(np.isfinite(want)):
+                continue
+            got = parse_expr(e.render(), 2).ev(x, xi)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))

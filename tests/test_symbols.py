@@ -70,6 +70,19 @@ def test_is_zero():
     assert not sy.is_zero(b)
 
 
+def test_zero_margin_is_the_ratio_the_zero_test_bounds():
+    # |xi1| = 1 at every sample of the unit sphere in one dimension, so
+    # xi1 has max|value| = scale = 1 and margin 1 / tol
+    b = sy.HomogeneousTerm(ex.xi(1), 1.0, 1)
+    for tol, margin in ((0.5, 2.0), (1.0, 1.0), (4.0, 0.25)):
+        assert sy.zero_margin(b, tol) == margin
+        assert sy.is_zero(b, tol) == (margin <= 1.0)
+    a = sy.HomogeneousTerm(
+        ex.mul(ex.sin(ex.x(1)), ex.sin(ex.x(1)))
+        + ex.mul(ex.cos(ex.x(1)), ex.cos(ex.x(1))) - ex.ONE, 0.0, 1)
+    assert sy.zero_margin(a) < 1.0
+
+
 def test_conjugate():
     t = sy.HomogeneousTerm(ex.mul(ex.I, ex.xi(1)), 1.0, 1)
     c = sy.conjugate(t)
