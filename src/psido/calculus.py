@@ -140,12 +140,11 @@ def _grid_points(n: int, per_axis: int = 16) -> np.ndarray:
 
 def _sphere_samples(e: ex.Expr, n: int, per_axis: int, directions: int):
     """Values of e on an x-grid times unit sphere directions, in one
-    evaluation: (grid, directions, values of shape (ndirs, npoints))."""
+    broadcast evaluation: (grid, directions, values of shape (ndirs,
+    npoints))."""
     xg = _grid_points(n, per_axis)
     dirs = _sphere_directions(n, directions)
-    vals = e.ev(np.tile(xg, dirs.shape[1]),
-                np.repeat(dirs, xg.shape[1], axis=1))
-    return xg, dirs, vals.reshape(dirs.shape[1], xg.shape[1])
+    return xg, dirs, e.ev(xg[:, None], dirs[:, :, None])
 
 
 def is_elliptic(P: ClassicalSymbol, per_axis: int = 16,
@@ -169,6 +168,8 @@ def micro_elliptic_at(P: ClassicalSymbol, point,
     """True iff the principal symbol is nonzero at (x0, xi0/|xi0|)."""
     pt = np.asarray(point, dtype=float)
     n = P.dimension
+    if pt.size != 2 * n:
+        raise ValueError(f"start must have length {2 * n}")
     x0, xi0 = pt[:n], pt[n:]
     nrm = np.linalg.norm(xi0)
     if nrm == 0.0:

@@ -16,12 +16,15 @@ Evaluation is vectorized and has one implementation, `Program`: it
 compiles a list of roots into a topologically ordered list of steps,
 computes each distinct node once per batch of samples, drops each array
 after its last use and holds every domain check (vanishing denominator,
-negative or fractional power of a bad base -> DomainError).  The entry
-points are `Program(roots)(x, xi)` for several trees or repeated batches,
-`e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
-`evaluate(e, point)` for one phase-space point.  A program seeded with a
-table of node values on one sample set (read-only arrays) computes only
-the nodes the table lacks, so callers compute a node once per sample set.
+negative or fractional power of a bad base -> DomainError).  Its steps
+are out-of-place numpy operations, so x and xi broadcast: x of shape
+(n, 1, P) and xi of shape (n, C, 1) evaluate on the C x P product grid
+with x-only nodes computed on P samples and xi-only ones on C.  The
+entry points are `Program(roots)(x, xi)` for several trees or repeated
+batches, `e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
+`evaluate(e, point)` for one phase-space point.  A program given a table
+of node values on one sample set reads the nodes it holds and records
+the ones it computes, so callers compute a node once per sample set.
 
 Each node kind lists its children once, as `args` in evaluation order,
 and `rebuild(args)` makes the same kind of node over new children
@@ -109,7 +112,8 @@ class Expr:
         return neg(self)
 
     def ev(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Evaluate at sample points.  x, xi have shape (n, m) (or (n,))."""
+        """Evaluate at sample points x, xi of broadcastable shapes (n, ...),
+        as `Program` does."""
         return Program([self])(x, xi)[0]
 
     def rebuild(self, args) -> "Expr":
@@ -365,7 +369,12 @@ def pow_(base, expo) -> Expr:
     if isinstance(base, Const):
         v = base.value
         if v.imag == 0 and (v.real >= 0 or expo == int(expo)):
-            return Const(v ** expo)
+            try:
+                folded = v ** expo
+            except (ZeroDivisionError, OverflowError):
+                raise DomainError(f"constant power {_fmt_real(v.real)}^"
+                                  f"{_fmt_real(expo)} is not finite") from None
+            return Const(folded)
     if isinstance(base, Pow):
         # (a^p)^q = a^(pq) only where both sides share domain and branch
         p = base.expo
@@ -485,44 +494,36 @@ _RENDER = {
 
 # -- evaluation --------------------------------------------------------------
 #
-# One op per node kind, op(node, a, x, xi, reuse): the node's value from the
-# list `a` of its children's values at samples x, xi.  `reuse` says the
-# array a[0] is read by no later step and may be overwritten.  Sums and
-# products are compiled into binary steps, so `a` has at most two entries.
+# One op per node kind, op(node, a, x, xi): the node's value from the list
+# `a` of its children's values at samples x, xi.  Every op is elementwise
+# and out of place, so values of different sample shapes broadcast and no
+# array is ever written after its step.  Sums and products are compiled
+# into binary steps, so `a` has at most two entries.
 
-def _const(node, a, x, xi, reuse):
-    return np.full(x.shape[1] if x.ndim == 2 else 1, node.value,
-                   dtype=complex)
-
-
-def _var(node, a, x, xi, reuse):
-    # a copy, never a view of the input, so a parent may accumulate into it
-    return np.array((x if node.kind == "x" else xi)[node.j - 1],
-                    dtype=complex).reshape(-1)
+def _const(node, a, x, xi):
+    return np.full(1, node.value, dtype=complex)
 
 
-def _fold(inplace):
-    def op(node, a, x, xi, reuse):
-        out = a[0] if reuse else a[0].copy()
-        for t in a[1:]:
-            out = inplace(out, t)
-        return out
-
-    return op
+def _var(node, a, x, xi):
+    return (x if node.kind == "x" else xi)[node.j - 1].astype(complex)
 
 
-_sum = _fold(operator.iadd)
-_product = _fold(operator.imul)
+def _sum(node, a, x, xi):
+    return a[0] + a[1]
 
 
-def _quotient(node, a, x, xi, reuse):
+def _product(node, a, x, xi):
+    return a[0] * a[1]
+
+
+def _quotient(node, a, x, xi):
     num, den = a
     if np.any(np.abs(den) < _DIV_EPS):
         raise DomainError(f"denominator underflow in {node.den.render()}")
     return num / den
 
 
-def _power(node, a, x, xi, reuse):
+def _power(node, a, x, xi):
     """b ** expo; a non-integer exponent needs a real, non-negative base."""
     b, p = a[0], node.expo
     if p != int(p):
@@ -543,7 +544,7 @@ def _power(node, a, x, xi, reuse):
     return (b ** p).astype(complex)
 
 
-def _function(node, a, x, xi, reuse):
+def _function(node, a, x, xi):
     return getattr(np, node.name)(a[0])       # np.sin, np.cos, np.exp
 
 
@@ -562,29 +563,31 @@ def _node_op(node):
 
 class Program:
     """Root expressions compiled into one topologically ordered list of
-    steps, evaluated on a batch of samples by calling it with x, xi of
-    shape (n, m) (or (n,)); returns one complex array per root.
+    steps.  Called with samples x, xi of shapes (n, *S) and (n, *T), S and
+    T broadcastable (a flat (n,) is one sample), it returns one complex
+    array of the broadcast shape per root.  A node computes on the samples
+    of the variables below it: for x of shape (n, 1, P) and xi of shape
+    (n, C, 1), x-only nodes on P samples, xi-only ones on C, constants on
+    one and mixed nodes on the C x P product grid.
 
-    Each node, one object per structure, is one step: it is computed once
-    per call however many parents or roots share it.  Each intermediate
-    array is dropped after the last step that reads it, keeping peak memory
-    proportional to the live frontier, not the whole DAG.  Compile once and
-    call many times when the same trees meet many batches.
+    Each node, one object per structure, is one step, computed once per
+    call however many parents or roots share it, and its array is dropped
+    after the last step that reads it.  Sums and products fold left, out
+    of place, so a point's value does not depend on its batch.
 
-    `values` is a table {id(node): (node, array)} of values at the samples
+    `values` is a table {id(node): (node, array)} of values on the samples
     of every call; each entry keeps its node, and so its id, alive.  A node
-    in it at compilation is seeded: read from the table, nothing below it
-    compiled.  With `record`, each call adds every node it computes.  So a
-    table belongs to one sample set, and its arrays are read-only."""
+    in it at compilation is read from it, nothing below it compiled, and
+    each call adds every node it computes."""
 
-    def __init__(self, roots, values=None, record=False):
-        known = {} if values is None else values
+    def __init__(self, roots, values=None):
+        table = {} if values is None else values
         slot = {}               # id(node) -> step number of its value
         steps = []              # (op, node, argument step numbers)
         last = []               # step number -> last step reading it
 
-        def seeded(node, a, x, xi, reuse):
-            return known[id(node)][1]
+        def seeded(node, a, x, xi):
+            return table[id(node)][1]
 
         def emit(op, node, args):
             k = len(steps)
@@ -597,7 +600,7 @@ class Program:
         def visit(node):
             k = slot.get(id(node))
             if k is None:
-                children, op = (((), seeded) if id(node) in known
+                children, op = (((), seeded) if id(node) in table
                                 else _node_op(node))
                 k = emit(op, node, tuple(map(visit, children[:2])))
                 # an n-ary sum or product takes in each further term as
@@ -609,31 +612,35 @@ class Program:
 
         self._roots = list(map(visit, roots))
         visit = None            # drop its self-reference: no garbage cycle
-        kept = [k for k in slot.values() if record or steps[k][0] is seeded]
-        self._values = known
-        self._record = [(steps[k][1], k) for k in kept
-                        if steps[k][0] is not seeded]
-        for r in self._roots + kept:
-            last[r] = len(steps)          # no step overwrites these
+        self._table = values
+        self._record = [] if values is None else [
+            (steps[k][1], k) for k in slot.values()
+            if steps[k][0] is not seeded]
+        for r in self._roots + [k for _, k in self._record]:
+            last[r] = len(steps)          # kept to the end of the call
         self._steps = steps
         self._last = last
-        # a step may overwrite its first argument's array when no later
-        # step reads it (x += x and x *= x are still right)
-        self._reuse = [bool(a) and last[a[0]] == i
-                       for i, (_, _, a) in enumerate(steps)]
 
     def __call__(self, x: np.ndarray, xi: np.ndarray) -> list:
+        if x.ndim == 1:
+            x = x[:, None]
+        if xi.ndim == 1:
+            xi = xi[:, None]
         vals = []
         last = self._last
-        for i, ((op, node, args), reuse) in enumerate(
-                zip(self._steps, self._reuse)):
-            vals.append(op(node, [vals[k] for k in args], x, xi, reuse))
+        for i, (op, node, args) in enumerate(self._steps):
+            vals.append(op(node, [vals[k] for k in args], x, xi))
             for k in args:
                 if last[k] == i:
                     vals[k] = None
         for node, k in self._record:
-            self._values[id(node)] = (node, vals[k])
-        return [vals[r] for r in self._roots]
+            self._table[id(node)] = (node, vals[k])
+        shape = x.shape[1:]
+        if xi.shape[1:] != shape:
+            shape = np.broadcast_shapes(shape, xi.shape[1:])
+        # a constant root, or a one-kind root on a product grid, is spread
+        return [v if v.shape == shape else np.broadcast_to(v, shape).copy()
+                for v in (vals[r] for r in self._roots)]
 
 
 ev_cached = Expr.ev         # ev_cached(e, x, xi) is e.ev(x, xi)

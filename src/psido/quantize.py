@@ -7,7 +7,7 @@ reduces to one k = 0 policy: degree-0 terms contribute their value along
 the e1 ray, terms of nonzero degree contribute 0.  `op_apply` is one loop
 over the terms: a term that factors into at most _PAIR_CAP products
 c(x) h(xi) is applied as sum c(x) F^-1[h u^], any other term is summed
-mode by mode.
+mode by mode from its values on the lattice x modes product grid.
 
 Also here: Sobolev norms and the H^s/H^-s duality pairing, the two
 regularized definitions of an oscillatory integral (mutual oracles), and
@@ -32,6 +32,7 @@ _MODE_EPS = 1e-12          # below the fft roundoff floor a mode is noise
 _DEGREE_ZERO_TOL = 1e-9
 _PAIR_CAP = 256            # a term with more (x, xi) pairs is summed by mode
 _PAIR_GROUP = 16           # factor pairs evaluated and transformed together
+_SAMPLE_BUDGET = 2 ** 14   # samples in one array of a term summed by mode
 _X, _XI = 1, 2             # the variable kinds in a term, as bits
 _QUIET_PANELS = 3          # empty theta panels in a row that end a quadrature
 
@@ -173,13 +174,13 @@ class GridSpectrum:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
-def _separate(e: ex.Expr, shape=None):
+def _separate(e: ex.Expr):
     """Try to write e as a sum of at most _PAIR_CAP products c(x) * h(xi).
     Returns a list of (x_factor, xi_factor) pairs or None when the tree
     does not factor or its expansion has more pairs than the cap.  The
     pairs are counted before they are built, so a term that does not
-    factor builds none.  `shape` receives `_pair_count`'s table."""
-    shape = {} if shape is None else shape
+    factor builds none."""
+    shape = {}
     if ex._walk(e, _pair_count, shape)[1] is None:
         return None
 
@@ -235,10 +236,11 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     the modes k of u above the noise floor, under the k = 0 policy.  Each
     term takes one of two routes, by its own structure: if `_separate`
     factors it into pairs (c(x), h(xi)) it is applied as
-    sum c(x) F^-1[h u^], a fixed group of pairs at a time; otherwise it
-    is summed mode by mode, one compiled program of its mixed nodes.
-    Exact for Fourier multipliers and for differential symbols on
-    sufficiently band-limited input."""
+    sum c(x) F^-1[h u^], a fixed group of pairs at a time; otherwise its
+    one compiled program is evaluated on the lattice x a group of modes
+    (at most _SAMPLE_BUDGET samples, one mode at least) and each mode is
+    added in order.  Exact for Fourier multipliers and for differential
+    symbols on sufficiently band-limited input."""
     n, M = u.dimension, u.M
     if P.dimension != n:
         raise GridMismatch("symbol/grid dimension mismatch")
@@ -250,49 +252,33 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     zero = ~k.any(axis=0)
     kread = k.copy()
     kread[0, zero] = 1.0
+    group = max(1, _SAMPLE_BUDGET // M ** n)    # modes per mixed array
     out = np.zeros(M ** n, dtype=complex)
     for term in P.terms:
         modes = active & (~zero | (abs(term.degree) <= _DEGREE_ZERO_TOL))
         if not modes.any():
             continue
-        shape = {}
-        pairs = _separate(term.expr, shape)
+        pairs = _separate(term.expr)
         if pairs is None:
-            # per mode only mixed nodes run; the one-kind nodes they read
-            # run once: x-only ones on the lattice, constant and xi-only
-            # ones on the modes, read as a broadcast of their mode's value
-            seen = {}
-            ex._walk(term.expr, lambda node, parts: node, seen,
-                     lambda c: shape[id(c)][0] != _X | _XI)
-            xs, hs = ([c for c in seen.values() if shape[id(c)][0] in kinds]
-                      for kinds in ((_X,), (0, _XI)))
+            # one program on a group of modes at a time: its x-only nodes
+            # run on the lattice, xi-only ones on the modes, mixed ones on
+            # their product, by broadcasting
+            prog = ex.Program([term.expr])
             cols = np.flatnonzero(modes)
-            # two columns at least: numpy rounds a *= b apart on one column
-            kk = kread[:, np.resize(cols, max(2, cols.size))]
-            hv = list(zip(hs, ex.Program(hs)(np.zeros_like(kk), kk)))
-
-            def at(t, nodes):
-                return {id(h): (h, np.broadcast_to(v[t], x.shape[1:]))
-                        for h, v in nodes}
-
-            known = at(0, hv)       # a constant keeps this value
-            known.update({id(c): (c, v) for c, v in
-                          zip(xs, ex.Program(xs)(x, np.zeros_like(x)))})
-            prog = ex.Program([term.expr], known)
-            moving = [(h, v) for h, v in hv if shape[id(h)][0] == _XI]
-            for t, j in enumerate(cols):
-                known.update(at(t, moving))
-                p = prog(x, np.broadcast_to(kread[:, j:j + 1], x.shape))[0]
-                out += uhat.flat[j] / M ** n * p * np.exp(1j * (k[:, j] @ x))
+            for g in range(0, cols.size, group):
+                js = cols[g:g + group]
+                p, = prog(x[:, None], kread[:, js, None])
+                for t, j in enumerate(js):
+                    wave = np.exp(1j * (k[:, j] @ x))
+                    out += uhat.flat[j] / M ** n * p[t] * wave
             continue
         for g in range(0, len(pairs), _PAIR_GROUP):
             c, h = zip(*pairs[g:g + _PAIR_GROUP])
             w = np.zeros((len(h), M ** n), dtype=complex)
-            w[:, modes] = ex.Program(h)(np.zeros((n, modes.sum())),
-                                        kread[:, modes])
+            w[:, modes] = ex.Program(h)(np.zeros((n, 1)), kread[:, modes])
             spectral = np.fft.ifftn(w.reshape((-1,) + uhat.shape) * uhat,
                                     axes=tuple(range(1, n + 1)))
-            out += np.einsum("gi,gi->i", ex.Program(c)(x, np.zeros_like(x)),
+            out += np.einsum("gi,gi->i", ex.Program(c)(x, np.zeros((n, 1))),
                              spectral.reshape(len(h), -1))
     return GridFunction(n, M, out)
 

@@ -188,8 +188,7 @@ def zero_margin(term: HomogeneousTerm, tol: float = ZERO_TOL,
     node it computes."""
     xs, xis = sample_points(term.dimension)
     parts = term.expr.terms if isinstance(term.expr, ex.Add) else (term.expr,)
-    vals, *part_vals = ex.Program([term.expr, *parts], values,
-                                  record=values is not None)(xs, xis)
+    vals, *part_vals = ex.Program([term.expr, *parts], values)(xs, xis)
     scale = float(np.max(sum(np.abs(v) for v in part_vals)))
     return float(np.max(np.abs(vals)) / (tol * max(1.0, scale)))
 

@@ -258,6 +258,13 @@ def test_micro_elliptic_at():
         ca.micro_elliptic_at(P, [0.0, 0.0, 0.0, 0.0])
 
 
+def test_micro_elliptic_at_needs_a_point_of_length_2n():
+    P = _sym(ex.xi(1), 1.0, 2)
+    for point in ([0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="must have length 4"):
+            ca.micro_elliptic_at(P, point)
+
+
 def test_parametrix_of_laplacian_is_exact():
     Q = ca.parametrix(_sym(ex.xi_norm_sq(2), 2.0, 2), 3)
     assert _value(Q, -2.0, [0, 0], [3.0, 4.0]) == pytest.approx(1.0 / 25.0)

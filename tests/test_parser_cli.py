@@ -8,7 +8,7 @@ import pytest
 
 from psido import expr as ex
 from psido.cli import main
-from psido.errors import DegreeOrderError, HomogeneityError
+from psido.errors import DegreeOrderError, DomainError, HomogeneityError
 from psido.parser import parse_expr, parse_symbol_document, parse_symbol_text
 from psido.quantize import GridFunction
 
@@ -60,6 +60,12 @@ def test_parse_expr_reports_position():
 def test_parse_expr_rejects_out_of_range_variable():
     with pytest.raises(SyntaxError):
         parse_expr("xi3", 2)
+
+
+@pytest.mark.parametrize("text", ["0^(-1)", "0^(-0.5)", "10^400"])
+def test_parse_expr_rejects_a_constant_power_that_is_not_finite(text):
+    with pytest.raises(DomainError, match="not finite"):
+        parse_expr(text, 1)
 
 
 def test_parse_symbol_document():
@@ -122,6 +128,15 @@ def test_cli_parametrix_not_elliptic_exits_one(tmp_path, capsys):
 def test_cli_parse_error_exits_one(tmp_path):
     p = _write(tmp_path / "bad.sym", "symbol P { this is not valid }")
     assert main(["adjoint", p]) == 1
+
+
+@pytest.mark.parametrize("term", ["xi1 + 0^(-1)*xi1", "10^400*xi1"])
+def test_cli_constant_power_that_is_not_finite_exits_one(tmp_path, capsys,
+                                                        term):
+    doc = f'symbol P {{\n  dim=1 order=1 trunc=3\n  term 1: "{term}"\n}}\n'
+    assert main(["adjoint", _write(tmp_path / "p.sym", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
 
 
 def test_cli_flow_writes_csv(tmp_path, capsys):
