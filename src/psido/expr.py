@@ -13,35 +13,40 @@ pattern: 0.0 is not -0.0), gives each structure one live node, so
 identity means structure and all that is keyed by it shares subtrees.
 
 Evaluation is vectorized and has one implementation, `Program`: it
-compiles a list of roots into a topologically ordered list of steps,
-computes each distinct node once per batch of samples, drops each array
-after its last use and holds every domain check (vanishing denominator,
-negative or fractional power of a bad base -> DomainError).  Its steps
-are out-of-place numpy operations, so x and xi broadcast: x of shape
-(n, 1, P) and xi of shape (n, C, 1) evaluate on the C x P product grid
-with x-only nodes computed on P samples and xi-only ones on C.  The
-entry points are `Program(roots)(x, xi)` for several trees or repeated
-batches, `e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
-`evaluate(e, point)` for one phase-space point.  A program given a table
-of node values on one sample set reads the nodes it holds and records
-the ones it computes, so callers compute a node once per sample set.
+compiles a list of roots into a topologically ordered list of steps and
+settles there all that does not depend on the samples: each constant's
+array is built once, each step carries the slots that die after it, and
+sums and products are computed inline by the call loop.  A call computes
+each distinct node once per batch of samples, drops each array after its
+last use, holds every domain check (vanishing denominator, negative or
+fractional power of a bad base -> DomainError) and returns fresh arrays
+the caller owns.  Its steps are out-of-place numpy operations, so x and
+xi broadcast: x of shape (n, 1, P) and xi of shape (n, C, 1) evaluate on
+the C x P product grid with x-only nodes computed on P samples and
+xi-only ones on C.  The entry points are `Program(roots)(x, xi)` for
+several trees or repeated batches, `e.ev(x, xi)` (alias
+`ev_cached(e, x, xi)`) for one tree, and `evaluate(e, point)` for one
+phase-space point.  A program given a table of node values on one
+sample set reads the nodes it holds and records the ones it computes, so
+callers compute a node once per sample set.
 
 Each node kind lists its children once, as `args` in evaluation order,
 and `rebuild(args)` makes the same kind of node over new children
 through the smart constructors (a leaf rebuilds to itself).  What each
-kind means is one rule in a table per operation: `_OPS` evaluates,
-`_DIFF` differentiates and `_RENDER` serializes.  Transforms are rules
-for `_walk`, which applies a rule bottom up once per distinct node, so
-they stay linear on the shared DAGs that differentiation builds:
-`render` joins the rendered children, `conj` conjugates the constants,
-`subst` looks the variables up in a table, and `quantize._separate`
-splits a term into x and xi factors.  `diff` keeps each derivative in a
-memo on its node, keyed by variable, so it is linear too and a later
-call, from any caller, finds it there.
+kind means is one rule in a table per operation: `_OPS` evaluates the
+kinds with children, `_DIFF` differentiates and `_RENDER` serializes.
+Transforms are rules for `_walk`, which applies a rule bottom up once
+per distinct node, so they stay linear on the shared DAGs that
+differentiation builds: `render` joins the rendered children, `conj`
+conjugates the constants, `subst` looks the variables up in a table, and
+`quantize._separate` splits a term into x and xi factors.  `diff` keeps
+each derivative in a memo on its node, keyed by variable, so it is
+linear too and a later call, from any caller, finds it there.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import struct
@@ -362,6 +367,8 @@ def div(num, den) -> Expr:
 def pow_(base, expo) -> Expr:
     base = _as_expr(base)
     expo = float(expo)
+    if not math.isfinite(expo):
+        raise DomainError(f"exponent {expo!r} is not finite")
     if expo == 0.0:
         return ONE
     if expo == 1.0:
@@ -494,86 +501,70 @@ _RENDER = {
 
 # -- evaluation --------------------------------------------------------------
 #
-# One op per node kind, op(node, a, x, xi): the node's value from the list
-# `a` of its children's values at samples x, xi.  Every op is elementwise
-# and out of place, so values of different sample shapes broadcast and no
-# array is ever written after its step.  Sums and products are compiled
-# into binary steps, so `a` has at most two entries.
+# One op per node kind that `Program` does not settle itself, op(node, a, b):
+# the node's value from its children's values a, b (a one-child node gets
+# its child twice, a variable gets x or xi, as its kind says).  Every op is
+# elementwise and out of place, so values of different sample shapes
+# broadcast and no array is ever written after its step.
 
-def _const(node, a, x, xi):
-    return np.full(1, node.value, dtype=complex)
-
-
-def _var(node, a, x, xi):
-    return (x if node.kind == "x" else xi)[node.j - 1].astype(complex)
+def _var(node, v, _):
+    return v[node.j - 1].astype(complex)
 
 
-def _sum(node, a, x, xi):
-    return a[0] + a[1]
-
-
-def _product(node, a, x, xi):
-    return a[0] * a[1]
-
-
-def _quotient(node, a, x, xi):
-    num, den = a
-    if np.any(np.abs(den) < _DIV_EPS):
+def _quotient(node, num, den):
+    if np.count_nonzero(np.abs(den) < _DIV_EPS):
         raise DomainError(f"denominator underflow in {node.den.render()}")
     return num / den
 
 
-def _power(node, a, x, xi):
+def _power(node, b, _):
     """b ** expo; a non-integer exponent needs a real, non-negative base."""
-    b, p = a[0], node.expo
-    if p != int(p):
+    p = node.expo
+    if p.is_integer():
+        m = np.abs(b) if p < 0 else None
+    else:
         # per sample, so the verdict on a point does not depend on its batch
         scale = np.maximum(1.0, np.abs(b))
-        if np.any(np.abs(b.imag) > 1e-9 * scale):
+        if np.count_nonzero(np.abs(b.imag) > 1e-9 * scale):
             raise DomainError(
                 f"fractional power of non-real base {node.base.render()}")
-        if np.any(b.real < -1e-12 * scale):
+        if np.count_nonzero(b.real < -1e-12 * scale):
             raise DomainError(
                 f"fractional power of negative base {node.base.render()}")
-        b = np.maximum(b.real, 0.0)
-    if p < 0 and np.any(np.abs(b) < _DIV_EPS):
+        b = m = np.maximum(b.real, 0.0)     # real and >= 0: its own modulus
+    if p < 0 and np.count_nonzero(m < _DIV_EPS):
         raise DomainError(
             f"negative power of vanishing base {node.base.render()}")
-    if p == int(p):
+    if p.is_integer():
         return b ** int(p)
     return (b ** p).astype(complex)
 
 
-def _function(node, a, x, xi):
-    return getattr(np, node.name)(a[0])       # np.sin, np.cos, np.exp
+def _function(node, v, _):
+    return getattr(np, node.name)(v)          # np.sin, np.cos, np.exp
 
 
-_OPS = {Const: _const, Var: _var, Add: _sum, Mul: _product, Div: _quotient,
-        Pow: _power, Sin: _function, Cos: _function, Exp: _function}
-
-
-def _node_op(node):
-    """(children, op) of one node: the only place where evaluation looks
-    at the kind of a node."""
-    op = _OPS.get(type(node))
-    if op is None:
-        raise TypeError(f"cannot evaluate {type(node).__name__}")
-    return node.args, op
+# `Program` computes sums and products in its call loop: these mark them
+_OPS = {Add: operator.add, Mul: operator.mul, Div: _quotient, Pow: _power,
+        Sin: _function, Cos: _function, Exp: _function}
 
 
 class Program:
     """Root expressions compiled into one topologically ordered list of
     steps.  Called with samples x, xi of shapes (n, *S) and (n, *T), S and
-    T broadcastable (a flat (n,) is one sample), it returns one complex
-    array of the broadcast shape per root.  A node computes on the samples
-    of the variables below it: for x of shape (n, 1, P) and xi of shape
-    (n, C, 1), x-only nodes on P samples, xi-only ones on C, constants on
-    one and mixed nodes on the C x P product grid.
+    T broadcastable (a flat (n,) is one sample), it returns per root a
+    fresh complex array of the broadcast shape, which the caller owns.  A
+    node computes on the samples of the variables below it: for x of shape
+    (n, 1, P) and xi of shape (n, C, 1), x-only nodes on P samples, xi-only
+    ones on C, constants on one and mixed nodes on the C x P product grid.
 
-    Each node, one object per structure, is one step, computed once per
-    call however many parents or roots share it, and its array is dropped
-    after the last step that reads it.  Sums and products fold left, out
-    of place, so a point's value does not depend on its batch.
+    Each node, one object per structure, is one slot of a list, filled
+    once per call however many parents or roots share it.  Compilation
+    settles what does not depend on the samples: each constant's array is
+    built once, in the slot list that a call starts from a copy of; each
+    step knows the slots it reads and those that die after it; the call
+    loop computes sums and products inline, as binary steps that fold left
+    and out of place, so a point's value does not depend on its batch.
 
     `values` is a table {id(node): (node, array)} of values on the samples
     of every call; each entry keeps its node, and so its id, alive.  A node
@@ -582,65 +573,93 @@ class Program:
 
     def __init__(self, roots, values=None):
         table = {} if values is None else values
-        slot = {}               # id(node) -> step number of its value
-        steps = []              # (op, node, argument step numbers)
-        last = []               # step number -> last step reading it
+        slot = {}               # id(node) -> its slot
+        init = [None, None]     # the slots at the start of a call
+        steps = []              # (op, node, its slot, argument slots a, b)
 
-        def seeded(node, a, x, xi):
+        def seeded(node, a, b):
             return table[id(node)][1]
 
-        def emit(op, node, args):
-            k = len(steps)
-            for j in args:
-                last[j] = k
-            steps.append((op, node, args))
-            last.append(k)
-            return k
+        def emit(op, node, a=0, b=0):
+            init.append(None)
+            steps.append((op, node, len(init) - 1, a, b))
+            return len(init) - 1
 
         def visit(node):
             k = slot.get(id(node))
             if k is None:
-                children, op = (((), seeded) if id(node) in table
-                                else _node_op(node))
-                k = emit(op, node, tuple(map(visit, children[:2])))
-                # an n-ary sum or product takes in each further term as
-                # soon as it is computed, so its terms are never all live
-                for c in children[2:]:
-                    k = emit(op, node, (k, visit(c)))
+                if id(node) in table:
+                    k = emit(seeded, node)
+                elif type(node) is Const:
+                    init.append(np.full(1, node.value, dtype=complex))
+                    k = len(init) - 1
+                elif type(node) is Var:         # slot 0 holds x, 1 xi
+                    k = emit(_var, node, int(node.kind == "xi"))
+                elif type(node) in (Add, Mul, Div):
+                    # an n-ary sum or product takes in each further term
+                    # as soon as it is computed, so its terms are never
+                    # all live
+                    k = visit(node.args[0])
+                    for c in node.args[1:]:
+                        k = emit(_OPS[type(node)], node, k, visit(c))
+                else:                           # one child, read as a and b
+                    k = visit(node.args[0])
+                    k = emit(_OPS[type(node)], node, k, k)
                 slot[id(node)] = k
             return k
 
-        self._roots = list(map(visit, roots))
+        roots = list(map(visit, roots))
         visit = None            # drop its self-reference: no garbage cycle
         self._table = values
         self._record = [] if values is None else [
-            (steps[k][1], k) for k in slot.values()
-            if steps[k][0] is not seeded]
-        for r in self._roots + [k for _, k in self._record]:
-            last[r] = len(steps)          # kept to the end of the call
-        self._steps = steps
-        self._last = last
+            (node, k) for op, node, k, a, b in steps if op is not seeded]
+        # each step's dead slots: those it reads last, bar x, xi, the
+        # constants, the roots and the recorded nodes
+        live = {0, 1, *roots, *(k for _, k in self._record),
+                *(k for k, v in enumerate(init) if v is not None)}
+        for i in reversed(range(len(steps))):
+            dies = {steps[i][3], steps[i][4]} - live
+            live |= dies
+            steps[i] += (tuple(dies),)
+        self._steps, self._init = steps, init
+        # a constant, a table entry or a repeated root is returned as a copy
+        made = {s[2] for s in steps} if values is None else ()
+        self._roots = [(k, k in made and k not in roots[:i])
+                       for i, k in enumerate(roots)]
 
     def __call__(self, x: np.ndarray, xi: np.ndarray) -> list:
         if x.ndim == 1:
             x = x[:, None]
         if xi.ndim == 1:
             xi = xi[:, None]
-        vals = []
-        last = self._last
-        for i, (op, node, args) in enumerate(self._steps):
-            vals.append(op(node, [vals[k] for k in args], x, xi))
-            for k in args:
-                if last[k] == i:
-                    vals[k] = None
+        vals = self._init.copy()
+        vals[0], vals[1] = x, xi
+        add, mul = operator.add, operator.mul
+        for op, node, k, a, b, dead in self._steps:
+            if op is mul:
+                vals[k] = vals[a] * vals[b]
+            elif op is add:
+                vals[k] = vals[a] + vals[b]
+            else:
+                vals[k] = op(node, vals[a], vals[b])
+            for d in dead:
+                vals[d] = None
         for node, k in self._record:
             self._table[id(node)] = (node, vals[k])
         shape = x.shape[1:]
         if xi.shape[1:] != shape:
             shape = np.broadcast_shapes(shape, xi.shape[1:])
-        # a constant root, or a one-kind root on a product grid, is spread
-        return [v if v.shape == shape else np.broadcast_to(v, shape).copy()
-                for v in (vals[r] for r in self._roots)]
+        out = []
+        for k, owned in self._roots:
+            v = vals[k]
+            # a root below the full shape (a constant, or a one-kind root
+            # on a product grid) is spread over it
+            if v.shape != shape:
+                v = np.broadcast_to(v, shape).copy()
+            elif not owned:
+                v = v.copy()
+            out.append(v)
+        return out
 
 
 ev_cached = Expr.ev         # ev_cached(e, x, xi) is e.ev(x, xi)

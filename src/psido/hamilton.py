@@ -170,8 +170,12 @@ def solve_ivp(rhs, T: float, y0, rtol: float, atol: float,
     and each attempt rescales the step by 0.9 norm^(-1/5), within
     [0.2, 10], and by at most 1 right after a rejection.  `stop(y)`, if
     given, sees each accepted state and raises to end the integration.
-    Raises StepFailure if the step would fall below 10 ulp(t) or the
-    initial step, the error estimate or a state is not finite."""
+    Raises ValueError unless T is finite and rtol and atol are finite and
+    positive, and StepFailure if the step would fall below 10 ulp(t) or
+    the initial step, the error estimate or a state is not finite."""
+    if not (math.isfinite(T) and 0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError(f"need a finite time and finite, positive tolerances"
+                         f" (T = {T!r}, rtol = {rtol!r}, atol = {atol!r})")
     y = np.asarray(y0, dtype=float)
     if T == 0.0 or y.size == 0:
         return Solution(np.array([0.0]), y[np.newaxis], 0)

@@ -127,6 +127,30 @@ def test_solve_ivp_fails_on_non_finite_right_hand_side():
                            np.array([1.0]), 1e-10, 1e-13)
 
 
+
+@pytest.mark.parametrize("T, rtol, atol", [
+    (np.nan, 1e-9, 1e-12), (np.inf, 1e-9, 1e-12), (-np.inf, 1e-9, 1e-12),
+    (1.0, 0.0, 1e-12), (1.0, -1e-9, 1e-12), (1.0, np.nan, 1e-12),
+    (1.0, np.inf, 1e-12), (1.0, 1e-9, 0.0), (1.0, 1e-9, np.nan)])
+def test_solve_ivp_needs_a_finite_time_and_positive_tolerances(T, rtol,
+                                                               atol):
+    # a NaN time ended the loop at once and returned the start point
+    with pytest.raises(ValueError, match="finite"):
+        hamilton.solve_ivp(lambda y: -y, T, np.array([1.0]), rtol, atol)
+
+
+@pytest.mark.parametrize("T, tol", [(np.nan, 1e-9), (np.inf, 1e-9),
+                                    (1.0, 0.0), (1.0, -1e-9)])
+def test_flows_reject_a_time_or_tolerance_out_of_range(T, tol):
+    p = sy.HomogeneousTerm(ex.xi(1) - ex.xi(2), 1.0, 2)
+    start = [0.0, 0.0, 1.0, 1.0]        # on char(p)
+    with pytest.raises(ValueError, match="finite"):
+        flow(p, start, T, tol=tol)
+    with pytest.raises(ValueError, match="finite"):
+        propagate_wavefront(p, [start], T, tol=tol)
+    with pytest.raises(ValueError, match="finite"):
+        transport_solve(p, ex.x(1), T, start, tol=tol)
+
 def test_flow_zero_time():
     p = sy.HomogeneousTerm(ex.xi_norm_sq(2), 2.0, 2)
     b = flow(p, [0.3, 0.4, 1.0, 2.0], 0.0)

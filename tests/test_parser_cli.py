@@ -68,6 +68,18 @@ def test_parse_expr_rejects_a_constant_power_that_is_not_finite(text):
         parse_expr(text, 1)
 
 
+
+_HUGE = "9" * 400       # overflows a float to inf
+
+
+@pytest.mark.parametrize("text", [f"x1^({_HUGE})", f"2^({_HUGE})",
+                                  f"sqrt(x1)^({_HUGE})"])
+def test_parse_expr_rejects_an_exponent_that_is_not_finite(text):
+    with pytest.raises(DomainError, match="exponent inf is not finite"):
+        parse_expr(text, 1)
+    with pytest.raises(DomainError, match="exponent nan is not finite"):
+        ex.pow_(ex.x(1), float("nan"))
+
 def test_parse_symbol_document():
     doc = parse_symbol_document(VARIABLE_DOC)
     assert doc.name == "P"
@@ -138,6 +150,24 @@ def test_cli_constant_power_that_is_not_finite_exits_one(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not finite" in err
 
+
+
+@pytest.mark.parametrize("term", [f"xi1*x1^({_HUGE})", f"xi1*2^({_HUGE})"])
+def test_cli_exponent_that_is_not_finite_exits_one(tmp_path, capsys, term):
+    doc = f'symbol P {{\n  dim=1 order=1 trunc=3\n  term 1: "{term}"\n}}\n'
+    assert main(["adjoint", _write(tmp_path / "p.sym", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exponent inf is not finite" in err
+
+
+@pytest.mark.parametrize("args", [["--time", "nan"], ["--time", "inf"],
+                                  ["--time", "1", "--tol", "0"]])
+def test_cli_flow_time_or_tolerance_out_of_range_exits_one(tmp_path, capsys,
+                                                           args):
+    p = _write(tmp_path / "p.sym", LAPLACIAN_DOC)
+    assert main(["flow", p, "--start", "0,0,1,0", *args]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
 
 def test_cli_flow_writes_csv(tmp_path, capsys):
     p = _write(tmp_path / "p.sym", LAPLACIAN_DOC)
