@@ -18,6 +18,7 @@ term is validated against the Euler relation at parse time.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -116,7 +117,10 @@ class _ExprParser:
     def atom(self) -> ex.Expr:
         kind, val, pos = self.take()
         if kind == "num":
-            return ex.Const(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise SyntaxError(f"number at position {pos} is not finite")
+            return ex.Const(value)
         if kind == "name":
             if val == "i":
                 return ex.I

@@ -12,7 +12,11 @@ mode by mode from its values on the lattice x modes product grid.
 Also here: Sobolev norms and the H^s/H^-s duality pairing, the two
 regularized definitions of an oscillatory integral (mutual oracles), and
 the winding-number/matrix-oracle index of a piecewise symbol on the
-circle.
+circle.  Both oscillatory-integral regularizations integrate over theta in
+full Gauss panels of a fixed width and take their x integrals from one
+transform whose phase is factored at the panel centre,
+e^{i theta x} = e^{i (theta - mid) x} e^{i mid x}: the first factor is
+built once per width, so a panel costs one exponential per x node.
 """
 
 from __future__ import annotations
@@ -306,24 +310,32 @@ def duality_pair(u: GridFunction, v: GridFunction) -> complex:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
+# psi's quadrature on its support [-pi, pi]: 128 Gauss panels, dense enough
+# that the discrete transform is machine accurate wherever it is above the
+# noise floor of `_panel_transform`
+_PSI_EDGES = np.linspace(-np.pi, np.pi, 129)
+_PSI_HALF = 0.5 * (_PSI_EDGES[1:] - _PSI_EDGES[:-1])[:, None]
+_PSI_NODES = (0.5 * (_PSI_EDGES[:-1] + _PSI_EDGES[1:])[:, None]
+              + _PSI_HALF * _GL_NODES).ravel()
+_PSI_WEIGHTS = (_PSI_HALF * _GL_WEIGHTS).ravel()
 
 
-def _panel_quad(f, a: float, b: float) -> complex:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    t = mid + half * _GL_NODES
-    return half * complex(np.sum(_GL_WEIGHTS * f(t)))
-
-
-def _outward_theta_quad(f, start: float, theta_max: float,
-                        width: float = 1.0) -> complex:
-    """Integrate f over start <= |theta| <= theta_max symmetric outward,
-    stopping after _QUIET_PANELS panels in a row contribute nothing."""
+def _outward_theta_quad(f, theta_max: float, width: float) -> complex:
+    """Integrate f over |theta| <= theta_max symmetric outward, a pair of
+    16-node Gauss panels [a, a + width], [-a - width, -a] at a time,
+    stopping after _QUIET_PANELS pairs in a row contribute nothing.
+    f(theta, mid) gets a panel's nodes and its centre.  theta_max must be
+    a whole number of widths: then every panel is full, and its nodes are
+    mid + width/2 * _GL_NODES, the offsets `_panel_transform` is built on."""
+    half = 0.5 * width
     total = 0.0 + 0.0j
     quiet = 0
-    a = start
+    a = 0.0
     while a < theta_max:
-        b = min(a + width, theta_max)
-        c = _panel_quad(f, a, b) + _panel_quad(f, -b, -a)
+        c = 0.0 + 0.0j
+        for mid in (a + half, -a - half):
+            t = mid + half * _GL_NODES
+            c += half * complex(np.sum(_GL_WEIGHTS * f(t, mid)))
         total += c
         scale = max(1.0, abs(total))
         if abs(c) < 1e-9 * scale and a > 8.0:
@@ -332,46 +344,29 @@ def _outward_theta_quad(f, start: float, theta_max: float,
                 break
         else:
             quiet = 0
-        a = b
+        a += width
     return total
 
 
-class _PsiTransform:
-    """Cached Fourier transform Psi(theta) = int e^{ix theta} psi(x) dx
-    over psi's support [-pi, pi]."""
+def _panel_transform(W: np.ndarray, width: float):
+    """The transforms sum_j e^{i theta x_j} W[j, c] of the columns of W,
+    quadrature weights on psi's nodes x_j, as a function of a panel centre
+    mid: its rows are theta = mid + width/2 * _GL_NODES.  The phase factors
+    as e^{i theta x} = e^{i (theta - mid) x} e^{i mid x}, and the first
+    factor is the same for every full panel of this width, so it is built
+    once here and a panel costs one exponential per node."""
+    E = np.exp(1j * np.outer(0.5 * width * _GL_NODES, _PSI_NODES))
+    # below this level the computed transform is dominated by support
+    # truncation and quadrature noise; snapping it to an exact zero makes
+    # tail integrals terminate instead of amplifying noise by |theta|^m
+    floor = 1e-9 * np.maximum(1.0, np.sum(np.abs(W), axis=0))
 
-    def __init__(self, psi: ex.Expr):
-        nodes, weights = [], []
-        # dense enough that the discrete transform is machine accurate
-        # wherever |Psi| is above the noise floor below
-        panels = 128
-        edges = np.linspace(-np.pi, np.pi, panels + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            nodes.append(mid + half * _GL_NODES)
-            weights.append(half * _GL_WEIGHTS)
-        self.xn = np.concatenate(nodes)
-        self.w = np.concatenate(weights)
-        xv = self.xn.reshape(1, -1)
-        psi_vals = psi.ev(xv, np.zeros_like(xv))
-        self.wf = self.w * psi_vals
-        # below this level the computed transform is dominated by support
-        # truncation and quadrature noise; snapping it to an exact zero makes
-        # tail integrals terminate instead of amplifying noise by |theta|^m
-        self.floor = 1e-9 * max(1.0, float(np.sum(np.abs(self.wf))))
-        self._cache = {}
-
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.atleast_1d(theta)
-        # quadrature panels revisit the same nodes across epsilon sweeps
-        key = (theta[0], theta[-1], theta.size)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = np.exp(1j * np.outer(theta, self.xn)) @ self.wf
-        out[np.abs(out) < self.floor] = 0.0
-        self._cache[key] = out
+    def transform(mid: float) -> np.ndarray:
+        out = E @ (np.exp(1j * mid * _PSI_NODES)[:, None] * W)
+        out[np.abs(out) < floor] = 0.0
         return out
+
+    return transform
 
 
 def _cutoff_profile(u: np.ndarray) -> np.ndarray:
@@ -397,7 +392,17 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
     in x (variable x1) supported in [-pi, pi].  The two regularizations
     (epsilon-cutoff limit, and integration by parts against M = chi^-1 L)
     define the same distribution; computing both gives a built-in oracle.
+    Both integrate over theta in full panels of one width each, and every
+    x integral is a `_panel_transform` of weights on psi's nodes: the
+    phase e^{i theta x} is factored at the panel centre, so a panel costs
+    one exponential per node.  ValueError for an unknown method or a tol
+    that is not finite and positive, before any work.
     """
+    if method not in ("both", "epsilon-cutoff", "parts"):
+        raise ValueError(f"unknown oscint method {method!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"oscint tolerance must be finite and positive, "
+                         f"got {tol}")
     if method == "both":
         ve = oscint_eval(a, psi, "epsilon-cutoff", tol)
         vp = oscint_eval(a, psi, "parts", tol)
@@ -406,22 +411,23 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
             raise NonConvergent(
                 f"regularizations disagree: {ve} vs {vp}")
         return 0.5 * (ve + vp)
-    psif = _PsiTransform(psi)
-    amp_prog = ex.Program([a])
-
-    def amp(theta):
-        th = np.asarray(theta, dtype=float).reshape(1, -1)
-        return amp_prog(np.zeros_like(th), th)[0]
+    xrow = _PSI_NODES.reshape(1, -1)
+    zrow = np.zeros_like(xrow)
+    w_psi = (_PSI_WEIGHTS * psi.ev(xrow, zrow))[:, None]
 
     if method == "epsilon-cutoff":
+        amp_prog = ex.Program([a])
+        psi_hat = _panel_transform(w_psi, 1.0)
         vals = []
         for j in range(7):
             eps = 2.0 ** (-4 - j)
 
-            def f(th):
-                return amp(th) * _cutoff_profile(eps * th) * psif(th)
+            def f(th, mid):
+                row = th.reshape(1, -1)
+                return (amp_prog(np.zeros_like(row), row)[0]
+                        * _cutoff_profile(eps * th) * psi_hat(mid)[:, 0])
 
-            vals.append(_outward_theta_quad(f, 0.0, 2.0 / eps))
+            vals.append(_outward_theta_quad(f, 2.0 / eps, 1.0))
         diffs = [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
         scale = max(1.0, abs(vals[-1]))
         if diffs[-1] > tol * scale:
@@ -436,71 +442,59 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
                 return complex(vals[-1] + step * r / (1.0 - r))
         return complex(vals[-1])
 
-    if method == "parts":
-        theta = ex.xi(1)
-        xv = ex.x(1)
-        sigma = ex.div(ex.pow_(theta, 8),
-                       ex.add(ex.ONE, ex.pow_(theta, 8)))
-        near_expr = ex.div(a, ex.add(ex.ONE, ex.pow_(theta, 8)))
-        m = _estimate_order(a)
-        r = max(0, int(np.floor(m)) + 2)
-        # M = chi^-1 L = -i(b dx + c dtheta) fixes e^{ix theta}, so
-        # M^t = i(dx(b .) + dtheta(c .)).  Both coefficients split into a
-        # theta factor times an x factor (b = theta^-1 g, c = h), and the
-        # amplitude depends on theta alone, so (M^t)^r (a sigma psi) stays
-        # a sum of separable terms F(theta) G(x) psi^(k)(x).  Each term's
-        # x integral is then a cached Fourier transform, so the theta
-        # quadrature never re-walks expression trees.
-        g = ex.div(ex.ONE, ex.ONE + xv * xv)
-        h = ex.div(xv, ex.ONE + xv * xv)
-        inv_theta = ex.pow_(theta, -1.0)
-        terms = [(0, ex.mul(a, sigma), ex.ONE)]
-        for _ in range(r):
-            nxt = []
-            for k, F, G in terms:
-                iF = ex.mul(ex.I, F)
-                # d/dx of the x factor, d/dtheta of the theta factor, and
-                # the psi-derivative shift from d/dx hitting psi^(k)
-                nxt.append((k, ex.mul(iF, inv_theta),
-                            ex.mul(g, G).diff("x", 1)))
-                nxt.append((k, ex.mul(ex.I, F.diff("xi", 1)),
-                            ex.mul(h, G)))
-                nxt.append((k + 1, ex.mul(iF, inv_theta), ex.mul(g, G)))
-            terms = nxt
-        psi_k = [psi]
-        for _ in range(r):
-            psi_k.append(psi_k[-1].diff("x", 1))
-        # all x factors share psif's quadrature nodes, so one phase matrix
-        # serves every transform
-        xrow = psif.xn.reshape(1, -1)
-        zrow = np.zeros_like(xrow)
-        x_prog = ex.Program([ex.mul(G, psi_k[k]) for k, F, G in terms])
-        wmat = np.stack([psif.w * v for v in x_prog(xrow, zrow)], axis=1)
-        floors = 1e-9 * np.maximum(1.0, np.sum(np.abs(wmat), axis=0))
-        theta_prog = ex.Program([F for k, F, G in terms])
-        near_prog = ex.Program([near_expr])
+    theta = ex.xi(1)
+    xv = ex.x(1)
+    sigma = ex.div(ex.pow_(theta, 8), ex.add(ex.ONE, ex.pow_(theta, 8)))
+    near_expr = ex.div(a, ex.add(ex.ONE, ex.pow_(theta, 8)))
+    m = _estimate_order(a)
+    r = max(0, int(np.floor(m)) + 2)
+    # M = chi^-1 L = -i(b dx + c dtheta) fixes e^{ix theta}, so
+    # M^t = i(dx(b .) + dtheta(c .)).  Both coefficients split into a
+    # theta factor times an x factor (b = theta^-1 g, c = h), and the
+    # amplitude depends on theta alone, so (M^t)^r (a sigma psi) stays
+    # a sum of separable terms F(theta) G(x) psi^(k)(x).  Each term's
+    # x integral is then a column of one panel transform, so the theta
+    # quadrature never re-walks expression trees.
+    g = ex.div(ex.ONE, ex.ONE + xv * xv)
+    h = ex.div(xv, ex.ONE + xv * xv)
+    inv_theta = ex.pow_(theta, -1.0)
+    terms = [(0, ex.mul(a, sigma), ex.ONE)]
+    for _ in range(r):
+        nxt = []
+        for k, F, G in terms:
+            iF = ex.mul(ex.I, F)
+            # d/dx of the x factor, d/dtheta of the theta factor, and
+            # the psi-derivative shift from d/dx hitting psi^(k)
+            nxt.append((k, ex.mul(iF, inv_theta), ex.mul(g, G).diff("x", 1)))
+            nxt.append((k, ex.mul(ex.I, F.diff("xi", 1)), ex.mul(h, G)))
+            nxt.append((k + 1, ex.mul(iF, inv_theta), ex.mul(g, G)))
+        terms = nxt
+    psi_k = [psi]
+    for _ in range(r):
+        psi_k.append(psi_k[-1].diff("x", 1))
+    x_prog = ex.Program([ex.mul(G, psi_k[k]) for k, F, G in terms])
+    w_far = np.stack([_PSI_WEIGHTS * v for v in x_prog(xrow, zrow)], axis=1)
+    theta_prog = ex.Program([F for k, F, G in terms])
+    near_prog = ex.Program([near_expr])
+    near_hat = _panel_transform(w_psi, 0.5)
+    far_hat = _panel_transform(w_far, 1.0)
 
-        def far_theta_integrand(th):
-            row = th.reshape(1, -1)
-            vals = np.exp(1j * np.outer(th, psif.xn)) @ wmat
-            vals[np.abs(vals) < floors[None, :]] = 0.0
-            out = np.zeros(th.size, dtype=complex)
-            for j, fv in enumerate(theta_prog(np.zeros_like(row), row)):
-                out += fv * vals[:, j]
-            return out
+    def near_theta_integrand(th, mid):
+        row = th.reshape(1, -1)
+        return near_prog(np.zeros_like(row), row)[0] * near_hat(mid)[:, 0]
 
-        def near_theta_integrand(th):
-            row = th.reshape(1, -1)
-            return near_prog(np.zeros_like(row), row)[0] * psif(th)
+    def far_theta_integrand(th, mid):
+        row = th.reshape(1, -1)
+        vals = far_hat(mid)
+        out = np.zeros(th.size, dtype=complex)
+        for j, fv in enumerate(theta_prog(np.zeros_like(row), row)):
+            out += fv * vals[:, j]
+        return out
 
-        # near part carries the non-excised remainder 1/(1+theta^8)
-        near = _outward_theta_quad(near_theta_integrand, 0.0, 64.0,
-                                   width=0.5)
-        far = _outward_theta_quad(far_theta_integrand, 0.0, 512.0,
-                                  width=1.0)
-        return complex(near + far)
-
-    raise ValueError(f"unknown oscint method {method!r}")
+    # near part carries the non-excised remainder 1/(1+theta^8)
+    near = _outward_theta_quad(near_theta_integrand, 64.0, 0.5)
+    far = _outward_theta_quad(far_theta_integrand, 512.0, 1.0)
+    return complex(near + far)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +542,10 @@ def circle_index(aplus: ex.Expr, aminus: ex.Expr, K: int = 32) -> IndexReport:
     """Winding numbers of a+/- plus a matrix oracle for the Fredholm index
     of the operator with symbol a+(x) for xi>0, a-(x) for xi<0 (the a+
     branch also takes the xi = 0 mode).  Unstable unless the truncations
-    at K and K + 8 both give winding_minus - winding_plus."""
+    at K and K + 8 both give winding_minus - winding_plus; ValueError for
+    K < 1, a window with no columns."""
+    if K < 1:
+        raise ValueError(f"index truncation K must be >= 1, got {K}")
     cp, vp = _fourier_coefs(aplus)
     cm, vm = _fourier_coefs(aminus)
     wp = _winding(vp)

@@ -70,15 +70,31 @@ def test_parse_expr_rejects_a_constant_power_that_is_not_finite(text):
 
 
 _HUGE = "9" * 400       # overflows a float to inf
+_BIG = "9" * 200        # finite, but its square folds to inf
 
 
 @pytest.mark.parametrize("text", [f"x1^({_HUGE})", f"2^({_HUGE})",
                                   f"sqrt(x1)^({_HUGE})"])
 def test_parse_expr_rejects_an_exponent_that_is_not_finite(text):
-    with pytest.raises(DomainError, match="exponent inf is not finite"):
+    # an overflowing literal is rejected where it stands; an exponent that
+    # folds to inf still reaches pow_'s own check
+    pos = text.index(_HUGE)
+    with pytest.raises(SyntaxError,
+                       match=f"number at position {pos} is not finite"):
         parse_expr(text, 1)
+    with pytest.raises(DomainError, match="exponent inf is not finite"):
+        parse_expr(text.replace(_HUGE, f"{_BIG}*{_BIG}"), 1)
     with pytest.raises(DomainError, match="exponent nan is not finite"):
         ex.pow_(ex.x(1), float("nan"))
+
+
+@pytest.mark.parametrize("text", [f"xi1*{_HUGE}", f"{_HUGE}.5", f"-{_HUGE}"])
+def test_parse_expr_rejects_a_number_that_is_not_finite(text):
+    pos = text.index(_HUGE)
+    with pytest.raises(SyntaxError,
+                       match=f"number at position {pos} is not finite"):
+        parse_expr(text, 1)
+
 
 def test_parse_symbol_document():
     doc = parse_symbol_document(VARIABLE_DOC)
@@ -152,12 +168,29 @@ def test_cli_constant_power_that_is_not_finite_exits_one(tmp_path, capsys,
 
 
 
+def _adjoint_of_term(tmp_path, capsys, term):
+    """Exit code and stderr of `psido adjoint` on a one-term symbol."""
+    doc = f'symbol P {{\n  dim=1 order=1 trunc=3\n  term 1: "{term}"\n}}\n'
+    rc = main(["adjoint", _write(tmp_path / "p.sym", doc)])
+    return rc, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("term", [f"xi1*x1^({_HUGE})", f"xi1*2^({_HUGE})"])
 def test_cli_exponent_that_is_not_finite_exits_one(tmp_path, capsys, term):
-    doc = f'symbol P {{\n  dim=1 order=1 trunc=3\n  term 1: "{term}"\n}}\n'
-    assert main(["adjoint", _write(tmp_path / "p.sym", doc)]) == 1
-    err = capsys.readouterr().err
+    rc, err = _adjoint_of_term(tmp_path, capsys, term)
+    assert rc == 1
+    assert err.startswith("error:")
+    assert f"number at position {term.index(_HUGE)} is not finite" in err
+    rc, err = _adjoint_of_term(tmp_path, capsys,
+                               term.replace(_HUGE, f"{_BIG}*{_BIG}"))
+    assert rc == 1
     assert err.startswith("error:") and "exponent inf is not finite" in err
+
+
+def test_cli_number_that_is_not_finite_exits_one(tmp_path, capsys):
+    rc, err = _adjoint_of_term(tmp_path, capsys, f"xi1*{_HUGE}")
+    assert rc == 1
+    assert err.startswith("error:") and "position 4 is not finite" in err
 
 
 @pytest.mark.parametrize("args", [["--time", "nan"], ["--time", "inf"],
@@ -227,6 +260,25 @@ def test_cli_oscint(tmp_path, capsys):
     assert rc == 0
     val = float(capsys.readouterr().out.split("value: ")[1].split(",")[0])
     assert val == pytest.approx(2.0 * np.pi, abs=1e-4)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_cli_oscint_tolerance_out_of_range_exits_one(capsys, tol):
+    # at nan every Cauchy and agreement check would pass untested
+    assert main(["oscint", "--amp", "|xi|", "--test", "exp(0 - 2*x1^2)",
+                 "--tol", tol]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
+    assert "finite and positive" in out.err
+
+
+@pytest.mark.parametrize("K", ["0", "-5"])
+def test_cli_index_truncation_below_one_exits_one(capsys, K):
+    assert main(["index", "--aplus", "2+cos(x1)", "--aminus", "2+sin(x1)",
+                 "--K", K]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
+    assert f"K must be >= 1, got {K}" in out.err
 
 
 def test_cli_index(capsys):

@@ -4,7 +4,8 @@ import pytest
 from psido import calculus as ca
 from psido import expr as ex
 from psido import symbols as sy
-from psido.quantize import (_PAIR_CAP, _PAIR_GROUP, GridFunction, _separate,
+from psido.quantize import (_PAIR_CAP, _PAIR_GROUP, _PSI_NODES, _PSI_WEIGHTS,
+                            GridFunction, _panel_transform, _separate,
                             circle_index, lattice, op_apply, oscint_eval,
                             sobolev_norm, wavenumbers)
 from psido.errors import GridMismatch, SymbolVanishes, Unstable
@@ -319,6 +320,64 @@ def test_oscint_methods_agree():
     va = oscint_eval(a, psi, method="epsilon-cutoff")
     vb = oscint_eval(a, psi, method="parts")
     assert va == pytest.approx(vb, abs=1e-4)
+
+
+@pytest.mark.parametrize("w", [2.0, 3.0])
+def test_oscint_closed_forms_of_centred_gaussians(w):
+    # psi = exp(-w x^2): amplitude 1 gives 2 pi psi(0) = 2 pi, amplitude
+    # |theta| gives int |theta| sqrt(pi/w) exp(-theta^2/4w) = 4 sqrt(pi w)
+    psi = ex.exp(ex.neg(ex.mul(ex.Const(w), ex.x(1), ex.x(1))))
+    for a, want in ((ex.ONE, 2.0 * np.pi),
+                    (ex.xi_norm(1), 4.0 * np.sqrt(np.pi * w))):
+        for method in ("epsilon-cutoff", "parts"):
+            v = oscint_eval(a, psi, method)
+            assert abs(v - want) <= 1e-8 * want, (method, v, want)
+
+
+@pytest.mark.parametrize("width, mids", [
+    (0.5, [0.25, -0.25, 7.75, -40.25, 63.75, -511.75]),
+    (1.0, [0.5, -0.5, 3.5, -100.5, 255.5, 511.5, -511.5])])
+def test_panel_transform_matches_the_direct_transform(width, mids):
+    # the phase factored at the panel centre against e^{i theta x} built
+    # whole, floor snap included: decaying columns snap to exact zeros
+    # in the tail, the random one never does
+    rng = np.random.default_rng(3)
+    x = _PSI_NODES
+    W = _PSI_WEIGHTS[:, None] * np.stack(
+        [np.exp(-2.0 * x * x), x * np.exp(-3.0 * (x - 0.3) ** 2),
+         rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)],
+        axis=1)
+    scale = np.sum(np.abs(W), axis=0)
+    transform = _panel_transform(W, width)
+    snapped = 0
+    for mid in mids:
+        theta = mid + 0.5 * width * np.polynomial.legendre.leggauss(16)[0]
+        want = np.exp(1j * np.outer(theta, x)) @ W
+        want[np.abs(want) < 1e-9 * np.maximum(1.0, scale)] = 0.0
+        got = transform(mid)
+        assert got.shape == want.shape
+        assert np.all((got == 0) == (want == 0))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        snapped += int(np.count_nonzero(got == 0))
+        assert np.all(got[:, 2] != 0)
+    assert snapped > 0
+
+
+def test_oscint_rejects_a_method_or_tolerance_before_any_work():
+    # None in place of a and psi: any work would raise something else
+    with pytest.raises(ValueError, match="unknown oscint method 'bogus'"):
+        oscint_eval(None, None, "bogus")
+    for tol in (float("nan"), float("inf"), 0.0, -1.0):
+        for method in ("both", "epsilon-cutoff", "parts"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                oscint_eval(None, None, method, tol)
+
+
+@pytest.mark.parametrize("K", [0, -5])
+def test_circle_index_rejects_a_truncation_below_one(K):
+    with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+        circle_index(ex.Const(2.0) + ex.cos(ex.x(1)),
+                     ex.Const(2.0) + ex.sin(ex.x(1)), K=K)
 
 
 def test_circle_index_winding_one():
