@@ -4,8 +4,9 @@ The node set is deliberately small -- complex constants, variables, sums,
 products, quotients, real powers, sin, cos, exp -- and is closed under
 differentiation with respect to any variable.  Negation is Mul(-1, .) and
 square roots are Pow(., 0.5).  There is no simplification beyond constant
-folding and neutral-element elimination: semantic questions (is this tree
-zero?) are settled by sampling, not by rewriting.
+folding and neutral-element elimination (a fold whose constant is not
+finite raises DomainError): semantic questions (is this tree zero?) are
+settled by sampling, not by rewriting.
 
 Nodes are immutable and hash-consed (Filliatre & Conchon 2006): a table
 of weak references, keyed by class, child ids and payload (floats by bit
@@ -46,6 +47,7 @@ linear too and a later call, from any caller, finds it there.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import operator
@@ -293,6 +295,13 @@ ONE = Const(1.0)
 I = Const(1j)
 
 
+def _folded(value: complex, what: str) -> Const:
+    """The constant a fold computed; DomainError unless it is finite."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"constant {what} is not finite")
+    return Const(value)
+
+
 def add(*terms) -> Expr:
     flat = []
     const = 0.0 + 0.0j
@@ -312,7 +321,7 @@ def add(*terms) -> Expr:
         else:
             merged.append(t)
     if const != 0:
-        merged.append(Const(const))
+        merged.append(_folded(const, "sum"))
     if not merged:
         return ZERO
     if len(merged) == 1:
@@ -340,7 +349,7 @@ def mul(*factors) -> Expr:
     if const == 0:
         return ZERO
     if const != 1:
-        merged.insert(0, Const(const))
+        merged.insert(0, _folded(const, "product"))
     if not merged:
         return ONE
     if len(merged) == 1:
@@ -358,7 +367,7 @@ def div(num, den) -> Expr:
     if isinstance(den, Const):
         if den.value == 0:
             raise DomainError("division by the constant zero")
-        return mul(Const(1.0 / den.value), num)
+        return mul(_folded(1.0 / den.value, "quotient"), num)
     if num is ZERO:
         return ZERO
     return Div(num, den)

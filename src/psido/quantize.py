@@ -12,11 +12,14 @@ mode by mode from its values on the lattice x modes product grid.
 Also here: Sobolev norms and the H^s/H^-s duality pairing, the two
 regularized definitions of an oscillatory integral (mutual oracles), and
 the winding-number/matrix-oracle index of a piecewise symbol on the
-circle.  Both oscillatory-integral regularizations integrate over theta in
-full Gauss panels of a fixed width and take their x integrals from one
-transform whose phase is factored at the panel centre,
+circle.  Each oscillatory-integral regularization is one sweep over theta
+in full Gauss panels of one width, ended once every component of its
+integrand is quiet: the epsilon-cutoff sweeps its whole epsilon sequence
+as one vector integrand, and integration by parts takes the near
+remainder as one more separable term.  Each takes its x integrals from
+one transform whose phase is factored at the panel centre,
 e^{i theta x} = e^{i (theta - mid) x} e^{i mid x}: the first factor is
-built once per width, so a panel costs one exponential per x node.
+built once, so a panel costs one exponential per x node.
 """
 
 from __future__ import annotations
@@ -310,6 +313,7 @@ def duality_pair(u: GridFunction, v: GridFunction) -> complex:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
+_PANEL_WIDTH = 1.0         # of the theta panels; every theta_max is a multiple
 # psi's quadrature on its support [-pi, pi]: 128 Gauss panels, dense enough
 # that the discrete transform is machine accurate wherever it is above the
 # noise floor of `_panel_transform`
@@ -320,42 +324,45 @@ _PSI_NODES = (0.5 * (_PSI_EDGES[:-1] + _PSI_EDGES[1:])[:, None]
 _PSI_WEIGHTS = (_PSI_HALF * _GL_WEIGHTS).ravel()
 
 
-def _outward_theta_quad(f, theta_max: float, width: float) -> complex:
+def _outward_theta_quad(f, theta_max: float):
     """Integrate f over |theta| <= theta_max symmetric outward, a pair of
-    16-node Gauss panels [a, a + width], [-a - width, -a] at a time,
-    stopping after _QUIET_PANELS pairs in a row contribute nothing.
-    f(theta, mid) gets a panel's nodes and its centre.  theta_max must be
-    a whole number of widths: then every panel is full, and its nodes are
-    mid + width/2 * _GL_NODES, the offsets `_panel_transform` is built on."""
-    half = 0.5 * width
-    total = 0.0 + 0.0j
+    16-node Gauss panels [a, a + _PANEL_WIDTH], [-a - _PANEL_WIDTH, -a] at
+    a time.  f(theta, mid) gets a panel's nodes and its centre and returns
+    its values on the last axis, so f may be vector valued: the result has
+    the shape of f's leading axes.  The sweep stops once every component
+    has been quiet (contributed nothing) for _QUIET_PANELS pairs in a row.
+    theta_max must be a whole number of widths: then every panel is full,
+    and its nodes are mid + _PANEL_WIDTH/2 * _GL_NODES, the offsets
+    `_panel_transform` is built on."""
+    half = 0.5 * _PANEL_WIDTH
+    total = 0.0
     quiet = 0
     a = 0.0
     while a < theta_max:
-        c = 0.0 + 0.0j
+        c = 0.0
         for mid in (a + half, -a - half):
             t = mid + half * _GL_NODES
-            c += half * complex(np.sum(_GL_WEIGHTS * f(t, mid)))
-        total += c
-        scale = max(1.0, abs(total))
-        if abs(c) < 1e-9 * scale and a > 8.0:
+            c = c + half * np.sum(_GL_WEIGHTS * f(t, mid), axis=-1)
+        total = total + c
+        scale = np.maximum(1.0, np.abs(total))
+        if a > 8.0 and np.all(np.abs(c) < 1e-9 * scale):
             quiet += 1
             if quiet >= _QUIET_PANELS:
                 break
         else:
             quiet = 0
-        a += width
+        a += _PANEL_WIDTH
     return total
 
 
-def _panel_transform(W: np.ndarray, width: float):
+def _panel_transform(W: np.ndarray):
     """The transforms sum_j e^{i theta x_j} W[j, c] of the columns of W,
     quadrature weights on psi's nodes x_j, as a function of a panel centre
-    mid: its rows are theta = mid + width/2 * _GL_NODES.  The phase factors
-    as e^{i theta x} = e^{i (theta - mid) x} e^{i mid x}, and the first
-    factor is the same for every full panel of this width, so it is built
-    once here and a panel costs one exponential per node."""
-    E = np.exp(1j * np.outer(0.5 * width * _GL_NODES, _PSI_NODES))
+    mid: its rows are theta = mid + _PANEL_WIDTH/2 * _GL_NODES.  The phase
+    factors as e^{i theta x} = e^{i (theta - mid) x} e^{i mid x}, and the
+    first factor is the same for every panel, so it is built once here and
+    a panel costs one exponential per node."""
+    E = np.exp(1j * np.outer(0.5 * _PANEL_WIDTH * _GL_NODES, _PSI_NODES))
     # below this level the computed transform is dominated by support
     # truncation and quadrature noise; snapping it to an exact zero makes
     # tail integrals terminate instead of amplifying noise by |theta|^m
@@ -376,9 +383,7 @@ def _cutoff_profile(u: np.ndarray) -> np.ndarray:
 
 
 def _estimate_order(a: ex.Expr) -> float:
-    t1, t2 = 64.0, 128.0
-    v1 = abs(complex(a.ev(np.zeros((1, 1)), np.array([[t1]]))[0]))
-    v2 = abs(complex(a.ev(np.zeros((1, 1)), np.array([[t2]]))[0]))
+    v1, v2 = np.abs(a.ev(np.zeros((1, 2)), np.array([[64.0, 128.0]])))
     if v1 == 0.0 or v2 == 0.0:
         return 0.0
     return float(np.log2(v2 / v1))
@@ -392,10 +397,13 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
     in x (variable x1) supported in [-pi, pi].  The two regularizations
     (epsilon-cutoff limit, and integration by parts against M = chi^-1 L)
     define the same distribution; computing both gives a built-in oracle.
-    Both integrate over theta in full panels of one width each, and every
-    x integral is a `_panel_transform` of weights on psi's nodes: the
-    phase e^{i theta x} is factored at the panel centre, so a panel costs
-    one exponential per node.  ValueError for an unknown method or a tol
+    Each makes one theta sweep in full panels of one width: the cutoff
+    sweeps its whole epsilon sequence as one vector integrand, and parts
+    sweeps the near remainder as one more of its separable terms.  The
+    sweep ends once every component is quiet.  Every x integral is a
+    column of one `_panel_transform` of weights on psi's nodes: the phase
+    e^{i theta x} is factored at the panel centre, so a panel costs one
+    exponential per node.  ValueError for an unknown method or a tol
     that is not finite and positive, before any work.
     """
     if method not in ("both", "epsilon-cutoff", "parts"):
@@ -413,21 +421,21 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
         return 0.5 * (ve + vp)
     xrow = _PSI_NODES.reshape(1, -1)
     zrow = np.zeros_like(xrow)
-    w_psi = (_PSI_WEIGHTS * psi.ev(xrow, zrow))[:, None]
 
     if method == "epsilon-cutoff":
         amp_prog = ex.Program([a])
-        psi_hat = _panel_transform(w_psi, 1.0)
-        vals = []
-        for j in range(7):
-            eps = 2.0 ** (-4 - j)
+        psi_hat = _panel_transform(
+            (_PSI_WEIGHTS * psi.ev(xrow, zrow))[:, None])
+        eps = 2.0 ** -np.arange(4.0, 11.0)[:, None]
 
-            def f(th, mid):
-                row = th.reshape(1, -1)
-                return (amp_prog(np.zeros_like(row), row)[0]
-                        * _cutoff_profile(eps * th) * psi_hat(mid)[:, 0])
+        def f(th, mid):
+            row = th.reshape(1, -1)
+            return (amp_prog(np.zeros_like(row), row)[0]
+                    * _cutoff_profile(eps * th) * psi_hat(mid)[:, 0])
 
-            vals.append(_outward_theta_quad(f, 2.0 / eps, 1.0))
+        # chi(eps theta) = 0 beyond 2/eps, so one sweep to 2/eps_min
+        # gives every eps its own integral
+        vals = _outward_theta_quad(f, 2.0 / eps[-1, 0]).tolist()
         diffs = [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
         scale = max(1.0, abs(vals[-1]))
         if diffs[-1] > tol * scale:
@@ -445,7 +453,6 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
     theta = ex.xi(1)
     xv = ex.x(1)
     sigma = ex.div(ex.pow_(theta, 8), ex.add(ex.ONE, ex.pow_(theta, 8)))
-    near_expr = ex.div(a, ex.add(ex.ONE, ex.pow_(theta, 8)))
     m = _estimate_order(a)
     r = max(0, int(np.floor(m)) + 2)
     # M = chi^-1 L = -i(b dx + c dtheta) fixes e^{ix theta}, so
@@ -469,32 +476,23 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
             nxt.append((k, ex.mul(ex.I, F.diff("xi", 1)), ex.mul(h, G)))
             nxt.append((k + 1, ex.mul(iF, inv_theta), ex.mul(g, G)))
         terms = nxt
+    # the non-excised remainder a (1 - sigma) = a / (1 + theta^8) is one
+    # more term, not integrated by parts
+    terms.insert(0, (0, ex.div(a, ex.add(ex.ONE, ex.pow_(theta, 8))), ex.ONE))
     psi_k = [psi]
     for _ in range(r):
         psi_k.append(psi_k[-1].diff("x", 1))
     x_prog = ex.Program([ex.mul(G, psi_k[k]) for k, F, G in terms])
-    w_far = np.stack([_PSI_WEIGHTS * v for v in x_prog(xrow, zrow)], axis=1)
     theta_prog = ex.Program([F for k, F, G in terms])
-    near_prog = ex.Program([near_expr])
-    near_hat = _panel_transform(w_psi, 0.5)
-    far_hat = _panel_transform(w_far, 1.0)
+    psi_hat = _panel_transform(
+        np.stack([_PSI_WEIGHTS * v for v in x_prog(xrow, zrow)], axis=1))
 
-    def near_theta_integrand(th, mid):
+    def f(th, mid):
         row = th.reshape(1, -1)
-        return near_prog(np.zeros_like(row), row)[0] * near_hat(mid)[:, 0]
+        return sum(fv * hv for fv, hv in
+                   zip(theta_prog(np.zeros_like(row), row), psi_hat(mid).T))
 
-    def far_theta_integrand(th, mid):
-        row = th.reshape(1, -1)
-        vals = far_hat(mid)
-        out = np.zeros(th.size, dtype=complex)
-        for j, fv in enumerate(theta_prog(np.zeros_like(row), row)):
-            out += fv * vals[:, j]
-        return out
-
-    # near part carries the non-excised remainder 1/(1+theta^8)
-    near = _outward_theta_quad(near_theta_integrand, 64.0, 0.5)
-    far = _outward_theta_quad(far_theta_integrand, 512.0, 1.0)
-    return complex(near + far)
+    return complex(_outward_theta_quad(f, 512.0))
 
 
 # ---------------------------------------------------------------------------

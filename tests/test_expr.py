@@ -358,23 +358,40 @@ def _grid_axes(draw):
             np.array(coords[2 * p:]).reshape(2, c, 1))
 
 
+_C = _LEAVES[-1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_shared_dags(), _grid_axes())
+# numpy rounds the complex product of a (1, 1) and a (1,) array apart
+# from that of two (1,) arrays: here by 1 ulp of the real part
+@example((ex.Mul([_C, ex.Div(ex.x(1), ex.x(1)), _C]), ex.x(1)),
+         (np.array([[[-1e-9]], [[1.0]]]), np.full((2, 1, 1), 0.5)))
 def test_broadcast_samples_match_the_explicit_product_grid(dag, axes):
     x, xi = axes
     c, p = xi.shape[1], x.shape[2]
     roots = [*dag, ex.Const(0.5 - 2j), ex.Sin(ex.x(1))]
     # the same product set, every (direction, point) pair one column
     tiled = (np.tile(x[:, 0], c), np.repeat(xi[:, :, 0], p, axis=1))
+    memo = {}
     with np.errstate(all="ignore"):
         got = _outcome(lambda: ex.Program(roots)(x, xi))
-        want = _outcome(lambda: ex.Program(roots)(*tiled))
+        want = _outcome(lambda: [_reference(e, *tiled, memo) for e in roots])
     if want is DomainError:
         assert got is DomainError
         return
-    for g, w in zip(got, want):
+    for e, g, w in zip(roots, got, want):
         assert g.shape == (c, p)
-        np.testing.assert_array_equal(g, w.reshape(c, p))
+        # the layouts round apart by an ulp or so per node: compare where
+        # the tree amplifies rounding at the samples by at most 100
+        with np.errstate(all="ignore"):
+            rough = _outcome(lambda: _reference(
+                e, *tiled, jitter=np.random.default_rng(0)))
+            if (rough is DomainError or not np.all(np.isfinite(w))
+                    or np.max(np.abs(rough - w)) > 1e-8 * np.max(np.abs(w))):
+                continue
+        np.testing.assert_allclose(g, w.reshape(c, p), rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(w)))
 
 
 @settings(max_examples=200, deadline=None)

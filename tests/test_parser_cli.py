@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,21 +72,33 @@ def test_parse_expr_rejects_a_constant_power_that_is_not_finite(text):
 
 _HUGE = "9" * 400       # overflows a float to inf
 _BIG = "9" * 200        # finite, but its square folds to inf
+_BIG_SQUARE = f"{_BIG}*{_BIG}"
 
 
 @pytest.mark.parametrize("text", [f"x1^({_HUGE})", f"2^({_HUGE})",
                                   f"sqrt(x1)^({_HUGE})"])
 def test_parse_expr_rejects_an_exponent_that_is_not_finite(text):
-    # an overflowing literal is rejected where it stands; an exponent that
-    # folds to inf still reaches pow_'s own check
+    # an overflowing literal is rejected where it stands, and an exponent
+    # that overflows where its product folds; pow_ checks its own exponent
     pos = text.index(_HUGE)
     with pytest.raises(SyntaxError,
                        match=f"number at position {pos} is not finite"):
         parse_expr(text, 1)
-    with pytest.raises(DomainError, match="exponent inf is not finite"):
-        parse_expr(text.replace(_HUGE, f"{_BIG}*{_BIG}"), 1)
-    with pytest.raises(DomainError, match="exponent nan is not finite"):
-        ex.pow_(ex.x(1), float("nan"))
+    with pytest.raises(DomainError, match="constant product is not finite"):
+        parse_expr(text.replace(_HUGE, _BIG_SQUARE), 1)
+    for expo in ("inf", "nan"):
+        with pytest.raises(DomainError,
+                           match=f"exponent {expo} is not finite"):
+            ex.pow_(ex.x(1), float(expo))
+
+
+def test_constant_folds_that_overflow_raise():
+    with pytest.raises(DomainError, match="constant product is not finite"):
+        parse_expr(f"({_BIG_SQUARE})*xi1", 1)
+    with pytest.raises(DomainError, match="constant sum is not finite"):
+        ex.add(ex.Const(1e308), ex.Const(1e308))
+    with pytest.raises(DomainError, match="constant quotient is not finite"):
+        ex.div(ex.x(1), ex.Const(1e-320))
 
 
 @pytest.mark.parametrize("text", [f"xi1*{_HUGE}", f"{_HUGE}.5", f"-{_HUGE}"])
@@ -182,9 +195,19 @@ def test_cli_exponent_that_is_not_finite_exits_one(tmp_path, capsys, term):
     assert err.startswith("error:")
     assert f"number at position {term.index(_HUGE)} is not finite" in err
     rc, err = _adjoint_of_term(tmp_path, capsys,
-                               term.replace(_HUGE, f"{_BIG}*{_BIG}"))
+                               term.replace(_HUGE, _BIG_SQUARE))
     assert rc == 1
-    assert err.startswith("error:") and "exponent inf is not finite" in err
+    assert err.startswith("error:") and "product is not finite" in err
+
+
+def test_cli_constant_fold_that_overflows_exits_one(tmp_path, capsys):
+    # the fold raises before numpy sees inf, so there is no overflow
+    # warning, which "error" would turn into an exception here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = _adjoint_of_term(tmp_path, capsys, f"xi1*{_BIG_SQUARE}")
+    assert rc == 1
+    assert err == "error: constant product is not finite\n"
 
 
 def test_cli_number_that_is_not_finite_exits_one(tmp_path, capsys):

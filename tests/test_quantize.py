@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from psido import calculus as ca
 from psido import expr as ex
 from psido import symbols as sy
 from psido.quantize import (_PAIR_CAP, _PAIR_GROUP, _PSI_NODES, _PSI_WEIGHTS,
-                            GridFunction, _panel_transform, _separate,
+                            GridFunction, _cutoff_profile,
+                            _outward_theta_quad, _panel_transform, _separate,
                             circle_index, lattice, op_apply, oscint_eval,
                             sobolev_norm, wavenumbers)
 from psido.errors import GridMismatch, SymbolVanishes, Unstable
@@ -325,19 +328,18 @@ def test_oscint_methods_agree():
 @pytest.mark.parametrize("w", [2.0, 3.0])
 def test_oscint_closed_forms_of_centred_gaussians(w):
     # psi = exp(-w x^2): amplitude 1 gives 2 pi psi(0) = 2 pi, amplitude
-    # |theta| gives int |theta| sqrt(pi/w) exp(-theta^2/4w) = 4 sqrt(pi w)
+    # |theta| gives int |theta| sqrt(pi/w) exp(-theta^2/4w) = 4 sqrt(pi w),
+    # and theta^2 gives -2 pi psi''(0) = 4 pi w
     psi = ex.exp(ex.neg(ex.mul(ex.Const(w), ex.x(1), ex.x(1))))
     for a, want in ((ex.ONE, 2.0 * np.pi),
-                    (ex.xi_norm(1), 4.0 * np.sqrt(np.pi * w))):
+                    (ex.xi_norm(1), 4.0 * np.sqrt(np.pi * w)),
+                    (ex.mul(ex.xi(1), ex.xi(1)), 4.0 * np.pi * w)):
         for method in ("epsilon-cutoff", "parts"):
             v = oscint_eval(a, psi, method)
             assert abs(v - want) <= 1e-8 * want, (method, v, want)
 
 
-@pytest.mark.parametrize("width, mids", [
-    (0.5, [0.25, -0.25, 7.75, -40.25, 63.75, -511.75]),
-    (1.0, [0.5, -0.5, 3.5, -100.5, 255.5, 511.5, -511.5])])
-def test_panel_transform_matches_the_direct_transform(width, mids):
+def test_panel_transform_matches_the_direct_transform():
     # the phase factored at the panel centre against e^{i theta x} built
     # whole, floor snap included: decaying columns snap to exact zeros
     # in the tail, the random one never does
@@ -348,10 +350,10 @@ def test_panel_transform_matches_the_direct_transform(width, mids):
          rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)],
         axis=1)
     scale = np.sum(np.abs(W), axis=0)
-    transform = _panel_transform(W, width)
+    transform = _panel_transform(W)
     snapped = 0
-    for mid in mids:
-        theta = mid + 0.5 * width * np.polynomial.legendre.leggauss(16)[0]
+    for mid in [0.5, -0.5, 3.5, -100.5, 255.5, 511.5, -511.5]:
+        theta = mid + 0.5 * np.polynomial.legendre.leggauss(16)[0]
         want = np.exp(1j * np.outer(theta, x)) @ W
         want[np.abs(want) < 1e-9 * np.maximum(1.0, scale)] = 0.0
         got = transform(mid)
@@ -361,6 +363,39 @@ def test_panel_transform_matches_the_direct_transform(width, mids):
         snapped += int(np.count_nonzero(got == 0))
         assert np.all(got[:, 2] != 0)
     assert snapped > 0
+
+
+def test_epsilon_sweep_equals_one_scalar_sweep_per_epsilon():
+    # chi(eps theta) vanishes beyond 2/eps and the vector sweep runs on
+    # until every component is quiet, so each component of the one sweep
+    # to 2/eps_min is its own scalar sweep to 2/eps, bit for bit.  The
+    # bump's transform snaps to zero early, so its sweeps end quiet; |x|
+    # jumps at +-pi, so its transform never does and each eps differs
+    x1 = ex.x(1)
+    xrow = _PSI_NODES.reshape(1, -1)
+    eps = 2.0 ** -np.arange(4.0, 11.0)
+    for psi, distinct in (
+            (ex.exp(ex.neg(ex.mul(ex.Const(3.0), x1 - 0.3, x1 - 0.3))), 1),
+            (ex.sqrt(ex.mul(x1, x1)), 7)):
+        transform = _panel_transform(
+            (_PSI_WEIGHTS * psi.ev(xrow, np.zeros_like(xrow)))[:, None])
+        # one transform per panel, shared by all the sweeps below
+        psi_hat = functools.lru_cache(None)(lambda mid: transform(mid)[:, 0])
+        for amp in (ex.ONE, ex.xi_norm(1)):
+            prog = ex.Program([amp])
+
+            def integrand(eps):
+                def f(th, mid):
+                    row = th.reshape(1, -1)
+                    return (prog(np.zeros_like(row), row)[0]
+                            * _cutoff_profile(eps * th) * psi_hat(mid))
+                return f
+
+            got = _outward_theta_quad(integrand(eps[:, None]), 2.0 / eps[-1])
+            want = [_outward_theta_quad(integrand(e), 2.0 / e) for e in eps]
+            assert got.shape == (7,)
+            assert got.tolist() == want
+            assert len(set(want)) == distinct
 
 
 def test_oscint_rejects_a_method_or_tolerance_before_any_work():
