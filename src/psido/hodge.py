@@ -21,8 +21,6 @@ import numpy as np
 from .errors import BottomDegree, GridMismatch, TopDegree
 from .quantize import lattice, read_csv_header, wavenumbers
 
-_DIAG_TOL = 1e-12
-
 
 def basis_indices(n: int, j: int):
     """Strictly increasing multi-indices of length j over {1..n}."""
@@ -145,7 +143,8 @@ class FormField:
                 v = self.coefficients[alpha]
                 for idx in np.ndindex(*([M] * n)):
                     z = v[idx]
-                    w.writerow([ai] + list(idx) + [repr(z.real), repr(z.imag)])
+                    w.writerow([ai] + list(idx) + [repr(float(z.real)),
+                                                  repr(float(z.imag))])
 
     @classmethod
     def read_csv(cls, path) -> "FormField":

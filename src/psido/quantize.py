@@ -6,8 +6,8 @@ homogeneous term meets the integer lattice only at k = 0, so excision
 reduces to one k = 0 policy: degree-0 terms contribute their value along
 the e1 ray, terms of nonzero degree contribute 0.  `op_apply` is one loop
 over the terms: a term that factors into at most _PAIR_CAP products
-c(x) h(xi) is applied as sum c(x) F^-1[h u^], any other term is summed
-mode by mode from its values on the lattice x modes product grid.
+c(x) h(xi) is applied as sum_h c F^-1[h u^], each h once with the sum c
+of its x factors; any other term is summed mode by mode on the lattice.
 
 Also here: Sobolev norms and the H^s/H^-s duality pairing, the two
 regularized definitions of an oscillatory integral (mutual oracles), and
@@ -15,11 +15,11 @@ the winding-number/matrix-oracle index of a piecewise symbol on the
 circle.  Each oscillatory-integral regularization is one sweep over theta
 in full Gauss panels of one width, ended once every component of its
 integrand is quiet: the epsilon-cutoff sweeps its whole epsilon sequence
-as one vector integrand, and integration by parts takes the near
-remainder as one more separable term.  Each takes its x integrals from
-one transform whose phase is factored at the panel centre,
-e^{i theta x} = e^{i (theta - mid) x} e^{i mid x}: the first factor is
-built once, so a panel costs one exponential per x node.
+as one vector integrand, and integration by parts keys its separable
+terms by their theta factor, the near remainder one more of them.  Each
+takes its x integrals from one transform whose phase is factored at the
+panel centre, e^{i theta x} = e^{i (theta - mid) x} e^{i mid x}: the
+first factor is built once, so a panel costs one exponential per x node.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .symbols import ClassicalSymbol
 _MODE_EPS = 1e-12          # below the fft roundoff floor a mode is noise
 _DEGREE_ZERO_TOL = 1e-9
 _PAIR_CAP = 256            # a term with more (x, xi) pairs is summed by mode
-_PAIR_GROUP = 16           # factor pairs evaluated and transformed together
-_SAMPLE_BUDGET = 2 ** 14   # samples in one array of a term summed by mode
+_SAMPLE_BUDGET = 2 ** 14   # samples per array of a mode group or xi chunk
 _X, _XI = 1, 2             # the variable kinds in a term, as bits
 _QUIET_PANELS = 3          # empty theta panels in a row that end a quadrature
 
@@ -181,31 +180,40 @@ class GridSpectrum:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
+def _merge(pairs) -> dict:
+    """{f: the sum of the x factors paired with f} of (f, x factor) pairs:
+    a separable sum keyed by its frequency factor, one key per node."""
+    sums = {}
+    for f, c in pairs:
+        sums.setdefault(f, []).append(c)
+    return {f: ex.add(*cs) for f, cs in sums.items()}
+
+
 def _separate(e: ex.Expr):
     """Try to write e as a sum of at most _PAIR_CAP products c(x) * h(xi).
-    Returns a list of (x_factor, xi_factor) pairs or None when the tree
-    does not factor or its expansion has more pairs than the cap.  The
-    pairs are counted before they are built, so a term that does not
-    factor builds none."""
+    Returns {h: c}, each xi factor once with the sum of the x factors it
+    multiplies, or None when the tree does not factor or its expansion
+    has more products than the cap.  The products are counted before they
+    are built, so a term that does not factor builds none."""
     shape = {}
     if ex._walk(e, _pair_count, shape)[1] is None:
         return None
 
     def split(node, parts):
         if parts is None:
-            return ([(ex.ONE, node)] if shape[id(node)][0] == _XI
-                    else [(node, ex.ONE)])
+            return ({node: ex.ONE} if shape[id(node)][0] == _XI
+                    else {ex.ONE: node})
         if isinstance(node, ex.Add):
-            return [pair for sub in parts for pair in sub]
+            return _merge(pair for sub in parts for pair in sub.items())
         if isinstance(node, ex.Mul):
-            pairs = [(ex.ONE, ex.ONE)]
+            acc = {ex.ONE: ex.ONE}
             for sub in parts:
-                pairs = [(ex.mul(cx, sx), ex.mul(ck, sk))
-                         for (cx, ck) in pairs for (sx, sk) in sub]
-            return pairs
+                acc = _merge((ex.mul(h, hs), ex.mul(c, cs))
+                             for h, c in acc.items() for hs, cs in sub.items())
+            return acc
         if shape[id(node.den)][0] & _X:        # a quotient by c(x)
-            return [(ex.div(cx, node.den), ck) for (cx, ck) in parts[0]]
-        return [(cx, ex.div(ck, node.den)) for (cx, ck) in parts[0]]
+            return {h: ex.div(c, node.den) for h, c in parts[0].items()}
+        return _merge((ex.div(h, node.den), c) for h, c in parts[0].items())
 
     return ex._walk(e, split, {}, lambda c: shape[id(c)][0] != _X | _XI)
 
@@ -241,13 +249,12 @@ def _pair_count(node, parts):
 def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     """Apply the quantization of P to u: sum_k e^{ikx} p(x, k) u^(k) over
     the modes k of u above the noise floor, under the k = 0 policy.  Each
-    term takes one of two routes, by its own structure: if `_separate`
-    factors it into pairs (c(x), h(xi)) it is applied as
-    sum c(x) F^-1[h u^], a fixed group of pairs at a time; otherwise its
-    one compiled program is evaluated on the lattice x a group of modes
-    (at most _SAMPLE_BUDGET samples, one mode at least) and each mode is
-    added in order.  Exact for Fourier multipliers and for differential
-    symbols on sufficiently band-limited input."""
+    term that `_separate` factors into {h(xi): c(x)} is applied as
+    sum_h c(x) F^-1[h u^], one FFT per distinct h, a group of h at a time;
+    any other term's one program is evaluated on the lattice x a group of
+    modes (at most _SAMPLE_BUDGET samples, one mode at least), and each
+    group is summed as one matrix product.  Exact for Fourier multipliers
+    and for differential symbols on sufficiently band-limited input."""
     n, M = u.dimension, u.M
     if P.dimension != n:
         raise GridMismatch("symbol/grid dimension mismatch")
@@ -259,14 +266,14 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     zero = ~k.any(axis=0)
     kread = k.copy()
     kread[0, zero] = 1.0
-    group = max(1, _SAMPLE_BUDGET // M ** n)    # modes per mixed array
+    group = max(1, _SAMPLE_BUDGET // M ** n)    # modes or xi factors
     out = np.zeros(M ** n, dtype=complex)
     for term in P.terms:
         modes = active & (~zero | (abs(term.degree) <= _DEGREE_ZERO_TOL))
         if not modes.any():
             continue
-        pairs = _separate(term.expr)
-        if pairs is None:
+        sums = _separate(term.expr)
+        if sums is None:
             # one program on a group of modes at a time: its x-only nodes
             # run on the lattice, xi-only ones on the modes, mixed ones on
             # their product, by broadcasting
@@ -275,12 +282,12 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
             for g in range(0, cols.size, group):
                 js = cols[g:g + group]
                 p, = prog(x[:, None], kread[:, js, None])
-                for t, j in enumerate(js):
-                    wave = np.exp(1j * (k[:, j] @ x))
-                    out += uhat.flat[j] / M ** n * p[t] * wave
+                out += (uhat.flat[js] / M ** n) @ (
+                    p * np.exp(1j * (k[:, js].T @ x)))
             continue
-        for g in range(0, len(pairs), _PAIR_GROUP):
-            c, h = zip(*pairs[g:g + _PAIR_GROUP])
+        items = list(sums.items())
+        for g in range(0, len(items), group):
+            h, c = zip(*items[g:g + group])
             w = np.zeros((len(h), M ** n), dtype=complex)
             w[:, modes] = ex.Program(h)(np.zeros((n, 1)), kread[:, modes])
             spectral = np.fft.ifftn(w.reshape((-1,) + uhat.shape) * uhat,
@@ -399,8 +406,9 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
     define the same distribution; computing both gives a built-in oracle.
     Each makes one theta sweep in full panels of one width: the cutoff
     sweeps its whole epsilon sequence as one vector integrand, and parts
-    sweeps the near remainder as one more of its separable terms.  The
-    sweep ends once every component is quiet.  Every x integral is a
+    sweeps a separable sum {F(theta): G(x)}, psi inside each G and the
+    near remainder one more term.  The sweep ends once every component is
+    quiet.  Every x integral is a
     column of one `_panel_transform` of weights on psi's nodes: the phase
     e^{i theta x} is factored at the panel centre, so a panel costs one
     exponential per node.  ValueError for an unknown method or a tol
@@ -458,32 +466,23 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
     # M = chi^-1 L = -i(b dx + c dtheta) fixes e^{ix theta}, so
     # M^t = i(dx(b .) + dtheta(c .)).  Both coefficients split into a
     # theta factor times an x factor (b = theta^-1 g, c = h), and the
-    # amplitude depends on theta alone, so (M^t)^r (a sigma psi) stays
-    # a sum of separable terms F(theta) G(x) psi^(k)(x).  Each term's
-    # x integral is then a column of one panel transform, so the theta
-    # quadrature never re-walks expression trees.
+    # amplitude depends on theta alone, so (M^t)^r (a sigma psi) stays a
+    # separable sum {F(theta): G(x)}, psi inside G.  Each G's x integral
+    # is then a column of one panel transform, so the theta quadrature
+    # never re-walks expression trees.
     g = ex.div(ex.ONE, ex.ONE + xv * xv)
     h = ex.div(xv, ex.ONE + xv * xv)
     inv_theta = ex.pow_(theta, -1.0)
-    terms = [(0, ex.mul(a, sigma), ex.ONE)]
+    sums = {ex.mul(a, sigma): psi}
     for _ in range(r):
-        nxt = []
-        for k, F, G in terms:
-            iF = ex.mul(ex.I, F)
-            # d/dx of the x factor, d/dtheta of the theta factor, and
-            # the psi-derivative shift from d/dx hitting psi^(k)
-            nxt.append((k, ex.mul(iF, inv_theta), ex.mul(g, G).diff("x", 1)))
-            nxt.append((k, ex.mul(ex.I, F.diff("xi", 1)), ex.mul(h, G)))
-            nxt.append((k + 1, ex.mul(iF, inv_theta), ex.mul(g, G)))
-        terms = nxt
+        sums = _merge(pair for F, G in sums.items() for pair in (
+            (ex.mul(ex.I, F, inv_theta), ex.mul(g, G).diff("x", 1)),
+            (ex.mul(ex.I, F.diff("xi", 1)), ex.mul(h, G))))
     # the non-excised remainder a (1 - sigma) = a / (1 + theta^8) is one
     # more term, not integrated by parts
-    terms.insert(0, (0, ex.div(a, ex.add(ex.ONE, ex.pow_(theta, 8))), ex.ONE))
-    psi_k = [psi]
-    for _ in range(r):
-        psi_k.append(psi_k[-1].diff("x", 1))
-    x_prog = ex.Program([ex.mul(G, psi_k[k]) for k, F, G in terms])
-    theta_prog = ex.Program([F for k, F, G in terms])
+    sums = _merge([(ex.div(a, 1 + ex.pow_(theta, 8)), psi), *sums.items()])
+    x_prog = ex.Program(list(sums.values()))
+    theta_prog = ex.Program(list(sums))
     psi_hat = _panel_transform(
         np.stack([_PSI_WEIGHTS * v for v in x_prog(xrow, zrow)], axis=1))
 

@@ -136,3 +136,14 @@ def test_grid_mismatch_rejected():
     b = _rand(2, 1, M=16)
     with pytest.raises(GridMismatch):
         _ = a + b
+
+
+def test_formfield_csv_round_trip(tmp_path):
+    # every coefficient is written as a plain float, so it reads back exactly
+    w = _rand(2, 1, M=4, seed=7)
+    path = tmp_path / "w.csv"
+    w.write_csv(path)
+    v = FormField.read_csv(path)
+    assert (v.dimension, v.degree, v.M) == (2, 1, 4)
+    for alpha in w.coefficients:
+        assert np.array_equal(v.coefficients[alpha], w.coefficients[alpha])

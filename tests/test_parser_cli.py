@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from psido import calculus, hamilton, hodge
 from psido import expr as ex
 from psido.cli import main
 from psido.errors import DegreeOrderError, DomainError, HomogeneityError
 from psido.parser import parse_expr, parse_symbol_document, parse_symbol_text
 from psido.quantize import GridFunction
+from psido.symbols import Diffeo
 
 LAPLACIAN_DOC = """symbol P {
   dim=2 order=2 trunc=4
@@ -330,6 +332,81 @@ def test_cli_hodge_parametrix_check(capsys):
     assert main(["hodge", "parametrix-check", "--n", "2", "--j", "1",
                  "--trials", "5"]) == 0
     assert "max_residual" in capsys.readouterr().out
+
+
+def test_cli_convert_writes_what_it_prints(tmp_path, capsys):
+    p = _write(tmp_path / "p.sym", VARIABLE_DOC)
+    out = tmp_path / "r.txt"
+    assert main(["convert", p, "--to", "right", "--out", str(out)]) == 0
+    want = calculus.convert_left_right(parse_symbol_text(VARIABLE_DOC),
+                                       "left-to-right").render()
+    assert capsys.readouterr().out == want + "\n"
+    assert out.read_text() == want + "\n"
+
+
+def test_cli_sqrt(tmp_path, capsys):
+    p = _write(tmp_path / "p.sym", VARIABLE_DOC)
+    assert main(["sqrt", p, "--order", "2"]) == 0
+    want = calculus.sqrt_approx(parse_symbol_text(VARIABLE_DOC), 2).render()
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_cli_pullback(tmp_path, capsys):
+    p = _write(tmp_path / "p.sym", VARIABLE_DOC)
+    m = _write(tmp_path / "phi.map",
+               'dim=2\nforward 1: "x1 + 0.5"\nforward 2: "2*x2"\n'
+               'inverse 1: "x1 - 0.5"\ninverse 2: "0.5*x2"\n')
+    assert main(["pullback", p, "--map", m]) == 0
+    phi = Diffeo([parse_expr("x1 + 0.5", 2), parse_expr("2*x2", 2)],
+                 [parse_expr("x1 - 0.5", 2), parse_expr("0.5*x2", 2)])
+    term = calculus.pullback_principal(
+        calculus.principal(parse_symbol_text(VARIABLE_DOC)), phi)
+    assert capsys.readouterr().out == (f"degree {term.degree:g}: "
+                                       f"{term.expr.render()}\n")
+
+
+def test_cli_wavefront(tmp_path, capsys):
+    doc = ('symbol P {\n  dim=2 order=2 trunc=4\n'
+           '  term 2: "xi1^2 - (1 + 0.5*sin(x1))^2*xi2^2"\n}\n')
+    p = _write(tmp_path / "p.sym", doc)
+    init = _write(tmp_path / "init.csv", "# x1, x2, xi1, xi2\n"
+                  "0,0,1,1\n0,1,-1,1\n")
+    assert main(["wavefront", p, "--init", init, "--time", "0.5"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    moved = hamilton.propagate_wavefront(
+        calculus.principal(parse_symbol_text(doc)),
+        [np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0, -1.0, 1.0])],
+        0.5, tol=1e-9)
+    assert rows[0] == "# x1, x2, xi1, xi2"
+    assert [[float(v) for v in r.split(",")] for r in rows[1:]] == [
+        pt.as_vector().tolist() for pt in moved]
+
+
+@pytest.mark.parametrize("op", ["d", "star", "delta", "laplacian",
+                                "decompose"])
+def test_cli_hodge_on_a_form(tmp_path, capsys, op):
+    # the --out files read back as the library's forms, bit for bit
+    path, out = tmp_path / "w.csv", str(tmp_path / "r.csv")
+    hodge.FormField.random_band_limited(
+        2, 1, 8, 2, np.random.default_rng(4)).write_csv(path)
+    w = hodge.FormField.read_csv(path)
+    assert main(["hodge", op, "--form", str(path), "--out", out]) == 0
+    fields = dict(line.split(": ") for line in
+                  capsys.readouterr().out.strip().splitlines())
+    if op == "decompose":
+        h, e, c = hodge.hodge_decompose(w)
+        assert float(fields["exact_norm"]) == e.norm()
+        assert float(fields["coexact_norm"]) == c.norm()
+        result, out = e, out + ".exact"
+    else:
+        result = {"d": hodge.ext_d, "star": hodge.hodge_star,
+                  "delta": hodge.codifferential,
+                  "laplacian": hodge.laplacian}[op](w)
+        assert int(fields["degree"]) == result.degree
+        assert float(fields["max_abs"]) == result.max_abs()
+    written = hodge.FormField.read_csv(out)
+    for alpha, v in result.coefficients.items():
+        assert np.array_equal(written.coefficients[alpha], v)
 
 
 def test_cli_missing_file_exits_one(tmp_path):

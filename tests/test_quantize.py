@@ -6,11 +6,12 @@ import pytest
 from psido import calculus as ca
 from psido import expr as ex
 from psido import symbols as sy
-from psido.quantize import (_PAIR_CAP, _PAIR_GROUP, _PSI_NODES, _PSI_WEIGHTS,
-                            GridFunction, _cutoff_profile,
-                            _outward_theta_quad, _panel_transform, _separate,
-                            circle_index, lattice, op_apply, oscint_eval,
-                            sobolev_norm, wavenumbers)
+from psido.quantize import (_PAIR_CAP, _PSI_NODES, _PSI_WEIGHTS,
+                            _SAMPLE_BUDGET, GridFunction, _cutoff_profile,
+                            _outward_theta_quad, _pair_count,
+                            _panel_transform, _separate, circle_index,
+                            lattice, op_apply, oscint_eval, sobolev_norm,
+                            wavenumbers)
 from psido.errors import GridMismatch, SymbolVanishes, Unstable
 
 
@@ -141,8 +142,9 @@ def test_degree_zero_term_reads_k_zero_at_e1_on_both_paths():
 
 def _one_program_per_mode(P, u):
     """The mode-by-mode route as one `Program` call per mode over the whole
-    term, every node evaluated at every mode on the full lattice: the
-    reference for op_apply on terms that do not factor."""
+    term, every node evaluated at every mode on the full lattice, summed
+    over op_apply's groups of modes as op_apply sums them: the reference
+    for op_apply on terms that do not factor."""
     n, M = u.dimension, u.M
     uhat = np.fft.fftn(u.values)
     active = (np.abs(uhat) > 1e-12 * np.abs(uhat).max()).ravel()
@@ -151,14 +153,19 @@ def _one_program_per_mode(P, u):
     zero = ~k.any(axis=0)
     kread = k.copy()
     kread[0, zero] = 1.0
+    group = max(1, _SAMPLE_BUDGET // M ** n)
     out = np.zeros(M ** n, dtype=complex)
     for term in P.terms:
         assert _separate(term.expr) is None
         modes = active & (~zero | (abs(term.degree) <= 1e-9))
         prog = ex.Program([term.expr])
-        for j in np.flatnonzero(modes):
-            p = prog(x, np.repeat(kread[:, j:j + 1], M ** n, axis=1))[0]
-            out += uhat.flat[j] / M ** n * p * np.exp(1j * (k[:, j] @ x))
+        cols = np.flatnonzero(modes)
+        for g in range(0, cols.size, group):
+            js = cols[g:g + group]
+            p = np.stack([prog(x, np.repeat(kread[:, j:j + 1], M ** n,
+                                            axis=1))[0] for j in js])
+            out += (uhat.flat[js] / M ** n) @ (
+                p * np.exp(1j * (k[:, js].T @ x)))
     return out.reshape(u.values.shape)
 
 
@@ -198,9 +205,20 @@ def _cosine_series(j, terms):
                     for m in range(1, terms + 1)))
 
 
+def _cosine_powers(j, terms):
+    """sum_m cos(m xj) (xij / 8)^m: one xi factor per m, each at most 1 on
+    the modes |k| <= 8 of a 16-point grid, so that no power amplifies the
+    fft noise the direct sum reads at every mode"""
+    return ex.add(*(ex.mul(ex.cos(ex.Const(m) * ex.x(j)),
+                           ex.pow_(ex.mul(ex.Const(0.125), ex.xi(j)), m))
+                    for m in range(1, terms + 1)))
+
+
 def test_factored_term_spanning_several_pair_groups():
-    e = ex.mul(_cosine_series(1, 17), _cosine_series(2, 5))
-    assert _PAIR_GROUP < len(_separate(e)) <= _PAIR_CAP
+    # one xi factor per power pair, 17 * 5 = 85 of them: more than one
+    # chunk of _SAMPLE_BUDGET // M^n = 64 at M = 16
+    e = ex.mul(_cosine_powers(1, 17), _cosine_powers(2, 5))
+    assert _SAMPLE_BUDGET // 16 ** 2 < len(_separate(e)) == 85 <= _PAIR_CAP
     P = _sym(e, 2.0, 2)
     _assert_direct(P, GridFunction.single_mode(2, 16, [2, -3]))
     _assert_direct(P, GridFunction.random_band_limited(
@@ -210,12 +228,31 @@ def test_factored_term_spanning_several_pair_groups():
 def test_term_over_the_pair_cap_is_summed_mode_by_mode():
     a, b = _cosine_series(1, 17), _cosine_series(2, 17)
     e = ex.mul(a, b)
-    assert len(_separate(a)) * len(_separate(b)) > _PAIR_CAP
+    # 17 products each, so 289 in e; merged, each is one xi factor
+    na, nb = (ex._walk(s, _pair_count, {})[1] for s in (a, b))
+    assert na * nb > _PAIR_CAP
+    assert list(_separate(a)) == [ex.xi(1)]
     assert _separate(e) is None
     P = _sym(e, 2.0, 2)
     _assert_direct(P, GridFunction.single_mode(2, 16, [2, -3]))
     _assert_direct(P, GridFunction.random_band_limited(
         2, 16, 3, np.random.default_rng(23)))
+
+
+def test_factored_term_divided_by_an_x_factor_and_by_a_xi_factor():
+    # a quotient by c(x) divides each x factor, one by h(xi) each xi
+    # factor; the two x factors of xi1 are one sum
+    x1, x2, xi1, xi2 = ex.x(1), ex.x(2), ex.xi(1), ex.xi(2)
+    num = ex.add(ex.mul(ex.cos(x1), xi1), ex.mul(ex.sin(x2), xi2),
+                 ex.mul(ex.sin(x1), xi1))
+    e = ex.add(ex.div(num, ex.Const(2.0) + ex.sin(x1)),
+               ex.div(ex.mul(ex.cos(x2), xi1, xi2), ex.xi_norm(2)))
+    assert list(_separate(e)) == [
+        xi1, xi2, ex.div(ex.mul(xi1, xi2), ex.xi_norm(2))]
+    P = _sym(e, 1.0, 2)
+    _assert_direct(P, GridFunction.single_mode(2, 16, [2, -3]))
+    _assert_direct(P, GridFunction.random_band_limited(
+        2, 16, 3, np.random.default_rng(26)))
 
 
 def test_term_that_does_not_factor_builds_no_pairs(monkeypatch):
@@ -396,6 +433,33 @@ def test_epsilon_sweep_equals_one_scalar_sweep_per_epsilon():
             assert got.shape == (7,)
             assert got.tolist() == want
             assert len(set(want)) == distinct
+
+
+def test_oscint_closed_form_where_the_epsilon_values_differ():
+    # psi = (pi^2 - x^2)^2 has a jump in psi'' at the support edge, so its
+    # transform decays like theta^-3 and stays above the snap floor: the
+    # seven epsilon values differ, their last two differences shrink and
+    # the Richardson step runs.  Amplitude 1 gives 2 pi psi(0) = 2 pi^5
+    x1 = ex.x(1)
+    psi = ex.pow_(ex.Const(np.pi ** 2) - x1 * x1, 2)
+    want = 2.0 * np.pi ** 5
+    got = {m: oscint_eval(ex.ONE, psi, m) for m in ("epsilon-cutoff", "parts")}
+    for method, v in got.items():
+        assert abs(v - want) <= 1e-8 * want, (method, v, want)
+    xrow = _PSI_NODES.reshape(1, -1)
+    transform = _panel_transform(
+        (_PSI_WEIGHTS * psi.ev(xrow, np.zeros_like(xrow)))[:, None])
+    eps = 2.0 ** -np.arange(4.0, 11.0)[:, None]
+    vals = _outward_theta_quad(
+        lambda th, mid: _cutoff_profile(eps * th) * transform(mid)[:, 0],
+        2.0 / eps[-1, 0])
+    assert len(set(vals.tolist())) == 7
+    diffs = np.abs(np.diff(vals))
+    r = diffs[-1] / diffs[-2]
+    assert 0 < r < 0.9
+    # the step moves the value by about 1e-12 relative
+    richardson = vals[-1] + (vals[-1] - vals[-2]) * r / (1.0 - r)
+    assert abs(got["epsilon-cutoff"] - richardson) <= 1e-14 * want
 
 
 def test_oscint_rejects_a_method_or_tolerance_before_any_work():
