@@ -21,15 +21,22 @@ sums and products are computed inline by the call loop.  A call computes
 each distinct node once per batch of samples, drops each array after its
 last use, holds every domain check (vanishing denominator, negative or
 fractional power of a bad base -> DomainError) and returns fresh arrays
-the caller owns.  Its steps are out-of-place numpy operations, so x and
-xi broadcast: x of shape (n, 1, P) and xi of shape (n, C, 1) evaluate on
-the C x P product grid with x-only nodes computed on P samples and
-xi-only ones on C.  The entry points are `Program(roots)(x, xi)` for
-several trees or repeated batches, `e.ev(x, xi)` (alias
-`ev_cached(e, x, xi)`) for one tree, and `evaluate(e, point)` for one
-phase-space point.  A program given a table of node values on one
-sample set reads the nodes it holds and records the ones it computes, so
-callers compute a node once per sample set.
+the caller owns, in the dtype it was computed in.  Real nodes compute in
+float64, bit for bit as complex128 would while values stay finite: real
+constants and the variables start real, numpy's promotion keeps sums,
+products, sin and cos of real operands real and promotes a real operand
+of a complex step as a + 0j would, and only three ops look at the
+dtype.  A real quotient is num * (1 / den) and a real integer power
+squares and multiplies, the reciprocal last, as numpy's complex ops
+round; exp casts a real argument to complex.  The steps are
+out-of-place numpy operations, so x and xi broadcast: x of shape
+(n, 1, P) and xi of shape (n, C, 1) evaluate on the C x P product grid
+with x-only nodes computed on P samples and xi-only ones on C.  The
+entry points are `Program(roots)(x, xi)` for several trees or repeated
+batches, `e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
+`evaluate(e, point)` for one phase-space point.  A program given a table
+of node values on one sample set reads the nodes it holds and records the
+ones it computes, so callers compute a node once per sample set.
 
 Each node kind lists its children once, as `args` in evaluation order,
 and `rebuild(args)` makes the same kind of node over new children
@@ -119,8 +126,9 @@ class Expr:
         return neg(self)
 
     def ev(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Evaluate at sample points x, xi of broadcastable shapes (n, ...),
-        as `Program` does."""
+        """Evaluate at real sample points x, xi of broadcastable shapes
+        (n, ...), as `Program` does: float64 values if the tree is real,
+        complex128 otherwise."""
         return Program([self])(x, xi)[0]
 
     def rebuild(self, args) -> "Expr":
@@ -517,24 +525,29 @@ _RENDER = {
 # broadcast and no array is ever written after its step.
 
 def _var(node, v, _):
-    return v[node.j - 1].astype(complex)
+    return v[node.j - 1].astype(float)
 
 
 def _quotient(node, num, den):
     if np.count_nonzero(np.abs(den) < _DIV_EPS):
         raise DomainError(f"denominator underflow in {node.den.render()}")
+    if num.dtype.kind == den.dtype.kind == "f":
+        return num * (1 / den)      # as numpy's complex quotient rounds
     return num / den
 
 
 def _power(node, b, _):
-    """b ** expo; a non-integer exponent needs a real, non-negative base."""
+    """b ** expo; a non-integer exponent needs a real, non-negative base.
+    A real base takes an integer exponent 0 < |expo| < 100 as numpy's
+    complex power does: squares and products, the reciprocal last."""
     p = node.expo
     if p.is_integer():
         m = np.abs(b) if p < 0 else None
     else:
         # per sample, so the verdict on a point does not depend on its batch
         scale = np.maximum(1.0, np.abs(b))
-        if np.count_nonzero(np.abs(b.imag) > 1e-9 * scale):
+        if b.dtype.kind == "c" and np.count_nonzero(
+                np.abs(b.imag) > 1e-9 * scale):
             raise DomainError(
                 f"fractional power of non-real base {node.base.render()}")
         if np.count_nonzero(b.real < -1e-12 * scale):
@@ -544,12 +557,23 @@ def _power(node, b, _):
     if p < 0 and np.count_nonzero(m < _DIV_EPS):
         raise DomainError(
             f"negative power of vanishing base {node.base.render()}")
-    if p.is_integer():
-        return b ** int(p)
-    return (b ** p).astype(complex)
+    if not p.is_integer():
+        return b ** p
+    if b.dtype.kind == "c" or not 0 < abs(p) < 100:
+        return b.astype(complex, copy=False) ** int(p)
+    n, out = abs(int(p)), 1.0
+    while n:
+        if n & 1:
+            out = out * b
+        n >>= 1
+        if n:
+            b = b * b
+    return 1 / out if p < 0 else out
 
 
 def _function(node, v, _):
+    if node.name == "exp" and v.dtype.kind == "f":
+        v = v.astype(complex)   # real exp rounds apart from complex exp
     return getattr(np, node.name)(v)          # np.sin, np.cos, np.exp
 
 
@@ -560,10 +584,13 @@ _OPS = {Add: operator.add, Mul: operator.mul, Div: _quotient, Pow: _power,
 
 class Program:
     """Root expressions compiled into one topologically ordered list of
-    steps.  Called with samples x, xi of shapes (n, *S) and (n, *T), S and
-    T broadcastable (a flat (n,) is one sample), it returns per root a
-    fresh complex array of the broadcast shape, which the caller owns.  A
-    node computes on the samples of the variables below it: for x of shape
+    steps.  Called with real samples x, xi of shapes (n, *S) and (n, *T),
+    S and T broadcastable (a flat (n,) is one sample), it returns per root
+    a fresh array of the broadcast shape, which the caller owns, in the
+    dtype the root was computed in: float64 for a real root (real
+    constants, no exp below it), else complex128, with the values of a
+    complex128 evaluation bit for bit while they stay finite.  A node
+    computes on the samples of the variables below it: for x of shape
     (n, 1, P) and xi of shape (n, C, 1), x-only nodes on P samples, xi-only
     ones on C, constants on one and mixed nodes on the C x P product grid.
 
@@ -600,7 +627,8 @@ class Program:
                 if id(node) in table:
                     k = emit(seeded, node)
                 elif type(node) is Const:
-                    init.append(np.full(1, node.value, dtype=complex))
+                    v = node.value      # a real one in float64
+                    init.append(np.full(1, v.real if v.imag == 0 else v))
                     k = len(init) - 1
                 elif type(node) is Var:         # slot 0 holds x, 1 xi
                     k = emit(_var, node, int(node.kind == "xi"))

@@ -32,7 +32,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import expr as ex
-from .errors import GridMismatch, NonConvergent, SymbolVanishes, Unstable
+from .errors import (GridMismatch, NonConvergent, SymbolVanishes, Unstable,
+                     ValidationError)
 from .symbols import ClassicalSymbol
 
 _MODE_EPS = 1e-12          # below the fft roundoff floor a mode is noise
@@ -390,10 +391,28 @@ def _cutoff_profile(u: np.ndarray) -> np.ndarray:
 
 
 def _estimate_order(a: ex.Expr) -> float:
-    v1, v2 = np.abs(a.ev(np.zeros((1, 2)), np.array([[64.0, 128.0]])))
-    if v1 == 0.0 or v2 == 0.0:
+    """The growth order of the amplitude, log2 |a(128)| / |a(64)| (0 if
+    either vanishes).  ValidationError unless a grows like a symbol: |a|
+    finite at theta = +-64, +-128, +-256, and on neither side the order
+    from 128 to 256 more than 1 above the order from 64 to 128, as it is
+    for an exponential (exp(theta): 92, then 185)."""
+    th = np.array([[64.0, 128.0, 256.0, -64.0, -128.0, -256.0]])
+    with np.errstate(all="ignore"):     # an overflow is reported below
+        v = np.abs(a.ev(np.zeros_like(th), th)).reshape(2, 3)
+        orders = np.log2(v[:, 1:] / v[:, :-1])
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"amplitude {a.render()} is not a symbol: "
+                              f"not finite at |theta| <= 256")
+    jump = orders[:, 1] - orders[:, 0]
+    if np.any(jump > 1.0):
+        o = orders[np.nanargmax(jump)]
+        raise ValidationError(
+            f"amplitude {a.render()} is not a symbol: the order of its "
+            f"growth reads {o[0]:.1f} from |theta| = 64 to 128 and "
+            f"{o[1]:.1f} from 128 to 256")
+    if v[0, 0] == 0.0 or v[0, 1] == 0.0:
         return 0.0
-    return float(np.log2(v2 / v1))
+    return float(orders[0, 0])
 
 
 def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
@@ -427,6 +446,7 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
             raise NonConvergent(
                 f"regularizations disagree: {ve} vs {vp}")
         return 0.5 * (ve + vp)
+    m = _estimate_order(a)
     xrow = _PSI_NODES.reshape(1, -1)
     zrow = np.zeros_like(xrow)
 
@@ -461,7 +481,6 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
     theta = ex.xi(1)
     xv = ex.x(1)
     sigma = ex.div(ex.pow_(theta, 8), ex.add(ex.ONE, ex.pow_(theta, 8)))
-    m = _estimate_order(a)
     r = max(0, int(np.floor(m)) + 2)
     # M = chi^-1 L = -i(b dx + c dtheta) fixes e^{ix theta}, so
     # M^t = i(dx(b .) + dtheta(c .)).  Both coefficients split into a

@@ -227,7 +227,7 @@ def test_diff_of_a_dag_stays_linear_and_is_kept_on_the_node():
 
 _LEAVES = (ex.x(1), ex.x(2), ex.xi(1), ex.xi(2), ex.ZERO, ex.Const(0.5),
            ex.Const(-1.5 + 0.5j))
-_EXPONENTS = (-2.0, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0)
+_EXPONENTS = (-3.0, -2.0, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0, 4.0, 5.0)
 _COORDS = (-2.0, -1.0, -0.25, -1e-9, 0.0, 0.5, 1.0, 2.5)
 
 
@@ -300,6 +300,12 @@ def _at(x1):
 # a product on one sample, where numpy's a * b and a *= b round apart
 @example((ex.Mul([_LEAVES[-1], ex.Cos(_LEAVES[-1])]), _LEAVES[-1]),
          (np.full((2, 1), -2.0), np.full((2, 1), -2.0)))
+# real nodes run in float64, where exp, a / c and a ** -3 round apart
+# from their complex forms at these samples
+@example((ex.Exp(ex.x(1)), ex.x(1)), _at(-1.986))
+@example((ex.Div(ex.x(1), ex.x(2)), ex.x(2)),
+         (np.array([[0.7], [0.9]]), np.ones((2, 1))))
+@example((ex.Pow(ex.x(1), -3.0), ex.x(1)), _at(1.3))
 def test_program_matches_reference_recursion(dag, samples):
     e, shared = dag
     x, xi = samples
@@ -557,6 +563,22 @@ def test_returned_roots_are_fresh_arrays_the_caller_owns():
                 np.testing.assert_array_equal(x, x0)
         for node, v in values.values():
             np.testing.assert_array_equal(v, node.ev(x, xi))
+
+
+def test_a_root_comes_back_in_the_dtype_it_was_computed_in():
+    x = np.array([[0.25, -1.0], [1.0, 2.0]])
+    xi, x0 = np.ones_like(x), x.copy()
+    real = (ex.sin(ex.x(1)) * ex.xi(1) / ex.x(2) + ex.pow_(ex.x(2), -3)
+            + ex.sqrt(ex.x(2)) + ex.Const(0.5))
+    cplx = ex.Const(0.5 - 2j) * ex.x(1)
+    v, w, e, a, b = ex.Program(
+        [real, cplx, ex.exp(ex.x(1)), ex.x(1), ex.x(1)])(x, xi)
+    assert v.dtype == np.float64 and a.dtype == np.float64
+    assert w.dtype == np.complex128 and e.dtype == np.complex128
+    # a variable root, listed twice, is two fresh arrays
+    a[...] = 99.0
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(b, x0[0])
 
 
 @settings(max_examples=200, deadline=None)

@@ -297,6 +297,17 @@ def test_cli_oscint_tolerance_out_of_range_exits_one(capsys, tol):
     assert "finite and positive" in out.err
 
 
+@pytest.mark.parametrize("method", ["both", "epsilon-cutoff", "parts"])
+def test_cli_oscint_amplitude_that_is_not_a_symbol_exits_one(capsys, method):
+    # parts would otherwise expand 94 steps of M^t, and the cutoff sweep
+    # overflow in an uncaught OverflowError
+    assert main(["oscint", "--amp", "exp(xi1)", "--test", "exp(0 - 2*x1^2)",
+                 "--method", method]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
+    assert out.err.count("\n") == 1 and "is not a symbol" in out.err
+
+
 @pytest.mark.parametrize("K", ["0", "-5"])
 def test_cli_index_truncation_below_one_exits_one(capsys, K):
     assert main(["index", "--aplus", "2+cos(x1)", "--aminus", "2+sin(x1)",

@@ -8,11 +8,12 @@ from psido import expr as ex
 from psido import symbols as sy
 from psido.quantize import (_PAIR_CAP, _PSI_NODES, _PSI_WEIGHTS,
                             _SAMPLE_BUDGET, GridFunction, _cutoff_profile,
-                            _outward_theta_quad, _pair_count,
+                            _estimate_order, _outward_theta_quad, _pair_count,
                             _panel_transform, _separate, circle_index,
                             lattice, op_apply, oscint_eval, sobolev_norm,
                             wavenumbers)
-from psido.errors import GridMismatch, SymbolVanishes, Unstable
+from psido.errors import (GridMismatch, SymbolVanishes, Unstable,
+                          ValidationError)
 
 
 def _sym(e, degree, n):
@@ -470,6 +471,31 @@ def test_oscint_rejects_a_method_or_tolerance_before_any_work():
         for method in ("both", "epsilon-cutoff", "parts"):
             with pytest.raises(ValueError, match="finite and positive"):
                 oscint_eval(None, None, method, tol)
+
+
+@pytest.mark.parametrize("method", ["both", "epsilon-cutoff", "parts"])
+def test_oscint_rejects_an_amplitude_that_is_not_a_symbol(method):
+    # exp(theta)'s growth order reads 92 from theta = 64 to 128 and 185
+    # from 128 to 256: parts would expand 94 steps of M^t and the cutoff
+    # sweep overflow.  exp(-theta) grows so at negative theta, and
+    # exp(theta^2) is not finite at 256
+    psi = ex.exp(ex.neg(ex.mul(ex.Const(2.0), ex.x(1), ex.x(1))))
+    t = ex.xi(1)
+    for a in (ex.exp(t), ex.exp(ex.neg(t)), ex.exp(t * t)):
+        with pytest.raises(ValidationError, match="is not a symbol"):
+            oscint_eval(a, psi, method)
+
+
+def test_the_order_estimate_reads_symbols_and_passes_rapid_decay():
+    t = ex.xi(1)
+    assert _estimate_order(ex.ONE) == 0.0
+    assert _estimate_order(ex.xi_norm(1)) == 1.0
+    assert _estimate_order(ex.ONE + t * t) == pytest.approx(2.0, abs=1e-3)
+    assert _estimate_order(ex.ONE / (ex.ONE + t * t)) == pytest.approx(
+        -2.0, abs=1e-3)
+    # order -infinity: its order falls with each doubling, and parts
+    # needs no integration by parts for it
+    assert _estimate_order(ex.exp(-(t * t) / 100)) < -100
 
 
 @pytest.mark.parametrize("K", [0, -5])
