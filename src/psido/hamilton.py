@@ -3,10 +3,12 @@
 The Hamiltonian field of p is (dp/dxi, -dp/dx) on phase space; its
 integral curves inside {p = 0} are the bicharacteristics along which
 singularities propagate.  Integration uses the adaptive embedded
-Dormand-Prince 5(4) pair (DOPRI5; Dormand & Prince, J. Comput. Appl.
-Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-5) under
-the step control of scipy's RK45; p is conserved along the flow, which
-serves as an independent accuracy certificate on every trajectory.
+Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving
+ODEs I, 2nd ed., II.10) under the step control of scipy's DOP853: twelve
+field evaluations per step, an error norm that combines a fifth- and a
+third-order estimate, and steps rescaled by norm^(-1/8).  p is conserved
+along the flow, which serves as an independent accuracy certificate on
+every trajectory.
 A wavefront is one integration: its rays are stacked into one system,
 the field runs once per stage for all of them, and they share the step
 size, which the error norm over the whole stacked state controls.
@@ -111,24 +113,55 @@ def hamiltonian_field(p: HomogeneousTerm):
     return field_at
 
 
-# The Dormand-Prince 5(4) pair: stage matrix _A, fifth-order weights _B
-# (the seventh stage is the derivative at the new point, reused as the
-# next step's first), and _E, the fifth- minus the embedded fourth-order
-# weights over all seven stages, which estimates the local error.  The
-# nodes are not needed: the Hamiltonian field does not depend on t.
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]])
-_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
-               -22 / 525, 1 / 40])
-# step-size control of scipy's RK45: safety factor, limits on the change
+# The Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, II.10),
+# the coefficients of Hairer's dop853.f rounded to doubles: stage matrix _A
+# over twelve stages, eighth-order weights _B (a thirteenth stage, the
+# derivative at the new point, is reused as the next step's first), and two
+# error estimators over the twelve stages, _E5 of fifth order and _E3, the
+# eighth- minus the embedded third-order weights.  The nodes are not needed:
+# the Hamiltonian field does not depend on t.
+_A = np.zeros((12, 12))
+_A[1, :1] = [0.05260015195876773]
+_A[2, :2] = [0.0197250569845379, 0.0591751709536137]
+_A[3, [0, 2]] = [0.02958758547680685, 0.08876275643042054]
+_A[4, [0, 2, 3]] = [0.2413651341592667, -0.8845494793282861, 0.924834003261792]
+_A[5, [0, 3, 4]] = [
+    0.037037037037037035, 0.17082860872947386, 0.12546768756682242]
+_A[6, [0, 3, 4, 5]] = [
+    0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125]
+_A[7, [0, 3, 4, 5, 6]] = [
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
+    -0.015319437748624402, 0.008273789163814023]
+_A[8, [0, 3, 4, 5, 6, 7]] = [
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726,
+    27.59209969944671, 20.154067550477894, -43.48988418106996]
+_A[9, [0, 3, 4, 5, 6, 7, 8]] = [
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843,
+    21.230051448181193, 15.279233632882423, -33.28821096898486,
+    -0.020331201708508627]
+_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505,
+    2.4936055526796523, -3.0467644718982196]
+_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [
+    2.273310147516538, -10.53449546673725, -2.0008720582248625,
+    -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+    -8.87285693353063, 12.360567175794303, 0.6433927460157636]
+_B, _E5 = np.zeros(12), np.zeros(12)
+_B[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+    0.20136540080403034, 0.04471061572777259]
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+    0.08192320648511571, -0.022355307863886294]
+_E3 = _B.copy()
+_E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118,
+                     0.022058823529411766]
+# step-size control of scipy's DOP853: safety factor, limits on the change
 # of the step per attempt, and -1/(order of the error estimate + 1)
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 5
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 8
 
 
 @dataclass(frozen=True)
@@ -145,10 +178,24 @@ def _rms(v: np.ndarray) -> float:
     return np.linalg.norm(v) / v.size ** 0.5
 
 
+def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """DOP853's error norm of a step of size h with stages K[:12]: with
+    the sums of squares s5 of K E5 / scale and s3 of K E3 / scale, it is
+    |h| s5 / sqrt((s5 + 0.01 s3) n).  That is about the RMS norm of the
+    fifth-order estimate while it dominates; as h -> 0, s5 ~ h^10 and
+    s3 ~ h^6, so the norm goes as h^8, whence the step exponent -1/8."""
+    s5 = np.linalg.norm(np.dot(K[:12].T, _E5) / scale) ** 2
+    s3 = np.linalg.norm(np.dot(K[:12].T, _E3) / scale) ** 2
+    if s5 == 0 and s3 == 0:
+        return 0.0
+    return abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * scale.size)
+
+
 def _initial_step(rhs, y, f, T, rtol, atol):
-    """RK45's starting step (Hairer, Norsett & Wanner, II.4): a trial
+    """scipy's starting step (Hairer, Norsett & Wanner, II.4): a trial
     Euler step sized from |y| and |f|, then the step at which its
-    second-derivative estimate would meet the tolerance."""
+    second-derivative estimate would meet the tolerance, to the power
+    1/8 that DOP853's error estimate of order 7 calls for."""
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -165,11 +212,12 @@ def solve_ivp(rhs, T: float, y0, rtol: float, atol: float,
               stop=None) -> Solution:
     """Integrate the autonomous system y' = rhs(y) from y(0) = y0, a 1-D
     array, to t = T (backwards in time if T < 0) with the Dormand-Prince
-    5(4) pair.  The step control is scipy's RK45: the RMS norm of the
-    error estimate over atol + max(|y|, |y_new|) rtol must stay below 1,
-    and each attempt rescales the step by 0.9 norm^(-1/5), within
-    [0.2, 10], and by at most 1 right after a rejection.  `stop(y)`, if
-    given, sees each accepted state and raises to end the integration.
+    8(5,3) pair, twelve evaluations of rhs per attempt.  The step control
+    is scipy's DOP853: the two-estimator `_error_norm` over the scale
+    atol + max(|y|, |y_new|) rtol must stay below 1, and each attempt
+    rescales the step by 0.9 norm^(-1/8), within [0.2, 10], and by at
+    most 1 right after a rejection.  `stop(y)`, if given, sees each
+    accepted state and raises to end the integration.
     Raises ValueError unless T is finite and rtol and atol are finite and
     positive, and StepFailure if the step would fall below 10 ulp(t) or
     the initial step, the error estimate or a state is not finite."""
@@ -185,7 +233,7 @@ def solve_ivp(rhs, T: float, y0, rtol: float, atol: float,
     nfev = 2
     if not math.isfinite(h_abs):
         raise StepFailure("integrator failed: the initial step is not finite")
-    K = np.empty((7, y.size))
+    K = np.empty((13, y.size))
     t, ts, ys = 0.0, [0.0], [y]
     while direction * (t - T) < 0:
         min_step = 10 * math.ulp(t)
@@ -200,13 +248,13 @@ def solve_ivp(rhs, T: float, y0, rtol: float, atol: float,
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
-            for s in range(1, 6):
+            for s in range(1, 12):
                 K[s] = rhs(y + np.dot(K[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:6].T, _B)
-            K[6] = f_new = rhs(y_new)
-            nfev += 6
+            y_new = y + h * np.dot(K[:12].T, _B)
+            K[12] = f_new = rhs(y_new)
+            nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(K.T, _E) * h / scale)
+            err = _error_norm(K, h, scale)
             if not math.isfinite(err):
                 raise StepFailure(f"integrator failed: the error estimate "
                                   f"is not finite at t = {float(t)!r}")

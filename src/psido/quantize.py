@@ -431,7 +431,8 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
     column of one `_panel_transform` of weights on psi's nodes: the phase
     e^{i theta x} is factored at the panel centre, so a panel costs one
     exponential per node.  ValueError for an unknown method or a tol
-    that is not finite and positive, before any work.
+    that is not finite and positive, before any work; NonConvergent when
+    a regularization's value is not finite.
     """
     if method not in ("both", "epsilon-cutoff", "parts"):
         raise ValueError(f"unknown oscint method {method!r}")
@@ -464,6 +465,9 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
         # chi(eps theta) = 0 beyond 2/eps, so one sweep to 2/eps_min
         # gives every eps its own integral
         vals = _outward_theta_quad(f, 2.0 / eps[-1, 0]).tolist()
+        if not np.all(np.isfinite(vals)):
+            raise NonConvergent("epsilon-cutoff: a value in the epsilon "
+                                "sequence is not finite")
         diffs = [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
         scale = max(1.0, abs(vals[-1]))
         if diffs[-1] > tol * scale:
@@ -510,7 +514,10 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
         return sum(fv * hv for fv, hv in
                    zip(theta_prog(np.zeros_like(row), row), psi_hat(mid).T))
 
-    return complex(_outward_theta_quad(f, 512.0))
+    value = complex(_outward_theta_quad(f, 512.0))
+    if not np.isfinite(value):
+        raise NonConvergent(f"parts value is not finite: {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,37 @@ def test_solve_ivp_follows_a_solution_that_blows_up_later():
                              1e-10, 1e-13)
     assert sol.t[0] == 0.0 and sol.t[-1] == 0.5
     assert sol.y.shape == (len(sol.t), 1)
-    # two evaluations choose the first step, each attempt takes six more
+    # two evaluations choose the first step, each attempt takes twelve more
     steps = len(sol.t) - 1
-    assert (sol.nfev - 2) % 6 == 0 and sol.nfev >= 2 + 6 * steps
+    assert (sol.nfev - 2) % 12 == 0 and sol.nfev >= 2 + 12 * steps
     assert sol.y[-1, 0] == pytest.approx(2.0, rel=0.0, abs=1e-8)
+
+
+def _speed_symbol():
+    # (1 + 0.3 sin(x1 + 0.4)) |xi|: a variable-speed flow on T^2
+    c = ex.ONE + ex.mul(ex.Const(0.3), ex.sin(ex.x(1) + ex.Const(0.4)))
+    return sy.HomogeneousTerm(ex.mul(c, ex.xi_norm(2)), 1.0, 2)
+
+
+def test_solve_ivp_takes_scipys_dop853_steps():
+    integrate = pytest.importorskip("scipy.integrate")
+    field = hamiltonian_field(_speed_symbol())
+    start = np.array([0.1, 0.2, 1.0, 0.5])
+    for rhs, T, y0 in [(lambda y: y * y, 0.5, np.array([1.0])),
+                       (field, 10.0, start), (field, -3.0, start)]:
+        ours = hamilton.solve_ivp(rhs, T, y0, 1e-10, 1e-13)
+        ref = integrate.solve_ivp(lambda t, y: rhs(y), (0.0, T), y0,
+                                  method="DOP853", rtol=1e-10, atol=1e-13)
+        assert np.array_equal(ours.t, ref.t)
+        assert ours.nfev == ref.nfev
+        assert np.allclose(ours.y[-1], ref.y[:, -1], rtol=1e-14, atol=0.0)
+
+
+def test_flow_takes_few_steps_at_a_tight_tolerance():
+    # the 8(5,3) pair takes 24 steps here, a 5(4) pair 96
+    b = flow(_speed_symbol(), [0.1, 0.2, 1.0, 0.5], 10.0, tol=1e-10)
+    assert len(b.times) - 1 < 40
+    assert b.conservation_drift() < 1e-9
 
 
 def test_solve_ivp_fails_at_blow_up():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psido import calculus, hamilton, hodge
+from psido import calculus, hamilton, hodge, quantize
 from psido import expr as ex
 from psido.cli import main
 from psido.errors import DegreeOrderError, DomainError, HomogeneityError
@@ -306,6 +306,20 @@ def test_cli_oscint_amplitude_that_is_not_a_symbol_exits_one(capsys, method):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error:")
     assert out.err.count("\n") == 1 and "is not a symbol" in out.err
+
+
+@pytest.mark.parametrize("method", ["both", "epsilon-cutoff", "parts"])
+def test_cli_oscint_value_that_is_not_finite_exits_two(monkeypatch, capsys,
+                                                       method):
+    # a NaN theta sweep, in the shape of f's leading axes; "both" printed
+    # "value: nan,nan" and exited 0
+    monkeypatch.setattr(quantize, "_outward_theta_quad", lambda f, _: np.full(
+        f(quantize._GL_NODES, 0.0).shape[:-1], np.nan))
+    assert main(["oscint", "--amp", "1", "--test", "exp(0 - 2*x1^2)",
+                 "--method", method]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("numerical error:")
+    assert "not finite" in out.err
 
 
 @pytest.mark.parametrize("K", ["0", "-5"])

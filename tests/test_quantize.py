@@ -5,6 +5,7 @@ import pytest
 
 from psido import calculus as ca
 from psido import expr as ex
+from psido import quantize
 from psido import symbols as sy
 from psido.quantize import (_PAIR_CAP, _PSI_NODES, _PSI_WEIGHTS,
                             _SAMPLE_BUDGET, GridFunction, _cutoff_profile,
@@ -12,8 +13,8 @@ from psido.quantize import (_PAIR_CAP, _PSI_NODES, _PSI_WEIGHTS,
                             _panel_transform, _separate, circle_index,
                             lattice, op_apply, oscint_eval, sobolev_norm,
                             wavenumbers)
-from psido.errors import (GridMismatch, SymbolVanishes, Unstable,
-                          ValidationError)
+from psido.errors import (GridMismatch, NonConvergent, SymbolVanishes,
+                          Unstable, ValidationError)
 
 
 def _sym(e, degree, n):
@@ -484,6 +485,19 @@ def test_oscint_rejects_an_amplitude_that_is_not_a_symbol(method):
     for a in (ex.exp(t), ex.exp(ex.neg(t)), ex.exp(t * t)):
         with pytest.raises(ValidationError, match="is not a symbol"):
             oscint_eval(a, psi, method)
+
+
+@pytest.mark.parametrize("method", ["both", "epsilon-cutoff", "parts"])
+def test_oscint_raises_when_a_value_is_not_finite(monkeypatch, method):
+    # "both" averaged a NaN pair: abs(ve - vp) > bound is False for NaN
+    def nan_quad(f, theta_max):
+        # NaN in the shape of f's leading axes, which one panel shows
+        return np.full(f(quantize._GL_NODES, 0.0).shape[:-1], np.nan)
+
+    monkeypatch.setattr(quantize, "_outward_theta_quad", nan_quad)
+    psi = ex.exp(ex.neg(ex.mul(ex.Const(2.0), ex.x(1), ex.x(1))))
+    with pytest.raises(NonConvergent, match="not finite"):
+        oscint_eval(ex.ONE, psi, method)
 
 
 def test_the_order_estimate_reads_symbols_and_passes_rapid_decay():
