@@ -4,10 +4,13 @@ Quantization is the finite Fourier sum (Pu)(x) = sum_k e^{ikx} p(x,k) u^(k)
 over the modes of u above the fft noise floor.  The xi-singularity of a
 homogeneous term meets the integer lattice only at k = 0, so excision
 reduces to one k = 0 policy: degree-0 terms contribute their value along
-the e1 ray, terms of nonzero degree contribute 0.  `op_apply` is one loop
-over the terms: a term that factors into at most _PAIR_CAP products
-c(x) h(xi) is applied as sum_h c F^-1[h u^], each h once with the sum c
-of its x factors; any other term is summed mode by mode on the lattice.
+the e1 ray, terms of nonzero degree contribute 0.  In `op_apply` a term
+that factors into at most _PAIR_CAP products c(x) h(xi) is applied as
+sum_h c F^-1[h u^], each h once with the sum c of its x factors.  The
+other terms are summed on each mode before the Fourier sum, since
+quantization is linear in the symbol: one program holds all of them,
+one e^{ikx} sum runs per group of nonzero modes, and the k = 0 column
+reads only the degree-0 ones, at xi = e1.
 
 Also here: Sobolev norms and the H^s/H^-s duality pairing, the two
 regularized definitions of an oscillatory integral (mutual oracles), and
@@ -58,7 +61,9 @@ def wavenumbers(n: int, M: int):
 
 @dataclass
 class GridFunction:
-    """Complex samples on the periodic lattice (2pi/M)^n, n in {1, 2}."""
+    """Complex samples on the periodic lattice (2pi/M)^n, n in {1, 2}:
+    M^n finite values (GridMismatch for another count, ValidationError for
+    a sample that is not finite)."""
 
     dimension: int
     M: int
@@ -69,8 +74,13 @@ class GridFunction:
             raise GridMismatch("grid dimension must be 1 or 2")
         if self.M < 1 or self.M & (self.M - 1):
             raise GridMismatch("points-per-axis must be a power of two")
-        self.values = np.asarray(self.values, dtype=complex).reshape(
-            (self.M,) * self.dimension)
+        values = np.asarray(self.values, dtype=complex)
+        if values.size != self.M ** self.dimension:
+            raise GridMismatch(f"{values.size} values for a grid of "
+                               f"{self.M}^{self.dimension} points")
+        if not np.isfinite(values).all():
+            raise ValidationError("grid values must be finite")
+        self.values = values.reshape((self.M,) * self.dimension)
 
     @classmethod
     def from_expr(cls, e: ex.Expr, n: int, M: int) -> "GridFunction":
@@ -251,11 +261,15 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     """Apply the quantization of P to u: sum_k e^{ikx} p(x, k) u^(k) over
     the modes k of u above the noise floor, under the k = 0 policy.  Each
     term that `_separate` factors into {h(xi): c(x)} is applied as
-    sum_h c(x) F^-1[h u^], one FFT per distinct h, a group of h at a time;
-    any other term's one program is evaluated on the lattice x a group of
-    modes (at most _SAMPLE_BUDGET samples, one mode at least), and each
-    group is summed as one matrix product.  Exact for Fourier multipliers
-    and for differential symbols on sufficiently band-limited input."""
+    sum_h c(x) F^-1[h u^], one FFT per distinct h, a group of h at a time.
+    The other terms, the dense ones, are summed on each mode before the
+    Fourier sum: their expressions are the roots of one program, evaluated
+    on the lattice x a group of nonzero modes (at most _SAMPLE_BUDGET
+    samples, one mode at least), added in term order and summed as one
+    matrix product per group.  The k = 0 column is the sum of the dense
+    degree-0 terms at xi = e1, from a program of those terms alone, so
+    that no other term is read there.  Exact for Fourier multipliers and
+    for differential symbols on sufficiently band-limited input."""
     n, M = u.dimension, u.M
     if P.dimension != n:
         raise GridMismatch("symbol/grid dimension mismatch")
@@ -263,28 +277,21 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     active = (np.abs(uhat) > _MODE_EPS * np.abs(uhat).max()).ravel()
     x = np.vstack([m.ravel() for m in lattice(n, M)])
     k = np.vstack([K.ravel() for K in wavenumbers(n, M)]).astype(float)
-    # the k = 0 policy: degree-0 terms read k = 0 at xi = e1, others drop it
+    # the k = 0 policy: degree-0 terms read k = 0 at xi = e1, others drop
+    # it; in fft order k = 0 is the first mode
     zero = ~k.any(axis=0)
     kread = k.copy()
     kread[0, zero] = 1.0
     group = max(1, _SAMPLE_BUDGET // M ** n)    # modes or xi factors
     out = np.zeros(M ** n, dtype=complex)
+    dense = []
     for term in P.terms:
         modes = active & (~zero | (abs(term.degree) <= _DEGREE_ZERO_TOL))
         if not modes.any():
             continue
         sums = _separate(term.expr)
         if sums is None:
-            # one program on a group of modes at a time: its x-only nodes
-            # run on the lattice, xi-only ones on the modes, mixed ones on
-            # their product, by broadcasting
-            prog = ex.Program([term.expr])
-            cols = np.flatnonzero(modes)
-            for g in range(0, cols.size, group):
-                js = cols[g:g + group]
-                p, = prog(x[:, None], kread[:, js, None])
-                out += (uhat.flat[js] / M ** n) @ (
-                    p * np.exp(1j * (k[:, js].T @ x)))
+            dense.append(term)
             continue
         items = list(sums.items())
         for g in range(0, len(items), group):
@@ -295,6 +302,21 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
                                     axes=tuple(range(1, n + 1)))
             out += np.einsum("gi,gi->i", ex.Program(c)(x, np.zeros((n, 1))),
                              spectral.reshape(len(h), -1))
+    flat = [t.expr for t in dense if abs(t.degree) <= _DEGREE_ZERO_TOL]
+    if flat and active[0]:
+        p = ex.Program(flat)(x, kread[:, 0])
+        out += uhat.flat[0] / M ** n * sum(p[1:], p[0])
+    cols = np.flatnonzero(active & ~zero)
+    if dense and cols.size:
+        # one program of the dense terms on a group of modes at a time: its
+        # x-only nodes run on the lattice, xi-only ones on the modes, mixed
+        # ones on their product, by broadcasting
+        prog = ex.Program([t.expr for t in dense])
+        for g in range(0, cols.size, group):
+            js = cols[g:g + group]
+            p = prog(x[:, None], k[:, js, None])
+            out += (uhat.flat[js] / M ** n) @ (
+                np.exp(1j * (k[:, js].T @ x)) * sum(p[1:], p[0]))
     return GridFunction(n, M, out)
 
 

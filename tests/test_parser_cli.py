@@ -279,6 +279,24 @@ def test_cli_apply_and_sobolev(tmp_path, capsys):
     assert val == pytest.approx(np.sqrt(26.0))
 
 
+@pytest.mark.parametrize("command", [["apply", "p.sym"],
+                                     ["sobolev", "--s", "1.0"]])
+def test_cli_grid_with_a_sample_that_is_not_finite_exits_one(
+        tmp_path, capsys, command):
+    # apply printed l2_norm: 0.0 and sobolev printed nan, both exiting 0
+    _write(tmp_path / "p.sym", LAPLACIAN_DOC)
+    grid = tmp_path / "u.csv"
+    GridFunction.single_mode(2, 4, [1, 0]).write_csv(grid)
+    lines = grid.read_text().splitlines()
+    lines[3] = "0,2,nan,0.0"
+    grid.write_text("\n".join(lines) + "\n")
+    args = [str(tmp_path / c) if c.endswith(".sym") else c for c in command]
+    assert main(args + ["--grid", str(grid)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "finite" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_oscint(tmp_path, capsys):
     rc = main(["oscint", "--amp", "1", "--test", "exp(0 - 2*x1^2)",
                "--method", "parts"])

@@ -63,12 +63,14 @@ def test_zero_mode_policy():
     assert op_apply(P, u).l2_norm() < 1e-12
 
 
-def _direct_sum(P, u):
-    """sum_k e^{ikx} p(x, k) u^(k) over every lattice mode k, one mode and
-    one term at a time; at k = 0 a degree-0 term is read at xi = e1 and
-    every other term drops out."""
+def _direct_sum(P, u, floor=None):
+    """sum_k e^{ikx} p(x, k) u^(k) over every lattice mode k, or, given a
+    floor, over the modes whose |u^(k)| is above floor times the largest,
+    one mode and one term at a time; at k = 0 a degree-0 term is read at
+    xi = e1 and every other term drops out."""
     n, M = u.dimension, u.M
     uhat = np.fft.fftn(u.values) / M ** n
+    top = np.abs(uhat).max()
     ks = np.fft.fftfreq(M, d=1.0 / M)
     axis = 2.0 * np.pi * np.arange(M) / M
     x = np.vstack([m.ravel()
@@ -76,6 +78,8 @@ def _direct_sum(P, u):
     e1 = np.eye(n)[0]
     out = np.zeros(x.shape[1], dtype=complex)
     for idx in np.ndindex(*uhat.shape):
+        if floor is not None and abs(uhat[idx]) <= floor * top:
+            continue
         k = ks[list(idx)]
         for t in P.terms:
             if not k.any() and abs(t.degree) > 1e-9:
@@ -142,32 +146,54 @@ def test_degree_zero_term_reads_k_zero_at_e1_on_both_paths():
         2, 16, 3, np.random.default_rng(22)))
 
 
+@pytest.mark.parametrize("k", [[1, 1], [2, -3]])
+def test_dense_terms_of_nonzero_degree_are_never_read_at_k_zero(k):
+    # xi1^2 / (xi2 den) divides by zero at xi = e1: only the degree-0 dense
+    # term is read on the k = 0 column, both are read on the other mode
+    flat = _MIXED.terms[1]
+    odd = ex.div(ex.mul(ex.xi(1), ex.xi(1)), ex.mul(ex.xi(2), _MIXED_DEN))
+    P = sy.ClassicalSymbol.from_terms(
+        [flat, sy.HomogeneousTerm(odd, -1.0, 2)], 4)
+    assert all(_separate(t.expr) is None for t in P.terms)
+    u = GridFunction(2, 16, GridFunction.single_mode(2, 16, [0, 0]).values
+                     + GridFunction.single_mode(2, 16, k).values)
+    want = _direct_sum(P, u, floor=1e-12)
+    got = op_apply(P, u).values
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def _one_program_per_mode(P, u):
-    """The mode-by-mode route as one `Program` call per mode over the whole
-    term, every node evaluated at every mode on the full lattice, summed
-    over op_apply's groups of modes as op_apply sums them: the reference
-    for op_apply on terms that do not factor."""
+    """The dense route as one `Program` call per term and per mode, every
+    node evaluated at every mode on the full lattice.  The terms are summed
+    in term order on each of op_apply's groups of nonzero modes, and the
+    degree-0 ones on the k = 0 column at xi = e1, as op_apply sums them:
+    the reference for op_apply on terms that do not factor."""
     n, M = u.dimension, u.M
     uhat = np.fft.fftn(u.values)
     active = (np.abs(uhat) > 1e-12 * np.abs(uhat).max()).ravel()
     x = np.vstack([m.ravel() for m in lattice(n, M)])
     k = np.vstack([K.ravel() for K in wavenumbers(n, M)]).astype(float)
-    zero = ~k.any(axis=0)
-    kread = k.copy()
-    kread[0, zero] = 1.0
     group = max(1, _SAMPLE_BUDGET // M ** n)
-    out = np.zeros(M ** n, dtype=complex)
     for term in P.terms:
         assert _separate(term.expr) is None
-        modes = active & (~zero | (abs(term.degree) <= 1e-9))
-        prog = ex.Program([term.expr])
-        cols = np.flatnonzero(modes)
-        for g in range(0, cols.size, group):
-            js = cols[g:g + group]
-            p = np.stack([prog(x, np.repeat(kread[:, j:j + 1], M ** n,
-                                            axis=1))[0] for j in js])
-            out += (uhat.flat[js] / M ** n) @ (
-                p * np.exp(1j * (k[:, js].T @ x)))
+    progs = [ex.Program([t.expr]) for t in P.terms]
+    flat = [prog for prog, t in zip(progs, P.terms) if abs(t.degree) <= 1e-9]
+
+    def column(xi, terms):
+        ps = [prog(x, np.repeat(xi[:, None], M ** n, axis=1))[0]
+              for prog in terms]
+        return sum(ps[1:], ps[0])
+
+    out = np.zeros(M ** n, dtype=complex)
+    if flat and active[0]:
+        out += uhat.flat[0] / M ** n * column(np.eye(n)[0], flat)
+    cols = np.flatnonzero(active & k.any(axis=0))
+    for g in range(0, cols.size, group):
+        js = cols[g:g + group]
+        p = np.stack([column(k[:, j], progs) for j in js])
+        # the phase as the left factor, as in op_apply: numpy's SIMD loops
+        # may round a complex product apart when its factors swap
+        out += (uhat.flat[js] / M ** n) @ (np.exp(1j * (k[:, js].T @ x)) * p)
     return out.reshape(u.values.shape)
 
 
@@ -319,6 +345,20 @@ def test_gridfunction_rejects_zero_points_per_axis():
     # 0 & -1 is 0, so a power-of-two test alone lets M = 0 through
     with pytest.raises(GridMismatch):
         GridFunction(1, 0, np.zeros(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_gridfunction_rejects_samples_that_are_not_finite(bad):
+    # a NaN sample made every mode inactive: op_apply returned zeros
+    values = np.ones(16, dtype=complex)
+    values[5] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        GridFunction(1, 16, values)
+
+
+def test_gridfunction_rejects_values_of_the_wrong_size():
+    with pytest.raises(GridMismatch, match="10 values"):
+        GridFunction(2, 16, np.zeros(10))
 
 
 def test_csv_readers_reject_negative_points_per_axis(tmp_path):
