@@ -19,8 +19,9 @@ class NumericalError(PsidoError):
 
 
 class DomainError(ValidationError):
-    """Evaluation hit a zero denominator or a fractional power of a
-    negative base."""
+    """Evaluation hit a negative power of a vanishing base (a quotient
+    u / v is u * v^-1) or a fractional power of a negative or non-real
+    base, or a constant fold is not finite."""
 
 
 class DimensionMismatch(ValidationError):

@@ -1,12 +1,13 @@
 """Expression trees over phase-space variables x1..xn, xi1..xin.
 
 The node set is deliberately small -- complex constants, variables, sums,
-products, quotients, real powers, sin, cos, exp -- and is closed under
-differentiation with respect to any variable.  Negation is Mul(-1, .) and
-square roots are Pow(., 0.5).  There is no simplification beyond constant
-folding and neutral-element elimination (a fold whose constant is not
-finite raises DomainError): semantic questions (is this tree zero?) are
-settled by sampling, not by rewriting.
+products, real powers, sin, cos, exp -- and is closed under
+differentiation with respect to any variable.  Negation is Mul(., -1),
+square roots are Pow(., 0.5) and a quotient u / v is Mul(u, Pow(v, -1)),
+so its k-th derivative has the denominator power v^(k+1).  There is no
+simplification beyond constant folding and neutral-element elimination
+(a fold whose constant is not finite raises DomainError): semantic
+questions (is this tree zero?) are settled by sampling, not by rewriting.
 
 Nodes are immutable and hash-consed (Filliatre & Conchon 2006): a table
 of weak references, keyed by class, child ids and payload (floats by bit
@@ -19,21 +20,21 @@ settles there all that does not depend on the samples: each constant's
 array is built once, each step carries the slots that die after it, and
 sums and products are computed inline by the call loop.  A call computes
 each distinct node once per batch of samples, drops each array after its
-last use, holds every domain check (vanishing denominator, negative or
-fractional power of a bad base -> DomainError) and returns fresh arrays
-the caller owns, in the dtype it was computed in.  Real nodes compute in
-float64, bit for bit as complex128 would while values stay finite: real
-constants and the variables start real, numpy's promotion keeps sums,
-products, sin and cos of real operands real and promotes a real operand
-of a complex step as a + 0j would, and only three ops look at the
-dtype.  A real quotient is num * (1 / den) and a real integer power
-squares and multiplies, the reciprocal last, as numpy's complex ops
-round; exp casts a real argument to complex.  The steps are
-out-of-place numpy operations, so x and xi broadcast: x of shape
-(n, 1, P) and xi of shape (n, C, 1) evaluate on the C x P product grid
-with x-only nodes computed on P samples and xi-only ones on C.  The
-entry points are `Program(roots)(x, xi)` for several trees or repeated
-batches, `e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
+last use, holds every domain check (negative power of a vanishing base,
+fractional power of a negative or non-real base -> DomainError) and
+returns fresh arrays the caller owns, in the dtype it was computed in.
+Real nodes compute in float64, bit for bit as complex128 would while
+values stay finite: real constants and the variables start real, numpy's
+promotion keeps sums, products, sin and cos of real operands real and
+promotes a real operand of a complex step as a + 0j would, and only two
+ops look at the dtype: a real integer power squares and multiplies, the
+reciprocal last, as numpy's complex power rounds, and exp casts a real
+argument to complex.  The steps are out-of-place numpy operations, so x
+and xi broadcast: x of shape (n, 1, P) and xi of shape (n, C, 1)
+evaluate on the C x P product grid with x-only nodes computed on P
+samples and xi-only ones on C.  The entry points are
+`Program(roots)(x, xi)` for several trees or repeated batches,
+`e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
 `evaluate(e, point)` for one phase-space point.  A program given a table
 of node values on one sample set reads the nodes it holds and records the
 ones it computes, so callers compute a node once per sample set.
@@ -246,15 +247,6 @@ class Mul(Expr):
         return mul(*args)
 
 
-class Div(Expr):
-    __slots__ = _fields = ("num", "den")
-
-    args = property(operator.attrgetter("num", "den"))
-
-    def rebuild(self, args):
-        return div(*args)
-
-
 class Pow(Expr):
     """Real, constant exponent.  Non-integer exponents require a
     non-negative real base at evaluation time."""
@@ -357,7 +349,7 @@ def mul(*factors) -> Expr:
     if const == 0:
         return ZERO
     if const != 1:
-        merged.insert(0, _folded(const, "product"))
+        merged.append(_folded(const, "product"))
     if not merged:
         return ONE
     if len(merged) == 1:
@@ -376,9 +368,7 @@ def div(num, den) -> Expr:
         if den.value == 0:
             raise DomainError("division by the constant zero")
         return mul(_folded(1.0 / den.value, "quotient"), num)
-    if num is ZERO:
-        return ZERO
-    return Div(num, den)
+    return mul(num, pow_(den, -1.0))
 
 
 def pow_(base, expo) -> Expr:
@@ -454,14 +444,6 @@ def _d_product(node, kind, j):
                  for k, d in enumerate(ds) if d is not ZERO))
 
 
-def _d_quotient(node, kind, j):
-    dn = node.num.diff(kind, j)
-    dd = node.den.diff(kind, j)
-    if dd is ZERO:
-        return div(dn, node.den)
-    return div(dn * node.den - node.num * dd, mul(node.den, node.den))
-
-
 def _chain(outer):
     """Chain rule for a one-argument node: outer(node) * d(argument)."""
     def rule(node, kind, j):
@@ -477,7 +459,6 @@ _DIFF = {
         ONE if (kind, j) == (node.kind, node.j) else ZERO),
     Add: lambda node, kind, j: add(*(t.diff(kind, j) for t in node.terms)),
     Mul: _d_product,
-    Div: _d_quotient,
     Pow: _chain(lambda n: Const(n.expo) * pow_(n.base, n.expo - 1.0)),
     Sin: _chain(lambda n: Cos(n.arg)),
     Cos: _chain(lambda n: neg(Sin(n.arg))),
@@ -509,7 +490,6 @@ _RENDER = {
     Var: lambda node, a: f"{node.kind}{node.j}",
     Add: lambda node, a: "(" + " + ".join(a) + ")",
     Mul: lambda node, a: "(" + "*".join(a) + ")",
-    Div: lambda node, a: f"({a[0]}/{a[1]})",
     Pow: lambda node, a: (f"sqrt({a[0]})" if node.expo == 0.5
                           else f"({a[0]}^{_fmt_real(node.expo)})"),
     **dict.fromkeys((Sin, Cos, Exp), lambda node, a: f"{node.name}({a[0]})"),
@@ -526,14 +506,6 @@ _RENDER = {
 
 def _var(node, v, _):
     return v[node.j - 1].astype(float)
-
-
-def _quotient(node, num, den):
-    if np.count_nonzero(np.abs(den) < _DIV_EPS):
-        raise DomainError(f"denominator underflow in {node.den.render()}")
-    if num.dtype.kind == den.dtype.kind == "f":
-        return num * (1 / den)      # as numpy's complex quotient rounds
-    return num / den
 
 
 def _power(node, b, _):
@@ -578,7 +550,7 @@ def _function(node, v, _):
 
 
 # `Program` computes sums and products in its call loop: these mark them
-_OPS = {Add: operator.add, Mul: operator.mul, Div: _quotient, Pow: _power,
+_OPS = {Add: operator.add, Mul: operator.mul, Pow: _power,
         Sin: _function, Cos: _function, Exp: _function}
 
 
@@ -632,7 +604,7 @@ class Program:
                     k = len(init) - 1
                 elif type(node) is Var:         # slot 0 holds x, 1 xi
                     k = emit(_var, node, int(node.kind == "xi"))
-                elif type(node) in (Add, Mul, Div):
+                elif type(node) in (Add, Mul):
                     # an n-ary sum or product takes in each further term
                     # as soon as it is computed, so its terms are never
                     # all live

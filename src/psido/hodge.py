@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BottomDegree, GridMismatch, TopDegree
+from .errors import BottomDegree, GridMismatch, TopDegree, ValidationError
 from .quantize import lattice, read_csv_header, wavenumbers
 
 
@@ -50,7 +50,8 @@ def complement_sign(alpha: tuple, n: int):
 
 @dataclass
 class FormField:
-    """Differential j-form on T^n with one grid field per basis form."""
+    """Differential j-form on T^n with one grid field per basis form, of
+    finite values (ValidationError for a sample that is not finite)."""
 
     dimension: int
     degree: int
@@ -72,6 +73,9 @@ class FormField:
             v = np.asarray(v, dtype=complex)
             if v.shape != (self.M,) * n:
                 raise GridMismatch(f"coefficient {alpha} has shape {v.shape}")
+            if not np.isfinite(v).all():
+                raise ValidationError(
+                    f"coefficient {alpha} values must be finite")
             full[alpha] = v
         extra = set(self.coefficients) - set(want)
         if extra:
@@ -150,7 +154,7 @@ class FormField:
     def read_csv(cls, path) -> "FormField":
         with open(path) as fh:
             n, j, M = read_csv_header(fh, "form", ("n", "j", "M"), range(4))
-            w = cls.zero(n, j, M)
+            coeffs = cls.zero(n, j, M).coefficients
             order = basis_indices(n, j)
             for row in csv.reader(fh):
                 if not row:
@@ -163,9 +167,9 @@ class FormField:
                         and all(0 <= i < M for i in idx)):
                     raise GridMismatch(
                         f"form CSV entry {a}, {idx} is off the grid")
-                w.coefficients[order[a]][idx] = (float(row[1 + n])
-                                                 + 1j * float(row[2 + n]))
-        return w
+                coeffs[order[a]][idx] = (float(row[1 + n])
+                                         + 1j * float(row[2 + n]))
+        return cls(n, j, M, coeffs)
 
 
 def _spectral_partial(v: np.ndarray, axis: int, M: int) -> np.ndarray:

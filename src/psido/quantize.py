@@ -204,7 +204,9 @@ def _separate(e: ex.Expr):
     """Try to write e as a sum of at most _PAIR_CAP products c(x) * h(xi).
     Returns {h: c}, each xi factor once with the sum of the x factors it
     multiplies, or None when the tree does not factor or its expansion
-    has more products than the cap.  The products are counted before they
+    has more products than the cap.  Only sums and products split: a
+    quotient by an x-only or xi-only denominator is a product with one
+    more factor, its power -1.  The products are counted before they
     are built, so a term that does not factor builds none."""
     shape = {}
     if ex._walk(e, _pair_count, shape)[1] is None:
@@ -216,15 +218,11 @@ def _separate(e: ex.Expr):
                     else {ex.ONE: node})
         if isinstance(node, ex.Add):
             return _merge(pair for sub in parts for pair in sub.items())
-        if isinstance(node, ex.Mul):
-            acc = {ex.ONE: ex.ONE}
-            for sub in parts:
-                acc = _merge((ex.mul(h, hs), ex.mul(c, cs))
-                             for h, c in acc.items() for hs, cs in sub.items())
-            return acc
-        if shape[id(node.den)][0] & _X:        # a quotient by c(x)
-            return {h: ex.div(c, node.den) for h, c in parts[0].items()}
-        return _merge((ex.div(h, node.den), c) for h, c in parts[0].items())
+        acc = {ex.ONE: ex.ONE}                  # a product
+        for sub in parts:
+            acc = _merge((ex.mul(h, hs), ex.mul(c, cs))
+                         for h, c in acc.items() for hs, cs in sub.items())
+        return acc
 
     return ex._walk(e, split, {}, lambda c: shape[id(c)][0] != _X | _XI)
 
@@ -248,8 +246,6 @@ def _pair_count(node, parts):
         count = sum(counts)
     elif isinstance(node, ex.Mul):
         count = math.prod(counts)
-    elif isinstance(node, ex.Div) and parts[1][0] != _X | _XI:
-        count = counts[0]
     else:
         count = None
     if count is not None and count > _PAIR_CAP:

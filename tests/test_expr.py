@@ -46,11 +46,6 @@ def _reference(e, x, xi, memo=None, jitter=None):
         out = _fold(operator.add, [rec(t) for t in e.terms])
     elif isinstance(e, ex.Mul):
         out = _fold(operator.mul, [rec(f) for f in e.factors])
-    elif isinstance(e, ex.Div):
-        num, den = rec(e.num), rec(e.den)
-        if np.any(np.abs(den) < 1e-14):
-            raise DomainError("denominator")
-        out = num / den
     elif isinstance(e, ex.Pow):
         b, p = rec(e.base), e.expo
         if p == int(p):
@@ -233,18 +228,25 @@ _COORDS = (-2.0, -1.0, -0.25, -1e-9, 0.0, 0.5, 1.0, 2.5)
 
 @st.composite
 def _shared_dags(draw):
-    """A random tree over every node kind, built bottom-up from a pool:
-    children are drawn from the whole pool, so parents share subtrees.
-    Returns the last node, optionally differentiated, and one pool node."""
+    """A random tree over every node kind and quotients, built bottom-up
+    from a pool: children are drawn from the whole pool, so parents share
+    subtrees.  A quotient is drawn through `ex.div`, which raises for the
+    constant zero or a raw power of it as denominator.  Returns the last
+    node, optionally differentiated, and one pool node."""
     pool = list(_LEAVES)
     for _ in range(draw(st.integers(1, 8))):
         pick = st.sampled_from(list(pool))
         kind = draw(st.sampled_from(
-            (ex.Add, ex.Mul, ex.Div, ex.Pow, ex.Sin, ex.Cos, ex.Exp)))
+            (ex.Add, ex.Mul, ex.div, ex.Pow, ex.Sin, ex.Cos, ex.Exp)))
         if kind in (ex.Add, ex.Mul):
             node = kind(draw(st.lists(pick, min_size=2, max_size=3)))
-        elif kind is ex.Div:
-            node = ex.Div(draw(pick), draw(pick))
+        elif kind is ex.div:
+            num, den = draw(pick), draw(pick)
+            try:
+                node = ex.div(num, den)
+            except DomainError as err:
+                assert den is ex.ZERO or "constant power 0^" in str(err)
+                continue
         elif kind is ex.Pow:
             node = ex.Pow(draw(pick), draw(st.sampled_from(_EXPONENTS)))
         else:
@@ -255,7 +257,7 @@ def _shared_dags(draw):
                                            st.integers(1, 2)), max_size=2)):
         try:
             e = e.diff(kind, j)
-        except DomainError:     # raw Div by the constant zero
+        except DomainError:     # a raw power of the constant zero
             break
     return e, draw(st.sampled_from(pool))
 
@@ -293,17 +295,18 @@ def _at(x1):
          _at(1.0))
 @example((ex.Pow(ex.Add([ex.x(1), ex.Const(1e-8j)]), 0.5), ex.x(1)),
          _at(1.0))
-@example((ex.Div(ex.ONE, ex.x(1)), ex.x(1)), _at(1e-15))
+@example((ex.div(ex.x(2), ex.x(1)), ex.x(1)), _at(1e-15))
 # a large sample in the same batch must not excuse a negative base
 @example((ex.Pow(ex.x(1), 0.5), ex.x(1)),
          (np.array([[-1e-9, 1e4], [1.0, 1.0]]), np.ones((2, 2))))
 # a product on one sample, where numpy's a * b and a *= b round apart
 @example((ex.Mul([_LEAVES[-1], ex.Cos(_LEAVES[-1])]), _LEAVES[-1]),
          (np.full((2, 1), -2.0), np.full((2, 1), -2.0)))
-# real nodes run in float64, where exp, a / c and a ** -3 round apart
-# from their complex forms at these samples
+# real nodes run in float64, where exp and a ** -3 round apart from their
+# complex forms at these samples, and a / c, which is a * c ** -1, apart
+# from float64's a / c
 @example((ex.Exp(ex.x(1)), ex.x(1)), _at(-1.986))
-@example((ex.Div(ex.x(1), ex.x(2)), ex.x(2)),
+@example((ex.div(ex.x(1), ex.x(2)), ex.x(2)),
          (np.array([[0.7], [0.9]]), np.ones((2, 1))))
 @example((ex.Pow(ex.x(1), -3.0), ex.x(1)), _at(1.3))
 def test_program_matches_reference_recursion(dag, samples):
@@ -371,7 +374,7 @@ _C = _LEAVES[-1]
 @given(_shared_dags(), _grid_axes())
 # numpy rounds the complex product of a (1, 1) and a (1,) array apart
 # from that of two (1,) arrays: here by 1 ulp of the real part
-@example((ex.Mul([_C, ex.Div(ex.x(1), ex.x(1)), _C]), ex.x(1)),
+@example((ex.Mul([_C, ex.div(ex.x(1), ex.x(1)), _C]), ex.x(1)),
          (np.array([[[-1e-9]], [[1.0]]]), np.full((2, 1, 1), 0.5)))
 def test_broadcast_samples_match_the_explicit_product_grid(dag, axes):
     x, xi = axes
@@ -447,12 +450,6 @@ def _reference_diff(e, kind, j, memo=None):
                 continue
             parts.append(ex.mul(*fs[:k], d, *fs[k + 1:]))
         out = ex.add(*parts)
-    elif isinstance(e, ex.Div):
-        dn, dd = rec(e.num), rec(e.den)
-        if dd is ex.ZERO:
-            out = ex.div(dn, e.den)
-        else:
-            out = ex.div(dn * e.den - e.num * dd, ex.mul(e.den, e.den))
     else:
         d = rec(e.args[0])
         if d is ex.ZERO:
@@ -482,7 +479,7 @@ def test_diff_matches_reference_recursion_and_central_differences(
     e, _ = dag
     d = _outcome(lambda: e.diff(*var))
     ref = _outcome(lambda: _reference_diff(e, *var))
-    if d is DomainError:        # a raw Div by the constant zero
+    if d is DomainError:        # a raw power of the constant zero
         assert ref is DomainError
         return
     assert d.render() == ref.render()
@@ -649,7 +646,7 @@ def test_copy_and_pickle_return_the_interned_node():
         assert pickle.loads(pickle.dumps(e, protocol)) is e
 
 
-_Q = ex.Mul([ex.x(1), ex.Div(ex.x(1), ex.x(2))])
+_Q = ex.Mul([ex.x(1), ex.div(ex.x(1), ex.x(2))])
 
 
 @settings(max_examples=200, deadline=None)

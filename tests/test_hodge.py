@@ -5,7 +5,7 @@ from psido.hodge import (FormField, betti, codifferential,
                          complex_parametrix_check, ext_d, green,
                          harmonic_projection, hodge_decompose, hodge_star,
                          inner, laplacian)
-from psido.errors import BottomDegree, GridMismatch, TopDegree
+from psido.errors import BottomDegree, GridMismatch, TopDegree, ValidationError
 
 
 def _rand(n, j, M=8, seed=0):
@@ -147,3 +147,11 @@ def test_formfield_csv_round_trip(tmp_path):
     assert (v.dimension, v.degree, v.M) == (2, 1, 4)
     for alpha in w.coefficients:
         assert np.array_equal(v.coefficients[alpha], w.coefficients[alpha])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_formfield_rejects_samples_that_are_not_finite(bad):
+    v = np.ones((4, 4), dtype=complex)
+    v[1, 2] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        FormField(2, 1, 4, {(2,): v})

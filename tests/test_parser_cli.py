@@ -452,6 +452,17 @@ def test_cli_hodge_on_a_form(tmp_path, capsys, op):
         assert np.array_equal(written.coefficients[alpha], v)
 
 
+def test_cli_form_with_a_sample_that_is_not_finite_exits_one(tmp_path,
+                                                            capsys):
+    # laplacian printed max_abs: nan and exited 0
+    form = _write(tmp_path / "w.csv", "# formfield n=1 j=1 M=4\n"
+                  "0,0,1.0,0.0\n0,1,nan,0.0\n0,2,1.0,0.0\n0,3,1.0,0.0\n")
+    assert main(["hodge", "laplacian", "--form", form]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "finite" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_missing_file_exits_one(tmp_path):
     assert main(["adjoint", str(tmp_path / "missing.sym")]) == 1
 

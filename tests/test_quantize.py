@@ -65,27 +65,29 @@ def test_zero_mode_policy():
 
 def _direct_sum(P, u, floor=None):
     """sum_k e^{ikx} p(x, k) u^(k) over every lattice mode k, or, given a
-    floor, over the modes whose |u^(k)| is above floor times the largest,
-    one mode and one term at a time; at k = 0 a degree-0 term is read at
-    xi = e1 and every other term drops out."""
+    floor, over the modes whose |u^(k)| is above floor times the largest.
+    Each term is evaluated once, on the explicit list of (x, k) pairs of
+    the lattice and the modes it reads: at k = 0 a degree-0 term is read
+    at xi = e1 and every other term drops out."""
     n, M = u.dimension, u.M
-    uhat = np.fft.fftn(u.values) / M ** n
-    top = np.abs(uhat).max()
+    uhat = (np.fft.fftn(u.values) / M ** n).ravel()
+    keep = np.abs(uhat) > (-1.0 if floor is None
+                           else floor * np.abs(uhat).max())
     ks = np.fft.fftfreq(M, d=1.0 / M)
     axis = 2.0 * np.pi * np.arange(M) / M
-    x = np.vstack([m.ravel()
-                   for m in np.meshgrid(*([axis] * n), indexing="ij")])
-    e1 = np.eye(n)[0]
+    x, k = (np.vstack([m.ravel()
+                       for m in np.meshgrid(*([a] * n), indexing="ij")])
+            for a in (axis, ks))
     out = np.zeros(x.shape[1], dtype=complex)
-    for idx in np.ndindex(*uhat.shape):
-        if floor is not None and abs(uhat[idx]) <= floor * top:
-            continue
-        k = ks[list(idx)]
-        for t in P.terms:
-            if not k.any() and abs(t.degree) > 1e-9:
-                continue
-            xi = np.repeat((k if k.any() else e1)[:, None], x.shape[1], 1)
-            out += t.expr.ev(x, xi) * uhat[idx] * np.exp(1j * (k @ x))
+    for t in P.terms:
+        modes = np.flatnonzero(keep & (k.any(axis=0)
+                                       | (abs(t.degree) <= 1e-9)))
+        xi = k[:, modes]
+        xi[0, ~xi.any(axis=0)] = 1.0
+        p = t.expr.ev(np.tile(x, modes.size),
+                      np.repeat(xi, x.shape[1], axis=1))
+        out += np.sum(uhat[modes, None] * np.exp(1j * (k[:, modes].T @ x))
+                      * p.reshape(modes.size, -1), axis=0)
     return out.reshape(u.values.shape)
 
 
@@ -228,6 +230,19 @@ def test_mode_by_mode_route_matches_one_program_per_mode(symbol, u):
     assert np.array_equal(op_apply(P, u).values, _one_program_per_mode(P, u))
 
 
+@pytest.mark.parametrize("N", [5, 6])
+def test_residual_of_a_deep_parametrix_applies(N):
+    # the residual's denominators are powers of the symbol p: with the
+    # quotient rule (n'd - nd')/d^2 they reached p^(2^k), below 1e-14 at
+    # |xi| = 1 for N = 5, 6; as powers p^-1 they grow one power per level
+    p = ex.mul(ex.ONE + ex.mul(ex.Const(0.5), ex.sin(ex.x(1))),
+               ex.xi_norm_sq(2))
+    P = _sym(p, 2.0, 2)
+    R = ca.compose(ca.parametrix(P, N), P, N + 2)
+    _assert_direct(R, GridFunction.random_band_limited(
+        2, 8, 2, np.random.default_rng(27)))
+
+
 def _cosine_series(j, terms):
     return ex.add(*(ex.mul(ex.cos(ex.Const(m) * ex.x(j)), ex.xi(j))
                     for m in range(1, terms + 1)))
@@ -268,8 +283,8 @@ def test_term_over_the_pair_cap_is_summed_mode_by_mode():
 
 
 def test_factored_term_divided_by_an_x_factor_and_by_a_xi_factor():
-    # a quotient by c(x) divides each x factor, one by h(xi) each xi
-    # factor; the two x factors of xi1 are one sum
+    # a quotient by c(x) is a factor c^-1 of each x factor, one by h(xi)
+    # a factor h^-1 of each xi factor; the two x factors of xi1 are one sum
     x1, x2, xi1, xi2 = ex.x(1), ex.x(2), ex.xi(1), ex.xi(2)
     num = ex.add(ex.mul(ex.cos(x1), xi1), ex.mul(ex.sin(x2), xi2),
                  ex.mul(ex.sin(x1), xi1))
@@ -416,6 +431,17 @@ def test_oscint_closed_forms_of_centred_gaussians(w):
         for method in ("epsilon-cutoff", "parts"):
             v = oscint_eval(a, psi, method)
             assert abs(v - want) <= 1e-8 * want, (method, v, want)
+
+
+def test_oscint_of_a_quartic_amplitude_matches_its_closed_form():
+    # theta^4 on psi = exp(-2 x^2) gives 2 pi psi^(4)(0) = 2 pi 48.  parts
+    # takes six theta derivatives of sigma = theta^8 / (1 + theta^8), whose
+    # denominators overflowed as (1 + theta^8)^64 under the quotient rule
+    psi = ex.exp(ex.neg(ex.mul(ex.Const(2.0), ex.x(1), ex.x(1))))
+    want = 2.0 * np.pi * 48.0
+    for method in ("epsilon-cutoff", "parts"):
+        v = oscint_eval(ex.pow_(ex.xi(1), 4), psi, method)
+        assert abs(v - want) <= 1e-6 * want, (method, v, want)
 
 
 def test_panel_transform_matches_the_direct_transform():
