@@ -15,9 +15,9 @@ from .calculus import (EllipticityReport, adjoint, commutator, compose,
 from .errors import (BottomDegree, DegreeOrderError, DimensionMismatch,
                      DomainError, GridMismatch, HomogeneityError,
                      NonConvergent, NotCharacteristic, NotElliptic,
-                     NotPositive, NotReal, NumericalError, PsidoError,
-                     StepFailure, SymbolVanishes, TopDegree, Unstable,
-                     ValidationError, ZeroCovector)
+                     NotPositive, NotReal, NumericalError, Overflow,
+                     PsidoError, StepFailure, SymbolVanishes, TopDegree,
+                     Unstable, ValidationError, ZeroCovector)
 from .hamilton import (Bicharacteristic, PhasePoint, flow,
                        hamiltonian_field, propagate_wavefront,
                        transport_solve)

@@ -89,3 +89,7 @@ class NonConvergent(NumericalError):
 
 class Unstable(NumericalError):
     pass
+
+
+class Overflow(NumericalError):
+    """A computed value is past the range of float64."""

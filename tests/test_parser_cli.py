@@ -297,6 +297,21 @@ def test_cli_grid_with_a_sample_that_is_not_finite_exits_one(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("s, code, message", [
+    ("nan", 1, "error: Sobolev order must be finite"),
+    ("inf", 1, "error: Sobolev order must be finite"),
+    ("400", 2, "numerical error: H^400 norm overflows")])
+def test_cli_sobolev_order_out_of_range(tmp_path, capsys, s, code, message):
+    # each printed a norm (nan, inf, inf after a RuntimeWarning), exiting 0
+    grid = tmp_path / "u.csv"
+    GridFunction.random_band_limited(2, 8, 3).write_csv(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sobolev", "--grid", str(grid), "--s", s]) == code
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(message)
+
+
 def test_cli_oscint(tmp_path, capsys):
     rc = main(["oscint", "--amp", "1", "--test", "exp(0 - 2*x1^2)",
                "--method", "parts"])
@@ -324,6 +339,16 @@ def test_cli_oscint_amplitude_that_is_not_a_symbol_exits_one(capsys, method):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error:")
     assert out.err.count("\n") == 1 and "is not a symbol" in out.err
+
+
+@pytest.mark.parametrize("amp", ["xi1^7", "xi1^8"])
+def test_cli_oscint_parts_past_its_excision_exits_one(capsys, amp):
+    # xi1^8 took minutes and printed 168 807, not 2 pi 26 880 = 168 892
+    assert main(["oscint", "--amp", amp, "--test", "exp(0 - 2*x1^2)",
+                 "--method", "parts"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: amplitude")
+    assert "excision" in out.err
 
 
 @pytest.mark.parametrize("method", ["both", "epsilon-cutoff", "parts"])

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from psido.quantize import (_PAIR_CAP, _PSI_NODES, _PSI_WEIGHTS,
                             _panel_transform, _separate, circle_index,
                             lattice, op_apply, oscint_eval, sobolev_norm,
                             wavenumbers)
-from psido.errors import (GridMismatch, NonConvergent, SymbolVanishes,
-                          Unstable, ValidationError)
+from psido.errors import (GridMismatch, NonConvergent, Overflow,
+                          SymbolVanishes, Unstable, ValidationError)
 
 
 def _sym(e, degree, n):
@@ -309,6 +310,103 @@ def test_term_that_does_not_factor_builds_no_pairs(monkeypatch):
     assert not built
 
 
+def test_product_groups_its_one_kind_factors_around_mixed_ones(monkeypatch):
+    # x factor * xi factor * (mixed sum) * x factor * xi factor: the xi-only
+    # factors are one xi factor and the x-only ones one x factor, so only
+    # the mixed sum's two pairs are multiplied in
+    x1, x2, xi1, xi2 = ex.x(1), ex.x(2), ex.xi(1), ex.xi(2)
+    inv_norm = ex.pow_(ex.xi_norm_sq(2), -0.5)
+    mixed = ex.add(ex.mul(ex.cos(x2), xi2), ex.mul(ex.sin(x1), xi1))
+    e = ex.mul(ex.sin(x1), xi1, mixed, ex.cos(x2), inv_norm)
+    assert [type(f) for f in e.factors] == [ex.Sin, ex.Var, ex.Add, ex.Cos,
+                                            ex.Pow]
+    built = []
+    mul = ex.mul
+    monkeypatch.setattr(ex, "mul", lambda *f: built.append(f) or mul(*f))
+    sums = _separate(e)
+    # two products per product node for its one-kind groups (the mixed
+    # sum's two, e's one) and two per pair that the mixed sum multiplies in
+    assert len(built) == 3 * 2 + 2 * 2
+    monkeypatch.undo()
+    c = ex.mul(ex.sin(x1), ex.cos(x2))
+    assert sums == {ex.mul(xi1, inv_norm, xi2): ex.mul(c, ex.cos(x2)),
+                    ex.mul(xi1, inv_norm, xi1): ex.mul(c, ex.sin(x1))}
+    P = _sym(e, 1.0, 2)
+    _assert_direct(P, GridFunction.single_mode(2, 16, [2, -3]))
+    _assert_direct(P, GridFunction.random_band_limited(
+        2, 16, 3, np.random.default_rng(28)))
+
+
+def _shared_subtree():
+    """A mixed sum holding a product of two mixed sums, and two terms
+    that multiply it by an xi factor and by an x factor."""
+    x1, x2, xi1, xi2 = ex.x(1), ex.x(2), ex.xi(1), ex.xi(2)
+    shared = ex.add(
+        ex.mul(ex.add(ex.mul(ex.cos(x1), xi1), ex.mul(ex.sin(x2), xi2)),
+               ex.add(xi1, ex.mul(ex.cos(x2), xi2))),
+        ex.mul(ex.sin(x1), xi2))
+    return shared, [ex.mul(shared, xi1), ex.mul(shared, ex.cos(x2))]
+
+
+def test_terms_sharing_a_subtree_split_it_once_with_one_table(monkeypatch):
+    shared, terms = _shared_subtree()
+    alone = [_separate(e) for e in terms]
+    built = []
+    mul = ex.mul
+    monkeypatch.setattr(ex, "mul", lambda *f: built.append(f) or mul(*f))
+
+    def counted(split):
+        built.clear()
+        return split(), len(built)
+
+    shape, parts = {}, {}
+    got, shared_count = counted(
+        lambda: [_separate(e, shape, parts) for e in terms])
+    assert got == alone
+    _, each_count = counted(lambda: [_separate(e) for e in terms])
+    _, subtree_count = counted(lambda: _separate(shared))
+    assert subtree_count > 0
+    assert shared_count == each_count - subtree_count
+
+
+def test_term_that_does_not_factor_builds_no_pairs_with_shared_tables(
+        monkeypatch):
+    # the cosine series are counted and split for the first term; the
+    # second multiplies them by a factor that mixes x and xi
+    series = ex.mul(_cosine_series(1, 8), _cosine_series(2, 8))
+    shape, parts = {}, {}
+    assert len(_separate(ex.mul(series, ex.xi(2)), shape, parts)) == 1
+    e = ex.mul(series, ex.sqrt(ex.x(1) * ex.x(1) + ex.xi(1) * ex.xi(1)))
+    built = []
+    mul = ex.mul
+    monkeypatch.setattr(ex, "mul", lambda *f: built.append(f) or mul(*f))
+    assert _separate(e, shape, parts) is None
+    assert not built
+
+
+def test_separable_terms_of_one_k_zero_mask_share_their_programs(
+        monkeypatch):
+    # degrees 2 and 1 drop k = 0, degree 0 reads it: one xi program and
+    # one x program per mask, not per term
+    x1, x2, xi1, xi2 = ex.x(1), ex.x(2), ex.xi(1), ex.xi(2)
+    P = sy.ClassicalSymbol.from_terms([
+        sy.HomogeneousTerm(ex.mul(ex.ONE + ex.mul(ex.Const(0.5),
+                                                  ex.sin(x1)),
+                                  ex.xi_norm_sq(2)), 2.0, 2),
+        sy.HomogeneousTerm(ex.mul(ex.cos(x2), xi1), 1.0, 2),
+        sy.HomogeneousTerm(ex.add(ex.mul(ex.cos(x2), xi2, ex.pow_(
+            ex.xi_norm_sq(2), -0.5)), ex.sin(x1)), 0.0, 2)], 4)
+    u = GridFunction.random_band_limited(2, 16, 4, np.random.default_rng(29))
+    want = _direct_sum(P, u)
+    programs = []
+    program = ex.Program
+    monkeypatch.setattr(ex, "Program",
+                        lambda *a: programs.append(a) or program(*a))
+    got = op_apply(P, u).values
+    assert len(programs) == 4
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_sobolev_norm_single_mode():
     u = GridFunction.single_mode(2, 32, [3, 4])
     assert sobolev_norm(u, 1.0) == pytest.approx(np.sqrt(26.0))
@@ -320,6 +418,25 @@ def test_sobolev_norm_parseval():
     rng = np.random.default_rng(9)
     u = GridFunction.random_band_limited(1, 64, 10, rng)
     assert sobolev_norm(u, 0.0) == pytest.approx(u.l2_norm(), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+def test_sobolev_norm_rejects_an_order_that_is_not_finite(s):
+    # nan gave nan and inf gave inf
+    u = GridFunction.random_band_limited(2, 8, 3)
+    with pytest.raises(ValidationError, match="must be finite"):
+        sobolev_norm(u, s)
+
+
+def test_sobolev_norm_that_overflows_raises_without_a_warning():
+    # 33^400 overflows float64 at the corner modes of an 8-point grid; a
+    # constant grid's other coefficients are exact zeros, which add nothing
+    u = GridFunction.random_band_limited(2, 8, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="overflows"):
+            sobolev_norm(u, 400.0)
+        assert sobolev_norm(GridFunction(2, 8, np.ones(64)), 400.0) == 1.0
 
 
 def test_spectrum_round_trip():
@@ -551,6 +668,20 @@ def test_oscint_rejects_an_amplitude_that_is_not_a_symbol(method):
     for a in (ex.exp(t), ex.exp(ex.neg(t)), ex.exp(t * t)):
         with pytest.raises(ValidationError, match="is not a symbol"):
             oscint_eval(a, psi, method)
+
+
+@pytest.mark.parametrize("method", ["both", "parts"])
+@pytest.mark.parametrize("m", [7, 8])
+def test_parts_rejects_an_order_its_excision_cannot_absorb(monkeypatch,
+                                                          method, m):
+    # parts integrates floor(m) + 2 times against theta^8 / (1 + theta^8),
+    # so from m = 7 on its integrand is not integrable at theta = 0: xi1^8
+    # gave 168 807 for 2 pi 26 880 = 168 892 after minutes; it raises
+    # before the epsilon-cutoff or the expansion runs
+    monkeypatch.setattr(quantize, "_outward_theta_quad", None)
+    psi = ex.exp(ex.neg(ex.mul(ex.Const(2.0), ex.x(1), ex.x(1))))
+    with pytest.raises(ValidationError, match=f"by parts {m + 2} times"):
+        oscint_eval(ex.pow_(ex.xi(1), m), psi, method)
 
 
 @pytest.mark.parametrize("method", ["both", "epsilon-cutoff", "parts"])
