@@ -19,7 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BottomDegree, GridMismatch, TopDegree, ValidationError
-from .quantize import lattice, read_csv_header, wavenumbers
+from .quantize import (band_limited_samples, lattice, read_csv_header,
+                       wavenumbers)
 
 
 def basis_indices(n: int, j: int):
@@ -96,17 +97,8 @@ class FormField:
     def random_band_limited(cls, n: int, j: int, M: int, band: int = 4,
                             rng=None) -> "FormField":
         rng = rng or np.random.default_rng(0)
-        kg = wavenumbers(n, M)
-        mask = np.ones_like(kg[0], dtype=bool)
-        for K in kg:
-            mask &= np.abs(K) <= band
-        coeffs = {}
-        for alpha in basis_indices(n, j):
-            spec = np.zeros((M,) * n, dtype=complex)
-            cnt = int(mask.sum())
-            spec[mask] = rng.standard_normal(cnt) + 1j * rng.standard_normal(cnt)
-            coeffs[alpha] = np.fft.ifftn(spec) * M ** n
-        return cls(n, j, M, coeffs)
+        return cls(n, j, M, {alpha: band_limited_samples(n, M, band, rng)
+                             for alpha in basis_indices(n, j)})
 
     def map_coefficients(self, f) -> "FormField":
         return FormField(self.dimension, self.degree, self.M,

@@ -2,22 +2,21 @@
 
 Quantization is the finite Fourier sum (Pu)(x) = sum_k e^{ikx} p(x,k) u^(k)
 over the modes of u above the fft noise floor.  The xi-singularity of a
-homogeneous term meets the integer lattice only at k = 0, so excision
-reduces to one k = 0 policy: degree-0 terms contribute their value along
-the e1 ray, terms of nonzero degree contribute 0.  In `op_apply` the
+homogeneous term meets the integer lattice only at k = 0, so excision is
+one rule there: degree-0 terms are read at xi = e1, all other terms drop
+k = 0.  `op_apply` applies it first, with one program of the degree-0
+terms, and then runs its two routes on the nonzero modes alone.  The
 terms that factor into at most _PAIR_CAP products c(x) h(xi) each are
 applied as sum_h c F^-1[h u^], each h once with the sum c of its x
-factors over all the terms that read the same modes.  One pass factors
-the symbol: each subtree is counted and split once for all its terms,
-and a product's xi-only and x-only children are one factor each, so
-only its mixed children are multiplied out.  Per separable task of the
-benchmark's quantize workload (a composed pair of differential symbols
-at M = 32) that is 306 products and 169 sums built, 6 programs and 3
-inverse FFTs, where a split per term and per child made 740, 456, 10
-and 5.  The other terms are summed on each mode before the Fourier sum,
-since quantization is linear in the symbol: one program holds all of
-them, one e^{ikx} sum runs per group of nonzero modes, and the k = 0
-column reads only the degree-0 ones, at xi = e1.
+factors over all those terms.  One pass factors the symbol: each subtree
+is counted and split once for all its terms, and a product's xi-only and
+x-only children are one factor each, so only its mixed children are
+multiplied out.  Per separable task of the benchmark's quantize workload
+(a composed pair of differential symbols at M = 32) that is 306 products
+and 169 sums built, 5 programs and 2 inverse FFTs.  The other terms are
+summed on each mode before the Fourier sum, since quantization is linear
+in the symbol: one program holds all of them, and one e^{ikx} sum runs
+per group of modes.
 
 Also here: Sobolev norms and the H^s/H^-s duality pairing, the two
 regularized definitions of an oscillatory integral (mutual oracles), and
@@ -66,6 +65,18 @@ def wavenumbers(n: int, M: int):
     return np.meshgrid(*([ks] * n), indexing="ij")
 
 
+def band_limited_samples(n: int, M: int, band: int, rng) -> np.ndarray:
+    """Lattice samples of sum_k c_k e^{ikx} over the modes with every
+    |k_j| <= band, each c_k drawn from rng as a standard normal real part,
+    then all the imaginary parts."""
+    mask = np.logical_and.reduce([np.abs(K) <= band
+                                  for K in wavenumbers(n, M)])
+    cnt = int(mask.sum())
+    coef = np.zeros((M,) * n, dtype=complex)
+    coef[mask] = rng.standard_normal(cnt) + 1j * rng.standard_normal(cnt)
+    return np.fft.ifftn(coef) * M ** n
+
+
 @dataclass
 class GridFunction:
     """Complex samples on the periodic lattice (2pi/M)^n, n in {1, 2}:
@@ -107,15 +118,8 @@ class GridFunction:
     @classmethod
     def random_band_limited(cls, n: int, M: int, band: int,
                             rng=None) -> "GridFunction":
-        rng = rng or np.random.default_rng(0)
-        kg = wavenumbers(n, M)
-        mask = np.ones_like(kg[0], dtype=bool)
-        for K in kg:
-            mask &= np.abs(K) <= band
-        coef = np.zeros((M,) * n, dtype=complex)
-        coef[mask] = rng.standard_normal(int(mask.sum())) \
-            + 1j * rng.standard_normal(int(mask.sum()))
-        return cls(n, M, np.fft.ifftn(coef) * M ** n)
+        return cls(n, M, band_limited_samples(n, M, band,
+                                              rng or np.random.default_rng(0)))
 
     def spectrum(self) -> "GridSpectrum":
         coef = np.fft.fftn(self.values) / self.M ** self.dimension
@@ -273,20 +277,19 @@ def _pair_count(node, parts):
 
 def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     """Apply the quantization of P to u: sum_k e^{ikx} p(x, k) u^(k) over
-    the modes k of u above the noise floor, under the k = 0 policy.  The
-    terms that `_separate` factors into {h(xi): c(x)}, with one table of
-    counts and splits for the call, are merged into one {h: c} for the
-    degree-0 terms and one for the others, and each is applied as
+    the modes k of u above the noise floor.  The k = 0 rule is applied
+    first: one program of the degree-0 terms is read there at xi = e1,
+    and every other term drops it.  On the nonzero modes, the terms that
+    `_separate` factors into {h(xi): c(x)}, with one table of counts and
+    splits for the call, are merged into one {h: c} applied as
     sum_h c(x) F^-1[h u^]: one FFT per distinct h, a chunk of h at a time,
     each chunk one program of its h, one of its c and one batched FFT.
     The other terms, the dense ones, are summed on each mode before the
     Fourier sum: their expressions are the roots of one program, evaluated
-    on the lattice x a group of nonzero modes (at most _SAMPLE_BUDGET
-    samples, one mode at least), added in term order and summed as one
-    matrix product per group.  The k = 0 column is the sum of the dense
-    degree-0 terms at xi = e1, from a program of those terms alone, so
-    that no other term is read there.  Exact for Fourier multipliers and
-    for differential symbols on sufficiently band-limited input."""
+    on the lattice x a group of modes (at most _SAMPLE_BUDGET samples, one
+    mode at least), added in term order and summed as one matrix product
+    per group.  Exact for Fourier multipliers and for differential
+    symbols on sufficiently band-limited input."""
     n, M = u.dimension, u.M
     if P.dimension != n:
         raise GridMismatch("symbol/grid dimension mismatch")
@@ -294,46 +297,38 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     active = (np.abs(uhat) > _MODE_EPS * np.abs(uhat).max()).ravel()
     x = np.vstack([m.ravel() for m in lattice(n, M)])
     k = np.vstack([K.ravel() for K in wavenumbers(n, M)]).astype(float)
-    # the k = 0 policy: degree-0 terms read k = 0 at xi = e1, others drop
-    # it; in fft order k = 0 is the first mode
-    zero = ~k.any(axis=0)
-    kread = k.copy()
-    kread[0, zero] = 1.0
-    group = max(1, _SAMPLE_BUDGET // M ** n)    # modes or xi factors
     out = np.zeros(M ** n, dtype=complex)
-    dense = []
+    # the k = 0 rule, on the first mode in fft order: the degree-0 terms
+    # are read there at xi = e1, every other term drops it
+    deg0 = [t.expr for t in P.terms if abs(t.degree) <= _DEGREE_ZERO_TOL]
+    if deg0 and active[0]:
+        p = ex.Program(deg0)(x, np.eye(n)[0])
+        out += uhat.flat[0] / M ** n * sum(p[1:], p[0])
+    active[0] = False
+    cols = np.flatnonzero(active)
+    group = max(1, _SAMPLE_BUDGET // M ** n)    # modes or xi factors
+    dense, pairs = [], []
     shape, parts = {}, {}           # one split of each subtree per call
-    pairs = {False: [], True: []}   # (h, c) of the terms, by degree 0
     for term in P.terms:
-        deg0 = abs(term.degree) <= _DEGREE_ZERO_TOL
-        if not (active & (~zero | deg0)).any():
-            continue
         sums = _separate(term.expr, shape, parts)
         if sums is None:
-            dense.append(term)
+            dense.append(term.expr)
         else:
-            pairs[deg0].extend(sums.items())
-    for deg0, ps in pairs.items():
-        modes = active & (~zero | deg0)
-        items = list(_merge(ps).items())
-        for g in range(0, len(items), group):
-            h, c = zip(*items[g:g + group])
-            w = np.zeros((len(h), M ** n), dtype=complex)
-            w[:, modes] = ex.Program(h)(np.zeros((n, 1)), kread[:, modes])
-            spectral = np.fft.ifftn(w.reshape((-1,) + uhat.shape) * uhat,
-                                    axes=tuple(range(1, n + 1)))
-            out += np.einsum("gi,gi->i", ex.Program(c)(x, np.zeros((n, 1))),
-                             spectral.reshape(len(h), -1))
-    flat = [t.expr for t in dense if abs(t.degree) <= _DEGREE_ZERO_TOL]
-    if flat and active[0]:
-        p = ex.Program(flat)(x, kread[:, 0])
-        out += uhat.flat[0] / M ** n * sum(p[1:], p[0])
-    cols = np.flatnonzero(active & ~zero)
-    if dense and cols.size:
+            pairs.extend(sums.items())
+    items = list(_merge(pairs).items())
+    for g in range(0, len(items), group):
+        h, c = zip(*items[g:g + group])
+        w = np.zeros((len(h), M ** n), dtype=complex)
+        w[:, cols] = ex.Program(h)(np.zeros((n, 1)), k[:, cols])
+        spectral = np.fft.ifftn(w.reshape((-1,) + uhat.shape) * uhat,
+                                axes=tuple(range(1, n + 1)))
+        out += np.einsum("gi,gi->i", ex.Program(c)(x, np.zeros((n, 1))),
+                         spectral.reshape(len(h), -1))
+    if dense:
         # one program of the dense terms on a group of modes at a time: its
         # x-only nodes run on the lattice, xi-only ones on the modes, mixed
         # ones on their product, by broadcasting
-        prog = ex.Program([t.expr for t in dense])
+        prog = ex.Program(dense)
         for g in range(0, cols.size, group):
             js = cols[g:g + group]
             p = prog(x[:, None], k[:, js, None])

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -151,15 +152,44 @@ def test_degree_zero_term_reads_k_zero_at_e1_on_both_paths():
 
 @pytest.mark.parametrize("k", [[1, 1], [2, -3]])
 def test_dense_terms_of_nonzero_degree_are_never_read_at_k_zero(k):
-    # xi1^2 / (xi2 den) divides by zero at xi = e1: only the degree-0 dense
-    # term is read on the k = 0 column, both are read on the other mode
+    # xi1^2 / (xi2 den) divides by zero at xi = e1 and the separable
+    # cos(x1) |xi|^-2 at xi = 0: only the degree-0 dense term is read on the
+    # k = 0 column, all three are read on the other mode
     flat = _MIXED.terms[1]
     odd = ex.div(ex.mul(ex.xi(1), ex.xi(1)), ex.mul(ex.xi(2), _MIXED_DEN))
+    sep = ex.mul(ex.cos(ex.x(1)), ex.pow_(ex.xi_norm_sq(2), -1.0))
     P = sy.ClassicalSymbol.from_terms(
-        [flat, sy.HomogeneousTerm(odd, -1.0, 2)], 4)
-    assert all(_separate(t.expr) is None for t in P.terms)
+        [flat, sy.HomogeneousTerm(odd, -1.0, 2),
+         sy.HomogeneousTerm(sep, -2.0, 2)], 4)
+    assert [_separate(t.expr) is None for t in P.terms] == [True, True, False]
     u = GridFunction(2, 16, GridFunction.single_mode(2, 16, [0, 0]).values
                      + GridFunction.single_mode(2, 16, k).values)
+    want = _direct_sum(P, u, floor=1e-12)
+    got = op_apply(P, u).values
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# the four routes of a term: factored or dense, read at k = 0 or not; two
+# terms of degree 0 merge into one, which does not factor
+_ROUTES = {
+    "sep0": sy.HomogeneousTerm(ex.mul(ex.cos(ex.x(2)), ex.xi(1), ex.pow_(
+        ex.xi_norm_sq(2), -0.5)), 0.0, 2),
+    "dense0": _MIXED.terms[1],
+    "sep2": sy.HomogeneousTerm(_SEPARABLE, 2.0, 2),
+    "dense-1": sy.HomogeneousTerm(ex.div(ex.xi(1), _MIXED_DEN), -1.0, 2),
+}
+
+
+@pytest.mark.parametrize("k_zero", [True, False], ids=["k0", "no_k0"])
+@pytest.mark.parametrize("routes", [
+    mix for r in range(1, len(_ROUTES) + 1)
+    for mix in itertools.combinations(_ROUTES, r)], ids="+".join)
+def test_k_zero_rule_on_every_route_mix(routes, k_zero):
+    P = sy.ClassicalSymbol.from_terms([_ROUTES[r] for r in routes], 4)
+    v = GridFunction.random_band_limited(2, 8, 3, np.random.default_rng(30))
+    u = v if k_zero else GridFunction(2, 8, v.values - v.values.mean())
+    uhat = np.abs(np.fft.fftn(u.values))
+    assert (uhat[0, 0] > 1e-12 * uhat.max()) == k_zero
     want = _direct_sum(P, u, floor=1e-12)
     got = op_apply(P, u).values
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -384,10 +414,11 @@ def test_term_that_does_not_factor_builds_no_pairs_with_shared_tables(
     assert not built
 
 
-def test_separable_terms_of_one_k_zero_mask_share_their_programs(
+def test_separable_terms_share_one_xi_one_x_and_one_k_zero_program(
         monkeypatch):
     # degrees 2 and 1 drop k = 0, degree 0 reads it: one xi program and
-    # one x program per mask, not per term
+    # one x program for the three terms on the nonzero modes, and one
+    # program of the degree-0 term at xi = e1 on k = 0
     x1, x2, xi1, xi2 = ex.x(1), ex.x(2), ex.xi(1), ex.xi(2)
     P = sy.ClassicalSymbol.from_terms([
         sy.HomogeneousTerm(ex.mul(ex.ONE + ex.mul(ex.Const(0.5),
@@ -403,7 +434,7 @@ def test_separable_terms_of_one_k_zero_mask_share_their_programs(
     monkeypatch.setattr(ex, "Program",
                         lambda *a: programs.append(a) or program(*a))
     got = op_apply(P, u).values
-    assert len(programs) == 4
+    assert len(programs) == 3
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
