@@ -32,7 +32,17 @@ reciprocal last, as numpy's complex power rounds, and exp casts a real
 argument to complex.  The steps are out-of-place numpy operations, so x
 and xi broadcast: x of shape (n, 1, P) and xi of shape (n, C, 1)
 evaluate on the C x P product grid with x-only nodes computed on P
-samples and xi-only ones on C.  The entry points are
+samples and xi-only ones on C.  When x and xi hold one sample each (a
+flow's field, `evaluate`), the same steps run on Python floats and
+complex numbers, at a fraction of numpy's per-call cost on one-sample
+arrays, and give the array loop's values bit for bit: where a Python
+op rounds apart from numpy's loop -- a product of two complex numbers
+(numpy's complex multiply, fused on SIMD targets), a power other than
+sqrt or a real integer power (numpy's SIMD pow, its complex power) and
+the modulus of a complex base (numpy's hypot) -- the point calls the
+numpy ufunc on its scalars, and where a root is not finite or Python's
+math raises, the point is computed again on arrays.  The domain checks
+are one code for both loops.  The entry points are
 `Program(roots)(x, xi)` for several trees or repeated batches,
 `e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
 `evaluate(e, point)` for one phase-space point.  A program given a table
@@ -500,39 +510,56 @@ _RENDER = {
 #
 # One op per node kind that `Program` does not settle itself, op(node, a, b):
 # the node's value from its children's values a, b (a one-child node gets
-# its child twice, a variable gets x or xi, as its kind says).  Every op is
-# elementwise and out of place, so values of different sample shapes
-# broadcast and no array is ever written after its step.
+# its child twice, a variable gets x or xi, as its kind says).  Every op
+# takes arrays of samples or one point's Python scalars, and gives a point
+# the value numpy gives it in a batch.  On arrays every op is elementwise
+# and out of place, so values of different sample shapes broadcast and no
+# array is ever written after its step.
 
 def _var(node, v, _):
-    return v[node.j - 1].astype(float)
+    v = v[node.j - 1]
+    return v.astype(float) if isinstance(v, np.ndarray) else float(v)
 
 
 def _power(node, b, _):
-    """b ** expo; a non-integer exponent needs a real, non-negative base.
-    A real base takes an integer exponent 0 < |expo| < 100 as numpy's
-    complex power does: squares and products, the reciprocal last."""
-    p = node.expo
-    if p.is_integer():
-        m = np.abs(b) if p < 0 else None
+    """b ** expo; a non-integer exponent needs a real, non-negative base,
+    a negative one a base of modulus at least _DIV_EPS, both judged per
+    sample.  A real base takes an integer exponent 0 < |expo| < 100 as
+    numpy's complex power does: squares and products, the reciprocal
+    last.  A point's base is a Python scalar and gets the same verdict and
+    value as an array's sample: its complex modulus and any power but
+    sqrt are numpy's, whose hypot and SIMD pow round apart from Python's
+    abs and libm's pow."""
+    p, whole = node.expo, node.expo.is_integer()
+    if isinstance(b, np.ndarray):
+        arrays, real = True, b.dtype.kind == "f"
+        hits, maximum = np.count_nonzero, np.maximum
     else:
+        # max(m, 1.0) keeps a NaN m, as np.maximum does
+        arrays, real, hits, maximum = False, type(b) is float, bool, max
+    if p < 0 or not whole:
+        m = np.abs(b) if arrays else abs(b) if real else float(np.abs(b))
+    if not whole:
         # per sample, so the verdict on a point does not depend on its batch
-        scale = np.maximum(1.0, np.abs(b))
-        if b.dtype.kind == "c" and np.count_nonzero(
-                np.abs(b.imag) > 1e-9 * scale):
+        scale = maximum(m, 1.0)
+        if not real and hits(abs(b.imag) > 1e-9 * scale):
             raise DomainError(
                 f"fractional power of non-real base {node.base.render()}")
-        if np.count_nonzero(b.real < -1e-12 * scale):
+        if hits(b.real < -1e-12 * scale):
             raise DomainError(
                 f"fractional power of negative base {node.base.render()}")
-        b = m = np.maximum(b.real, 0.0)     # real and >= 0: its own modulus
-    if p < 0 and np.count_nonzero(m < _DIV_EPS):
+        b = m = maximum(b.real, 0.0)    # real and >= 0: its own modulus
+    if p < 0 and hits(m < _DIV_EPS):
         raise DomainError(
             f"negative power of vanishing base {node.base.render()}")
-    if not p.is_integer():
-        return b ** p
-    if b.dtype.kind == "c" or not 0 < abs(p) < 100:
-        return b.astype(complex, copy=False) ** int(p)
+    if not whole:
+        # numpy's b ** 0.5 is sqrt, correctly rounded as math.sqrt is
+        return b ** p if arrays else math.sqrt(b) if p == 0.5 \
+            else float(np.power(b, p))
+    if not real or not 0 < abs(p) < 100:
+        # numpy's complex power (square and reciprocal for 2 and -1)
+        v = np.asarray(b, dtype=complex) ** int(p)
+        return v if arrays else complex(v)
     n, out = abs(int(p)), 1.0
     while n:
         if n & 1:
@@ -543,10 +570,23 @@ def _power(node, b, _):
     return 1 / out if p < 0 else out
 
 
+# a point's sin, cos and exp: numpy's float64 sin and cos and its complex
+# ones round as libm's do, its float64 exp does not, so a real argument of
+# exp is taken as complex, on arrays too
+_POINT_FUNCTIONS = {("sin", float): math.sin, ("cos", float): math.cos,
+                    ("exp", float): cmath.exp, ("sin", complex): cmath.sin,
+                    ("cos", complex): cmath.cos, ("exp", complex): cmath.exp}
+
+
 def _function(node, v, _):
+    if not isinstance(v, np.ndarray):
+        return _POINT_FUNCTIONS[node.name, type(v)](v)
     if node.name == "exp" and v.dtype.kind == "f":
         v = v.astype(complex)   # real exp rounds apart from complex exp
     return getattr(np, node.name)(v)          # np.sin, np.cos, np.exp
+
+
+_seeded = object()      # marks a step that reads its node from the table
 
 
 # `Program` computes sums and products in its call loop: these mark them
@@ -568,11 +608,25 @@ class Program:
 
     Each node, one object per structure, is one slot of a list, filled
     once per call however many parents or roots share it.  Compilation
-    settles what does not depend on the samples: each constant's array is
-    built once, in the slot list that a call starts from a copy of; each
-    step knows the slots it reads and those that die after it; the call
-    loop computes sums and products inline, as binary steps that fold left
-    and out of place, so a point's value does not depend on its batch.
+    settles what does not depend on the samples: each constant's array
+    and Python scalar are built once, in the slot lists that a call starts
+    from a copy of; each step knows the slots it reads and those that die
+    after it; the call loop computes sums and products inline, as binary
+    steps that fold left and out of place, so a point's value does not
+    depend on its batch.
+
+    When x and xi hold one sample each, as a flow's field or `evaluate`
+    does, the same steps run on Python floats and complex numbers, where
+    an op costs a tenth of numpy's call on a one-sample array.  The values
+    are the array loop's bit for bit: Python's float sums and products,
+    sums and real-by-complex products, sqrt and libm's sin, cos and
+    complex exp round as numpy's loops do; a product of two complex
+    numbers (numpy's complex multiply, fused on SIMD targets), a power
+    other than sqrt or a real integer power (numpy's SIMD pow and complex
+    power) and a complex modulus (numpy's hypot) are numpy's ufuncs called
+    on the scalars.  Where a root is not finite, or Python's math raises
+    where numpy returns inf or NaN, the point is computed again on arrays,
+    so values and warnings there are numpy's too.
 
     `values` is a table {id(node): (node, array)} of values on the samples
     of every call; each entry keeps its node, and so its id, alive.  A node
@@ -585,9 +639,6 @@ class Program:
         init = [None, None]     # the slots at the start of a call
         steps = []              # (op, node, its slot, argument slots a, b)
 
-        def seeded(node, a, b):
-            return table[id(node)][1]
-
         def emit(op, node, a=0, b=0):
             init.append(None)
             steps.append((op, node, len(init) - 1, a, b))
@@ -597,7 +648,7 @@ class Program:
             k = slot.get(id(node))
             if k is None:
                 if id(node) in table:
-                    k = emit(seeded, node)
+                    k = emit(_seeded, node)
                 elif type(node) is Const:
                     v = node.value      # a real one in float64
                     init.append(np.full(1, v.real if v.imag == 0 else v))
@@ -621,7 +672,7 @@ class Program:
         visit = None            # drop its self-reference: no garbage cycle
         self._table = values
         self._record = [] if values is None else [
-            (node, k) for op, node, k, a, b in steps if op is not seeded]
+            (node, k) for op, node, k, a, b in steps if op is not _seeded]
         # each step's dead slots: those it reads last, bar x, xi, the
         # constants, the roots and the recorded nodes
         live = {0, 1, *roots, *(k for _, k in self._record),
@@ -631,6 +682,7 @@ class Program:
             live |= dies
             steps[i] += (tuple(dies),)
         self._steps, self._init = steps, init
+        self._point_init = [v if v is None else v.item() for v in init]
         # a constant, a table entry or a repeated root is returned as a copy
         made = {s[2] for s in steps} if values is None else ()
         self._roots = [(k, k in made and k not in roots[:i])
@@ -641,6 +693,10 @@ class Program:
             x = x[:, None]
         if xi.ndim == 1:
             xi = xi[:, None]
+        if 0 < len(x) == x.size and 0 < len(xi) == xi.size:
+            out = self._at_point(x, xi)
+            if out is not None:
+                return out
         vals = self._init.copy()
         vals[0], vals[1] = x, xi
         add, mul = operator.add, operator.mul
@@ -649,6 +705,8 @@ class Program:
                 vals[k] = vals[a] * vals[b]
             elif op is add:
                 vals[k] = vals[a] + vals[b]
+            elif op is _seeded:
+                vals[k] = self._table[id(node)][1]
             else:
                 vals[k] = op(node, vals[a], vals[b])
             for d in dead:
@@ -669,6 +727,38 @@ class Program:
                 v = v.copy()
             out.append(v)
         return out
+
+    def _at_point(self, x, xi):
+        """The steps on the one sample of x and xi in Python scalars, or
+        None where the array loop must compute it (see the class
+        docstring)."""
+        vals = self._point_init.copy()
+        vals[0], vals[1] = x.ravel().tolist(), xi.ravel().tolist()
+        add, mul, table = operator.add, operator.mul, self._table
+        try:
+            for op, node, k, a, b, _ in self._steps:
+                u, v = vals[a], vals[b]
+                if op is mul:
+                    vals[k] = complex(np.multiply(u, v)) \
+                        if type(u) is complex is type(v) else u * v
+                elif op is add:
+                    vals[k] = u + v
+                elif op is _seeded:
+                    vals[k] = table[id(node)][1].item()
+                else:
+                    vals[k] = op(node, u, v)
+            roots = [vals[k] for k, _ in self._roots]
+            if not cmath.isfinite(sum(roots)):
+                return None
+        except (ArithmeticError, ValueError):
+            return None
+        # an array of the broadcast shape (1, ..., 1) per value
+        shape = (1,) * (max(x.ndim, xi.ndim) - 1)
+        for node, k in self._record:
+            table[id(node)] = (node, np.full(shape, vals[k]))
+        if shape == (1,):
+            return [np.array([v]) for v in roots]
+        return [np.full(shape, v) for v in roots]
 
 
 ev_cached = Expr.ev         # ev_cached(e, x, xi) is e.ev(x, xi)

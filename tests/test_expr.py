@@ -424,6 +424,73 @@ def test_a_point_has_the_same_value_alone_and_in_a_batch(dag, samples):
             np.testing.assert_array_equal(b[i:i + 1], v)
 
 
+def _at_points(prog, *points):
+    """prog on the phase-space points (x1, x2, xi1, xi2) as one batch."""
+    z = np.array(points, dtype=float).T
+    return prog(z[:2], z[2:])
+
+
+_Z = ex.x(1) + ex.I * ex.x(2)       # complex where x2 != 0
+
+
+@pytest.mark.parametrize("e, bad, good, message", [
+    (ex.sqrt(_Z), (1.0, 0.5, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0),
+     "fractional power of non-real base"),
+    (ex.sqrt(ex.x(1)), (-1.0, 0.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0),
+     "fractional power of negative base"),
+    (ex.pow_(ex.x(1), -0.5), (0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0),
+     "negative power of vanishing base"),
+    (ex.pow_(ex.x(1), -1), (1e-15, 0.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0),
+     "negative power of vanishing base"),
+    (ex.pow_(_Z, -2), (0.0, 1e-15, 1.0, 1.0), (0.0, 1.0, 1.0, 1.0),
+     "negative power of vanishing base"),
+])
+def test_a_domain_error_is_the_same_on_a_point_and_in_a_batch(
+        e, bad, good, message):
+    prog = ex.Program([e])
+    errors = []
+    for points in ((bad,), (good, bad)):
+        with pytest.raises(DomainError) as err:
+            _at_points(prog, *points)
+        errors.append((err.type, str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == f"{message} {e.base.render()}"
+    _at_points(prog, good)
+
+
+def test_a_complex_modulus_at_the_threshold_gets_one_verdict():
+    # |z| here is 1e-14 by Python's abs, 9.999999999999998e-15 by numpy's
+    # (x86-64, numpy 2.4): a point must not escape the check its batch fails
+    point = (6.0956934985716344e-15, 7.927327467152565e-15, 1.0, 1.0)
+    prog = ex.Program([ex.pow_(_Z, -1)])
+    alone = _outcome(lambda: _at_points(prog, point))
+    batch = _outcome(lambda: _at_points(prog, point, (0.0, 1.0, 1.0, 1.0)))
+    if batch is DomainError:
+        assert alone is DomainError
+    else:
+        assert alone[0].tobytes() == batch[0][:1].tobytes()
+
+
+# at each of these points but z^-1's, on an AVX-512 host with numpy 2.4,
+# Python's own op rounds apart from numpy's loop: libm's pow for x1^-0.5,
+# the unfused complex product, the complex square under the reciprocal of
+# z^-2, and float64 exp (exp of a real argument is complex exp, on arrays
+# too); z^-1 is numpy's reciprocal
+@pytest.mark.parametrize("e, point", [
+    (ex.pow_(ex.x(1), -0.5), (2.1, 0.0, 1.0, 1.0)),
+    (_Z * (ex.xi(1) + ex.I * ex.xi(2)), (0.76, 0.13, 0.97, 1.59)),
+    (ex.pow_(_Z, -1), (0.76, 0.13, 1.0, 1.0)),
+    (ex.pow_(_Z, -2), (-0.17, -1.87, 1.0, 1.0)),
+    (ex.exp(ex.x(1)), (-0.01, 0.0, 1.0, 1.0)),
+])
+def test_a_point_alone_has_its_value_in_a_batch_bit_for_bit(e, point):
+    prog = ex.Program([e])
+    alone, = _at_points(prog, point)
+    batch, = _at_points(prog, point, (0.5, 0.25, -1.0, 2.0))
+    assert alone.shape == (1,) and alone.dtype == batch.dtype
+    assert alone.tobytes() == batch[:1].tobytes()
+
+
 def _reference_diff(e, kind, j, memo=None):
     """The per-class derivative recursion that the `_DIFF` table replaced,
     kept as the reference it must reproduce node for node; memoized by
@@ -576,6 +643,22 @@ def test_a_root_comes_back_in_the_dtype_it_was_computed_in():
     a[...] = 99.0
     np.testing.assert_array_equal(x, x0)
     np.testing.assert_array_equal(b, x0[0])
+    # and on one point, where the steps run on Python scalars: the same
+    # dtypes, in fresh arrays that share no memory with x or each other
+    prog = ex.Program([real, cplx, ex.exp(ex.x(1)), ex.x(1), ex.x(1),
+                       ex.Const(0.5 - 2j)])
+    for one in (x[:, :1], x[:, 0]):
+        got = prog(one, xi[:, :1])
+        assert [g.dtype for g in got] == [np.float64, np.complex128,
+                                          np.complex128, np.float64,
+                                          np.float64, np.complex128]
+        for i, g in enumerate(got):
+            assert g.shape == (1,) and g.flags.owndata and g.flags.writeable
+            assert not np.shares_memory(g, x)
+            np.testing.assert_array_equal(g, prog(x, xi)[i][:1])
+            g[...] = 99.0
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(prog(one, xi[:, :1])[3], x0[0, :1])
 
 
 @settings(max_examples=200, deadline=None)

@@ -36,6 +36,21 @@ def test_field_with_x_dependence():
         assert np.array_equal(cols[:, k], f(batch[:, k]))
 
 
+def test_field_at_one_point_is_its_column_of_a_batch_bit_for_bit():
+    # the oracles benchmark's speed symbol (1 + a sin(x1 + phi)) |xi|
+    speed = ex.ONE + ex.mul(ex.Const(0.35), ex.sin(ex.x(1) + 1.3))
+    f = hamiltonian_field(
+        sy.HomogeneousTerm(ex.mul(speed, ex.xi_norm(2)), 1.0, 2))
+    rng = np.random.default_rng(3)
+    batch = np.vstack([rng.uniform(-4, 4, (2, 400)),
+                       rng.uniform(-2, 2, (2, 400))])
+    cols = f(batch)
+    for k in range(batch.shape[1]):
+        one = f(batch[:, k])
+        assert one.shape == (4,) and one.dtype == np.float64
+        assert one.tobytes() == cols[:, k].tobytes()
+
+
 def test_field_rejects_complex_symbol():
     p = sy.HomogeneousTerm(ex.mul(ex.I, ex.xi(1)), 1.0, 1)
     with pytest.raises(NotReal):
