@@ -27,10 +27,9 @@ from .hodge import (FormField, betti, codifferential,
                     inner, laplacian)
 from .parser import (SymbolDocument, parse_expr, parse_symbol_document,
                      parse_symbol_text)
-from .quantize import (GridFunction, GridSpectrum, IndexReport,
-                       circle_index, duality_pair, op_apply, oscint_eval,
-                       sobolev_norm)
-from .symbols import (ClassicalSymbol, Diffeo, HomogeneousTerm, MultiIndex,
+from .quantize import (GridFunction, IndexReport, circle_index,
+                       duality_pair, op_apply, oscint_eval, sobolev_norm)
+from .symbols import (ClassicalSymbol, Diffeo, HomogeneousTerm,
                       check_homogeneity, conjugate, differentiate, is_zero,
                       make_lambda_s, multi_indices, zero_margin)
 

@@ -13,7 +13,6 @@ levels still need killing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from . import expr as ex
 from .errors import (DimensionMismatch, NonConvergent, NotElliptic,
                      NotPositive, ZeroCovector)
 from .symbols import (DEGREE_TOL, ClassicalSymbol, Diffeo, HomogeneousTerm,
-                      MultiIndex, conjugate, differentiate, is_zero,
+                      conjugate, differentiate, factorial, is_zero,
                       multi_indices, zero_margin)
 
 ELLIPTIC_THRESHOLD = 1e-8
@@ -55,7 +54,7 @@ def compose(P: ClassicalSymbol, Q: ClassicalSymbol,
             for alpha in multi_indices(n, lmax):
                 dp = differentiate(p, "xi", alpha)          # D convention
                 dq = differentiate(q, "x", alpha)           # plain partial
-                contrib = dp.mul(dq).scale(1.0 / alpha.factorial)
+                contrib = dp.mul(dq).scale(1.0 / factorial(alpha))
                 terms.append(contrib)
     return ClassicalSymbol(m_out, tuple(terms), n_out, n)
 
@@ -86,9 +85,9 @@ def convert_left_right(P: ClassicalSymbol, direction: str) -> ClassicalSymbol:
         for alpha in multi_indices(n, max(lmax, 0)):
             t = differentiate(p, "xi", alpha)
             t = differentiate(t, "x", alpha)
-            c = 1.0 / alpha.factorial
+            c = 1.0 / factorial(alpha)
             if direction == "left-to-right":
-                c *= (-1.0) ** alpha.order
+                c *= (-1.0) ** sum(alpha)
             terms.append(t.scale(c))
     return ClassicalSymbol(P.leading_order, tuple(terms),
                            P.truncation_order, n)
@@ -269,14 +268,12 @@ def _minor(mat, i, j):
 
 
 def _det(mat) -> ex.Expr:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    parts = []
-    for j in range(n):
-        sub = _det(_minor(mat, 0, j))
-        parts.append(ex.mul(ex.Const((-1.0) ** j), mat[0][j], sub))
-    return ex.add(*parts)
+    """Laplace expansion along the first row; the empty matrix's is ONE."""
+    if not mat:
+        return ex.ONE
+    return ex.add(*(ex.mul(ex.Const((-1.0) ** j), mat[0][j],
+                           _det(_minor(mat, 0, j)))
+                    for j in range(len(mat))))
 
 
 def pullback_principal(p: HomogeneousTerm, phi: Diffeo) -> HomogeneousTerm:
@@ -291,11 +288,7 @@ def pullback_principal(p: HomogeneousTerm, phi: Diffeo) -> HomogeneousTerm:
     for i in range(n):
         parts = []
         for j in range(n):
-            if n == 1:
-                cof = ex.ONE
-            else:
-                cof = ex.mul(ex.Const((-1.0) ** (i + j)),
-                             _det(_minor(jac, i, j)))
+            cof = ex.mul(ex.Const((-1.0) ** (i + j)), _det(_minor(jac, i, j)))
             parts.append(ex.mul(cof, ex.xi(j + 1)))
         new_xi.append(ex.div(ex.add(*parts), det))
     table = {("x", j + 1): phi.forward[j] for j in range(n)}

@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import calculus, hamilton, hodge, quantize
-from . import expr as ex
 from .errors import NumericalError, ValidationError
 from .parser import parse_expr, parse_symbol_text
 from .symbols import Diffeo
@@ -57,8 +56,36 @@ def _parse_map_file(path: str) -> Diffeo:
     return Diffeo(fwd, inv)
 
 
-def _add_common(sp):
-    sp.add_argument("--out", help="write the report/CSV here as well")
+def _ellipticity_report(P) -> str:
+    rep = calculus.is_elliptic(P)
+    argmin = ",".join(repr(float(v)) for pair in rep.argmin for v in pair)
+    return "\n".join([
+        f"verdict: {'elliptic' if rep.verdict else 'not elliptic'}",
+        f"min_modulus: {rep.min_modulus!r}",
+        f"argmin: {argmin}",
+        f"threshold: {rep.threshold!r}",
+    ])
+
+
+def _pullback_report(P, map_file: str) -> str:
+    phi = _parse_map_file(map_file)
+    term = calculus.pullback_principal(calculus.principal(P), phi)
+    return f"degree {term.degree:g}: {term.expr.render()}"
+
+
+# the commands on symbol files: name -> (how many files, the report of
+# the parsed symbols and the command's arguments)
+_SYMBOLIC = {
+    "compose": (2, lambda a, P, Q: calculus.compose(P, Q).render()),
+    "commutator": (2, lambda a, P, Q: calculus.commutator(P, Q).render()),
+    "adjoint": (1, lambda a, P: calculus.adjoint(P).render()),
+    "ellipticity": (1, lambda a, P: _ellipticity_report(P)),
+    "convert": (1, lambda a, P: calculus.convert_left_right(
+        P, "left-to-right" if a.to == "right" else "right-to-left").render()),
+    "parametrix": (1, lambda a, P: calculus.parametrix(P, a.order).render()),
+    "sqrt": (1, lambda a, P: calculus.sqrt_approx(P, a.order).render()),
+    "pullback": (1, lambda a, P: _pullback_report(P, a.map_file)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,121 +94,70 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classical pseudo-differential symbol calculus")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, nargs in (("compose", 2), ("commutator", 2), ("adjoint", 1),
-                        ("ellipticity", 1)):
+    def command(name, run, files=None):
         sp = sub.add_parser(name)
-        sp.add_argument("symbols", nargs=nargs, metavar="SYMBOL_FILE")
-        _add_common(sp)
+        sp.set_defaults(run=run)
+        if files:
+            sp.add_argument("symbols", nargs=files, metavar="SYMBOL_FILE")
+        return sp
 
-    sp = sub.add_parser("convert")
-    sp.add_argument("symbols", nargs=1, metavar="SYMBOL_FILE")
-    sp.add_argument("--to", choices=("left", "right"), required=True)
-    _add_common(sp)
-
+    for name, (files, _) in _SYMBOLIC.items():
+        command(name, _cmd_symbolic, files)
+    sub.choices["convert"].add_argument("--to", choices=("left", "right"),
+                                        required=True)
     for name in ("parametrix", "sqrt"):
-        sp = sub.add_parser(name)
-        sp.add_argument("symbols", nargs=1, metavar="SYMBOL_FILE")
-        sp.add_argument("--order", type=int, required=True)
-        _add_common(sp)
+        sub.choices[name].add_argument("--order", type=int, required=True)
+    sub.choices["pullback"].add_argument("--map", required=True,
+                                         dest="map_file")
 
-    sp = sub.add_parser("pullback")
-    sp.add_argument("symbols", nargs=1, metavar="SYMBOL_FILE")
-    sp.add_argument("--map", required=True, dest="map_file")
-    _add_common(sp)
-
-    sp = sub.add_parser("flow")
-    sp.add_argument("symbols", nargs=1, metavar="SYMBOL_FILE")
+    sp = command("flow", _cmd_flow, 1)
     sp.add_argument("--start", required=True,
                     help="comma-separated x1..xn,xi1..xin")
     sp.add_argument("--time", type=float, required=True)
     sp.add_argument("--tol", type=float, default=1e-9)
-    _add_common(sp)
 
-    sp = sub.add_parser("wavefront")
-    sp.add_argument("symbols", nargs=1, metavar="SYMBOL_FILE")
+    sp = command("wavefront", _cmd_wavefront, 1)
     sp.add_argument("--init", required=True,
                     help="CSV of initial phase points, one per row")
     sp.add_argument("--time", type=float, required=True)
     sp.add_argument("--tol", type=float, default=1e-9)
-    _add_common(sp)
 
-    sp = sub.add_parser("apply")
-    sp.add_argument("symbols", nargs=1, metavar="SYMBOL_FILE")
-    sp.add_argument("--grid", required=True)
-    _add_common(sp)
+    command("apply", _cmd_apply, 1).add_argument("--grid", required=True)
 
-    sp = sub.add_parser("sobolev")
+    sp = command("sobolev", _cmd_sobolev)
     sp.add_argument("--grid", required=True)
     sp.add_argument("--s", type=float, required=True)
-    _add_common(sp)
 
-    sp = sub.add_parser("oscint")
+    sp = command("oscint", _cmd_oscint)
     sp.add_argument("--amp", required=True, help="amplitude in xi1")
     sp.add_argument("--test", required=True, help="test function in x1")
     sp.add_argument("--method", default="both",
                     choices=("both", "epsilon-cutoff", "parts"))
     sp.add_argument("--tol", type=float, default=1e-6)
-    _add_common(sp)
 
-    sp = sub.add_parser("index")
+    sp = command("index", _cmd_index)
     sp.add_argument("--aplus", required=True)
     sp.add_argument("--aminus", required=True)
     sp.add_argument("--K", type=int, default=32)
-    _add_common(sp)
 
-    sp = sub.add_parser("hodge")
+    sp = command("hodge", _cmd_hodge)
     sp.add_argument("op", choices=_HODGE_OPS)
     sp.add_argument("--form", help="form-field CSV (for d/star/...)")
     sp.add_argument("--n", type=int, help="dimension (betti/parametrix-check)")
     sp.add_argument("--j", type=int, help="degree (betti/parametrix-check)")
     sp.add_argument("--trials", type=int, default=50)
-    _add_common(sp)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out", help="write the report/CSV here as well")
     return ap
 
 
-def _cmd_symbolic(args) -> int:
-    syms = [_load_symbol(p) for p in args.symbols]
-    cmd = args.command
-    if cmd == "compose":
-        out = calculus.compose(*syms)
-    elif cmd == "commutator":
-        out = calculus.commutator(*syms)
-    elif cmd == "adjoint":
-        out = calculus.adjoint(syms[0])
-    elif cmd == "convert":
-        direction = ("left-to-right" if args.to == "right"
-                     else "right-to-left")
-        out = calculus.convert_left_right(syms[0], direction)
-    elif cmd == "parametrix":
-        out = calculus.parametrix(syms[0], args.order)
-    elif cmd == "sqrt":
-        out = calculus.sqrt_approx(syms[0], args.order)
-    elif cmd == "pullback":
-        phi = _parse_map_file(args.map_file)
-        term = calculus.pullback_principal(calculus.principal(syms[0]), phi)
-        _emit(f"degree {term.degree:g}: {term.expr.render()}", args.out)
-        return 0
-    else:
-        raise ValueError(cmd)
-    _emit(out.render(), args.out)
-    return 0
+def _cmd_symbolic(args):
+    report = _SYMBOLIC[args.command][1]
+    _emit(report(args, *map(_load_symbol, args.symbols)), args.out)
 
 
-def _cmd_ellipticity(args) -> int:
-    P = _load_symbol(args.symbols[0])
-    rep = calculus.is_elliptic(P)
-    lines = [
-        f"verdict: {'elliptic' if rep.verdict else 'not elliptic'}",
-        f"min_modulus: {rep.min_modulus!r}",
-        f"argmin: {','.join(repr(float(v)) for pair in rep.argmin for v in pair)}",
-        f"threshold: {rep.threshold!r}",
-    ]
-    _emit("\n".join(lines), args.out)
-    return 0
-
-
-def _cmd_flow(args) -> int:
+def _cmd_flow(args):
     P = _load_symbol(args.symbols[0])
     start = np.array([float(v) for v in args.start.split(",")])
     curve = hamilton.flow(calculus.principal(P), start, args.time,
@@ -192,10 +168,9 @@ def _cmd_flow(args) -> int:
     print(f"steps: {len(curve.times) - 1}")
     print(f"endpoint: {','.join(repr(float(v)) for v in curve.points[-1])}")
     print(f"conservation_drift: {drift!r}")
-    return 0
 
 
-def _cmd_wavefront(args) -> int:
+def _cmd_wavefront(args):
     P = _load_symbol(args.symbols[0])
     pts = []
     with open(args.init) as fh:
@@ -212,35 +187,31 @@ def _cmd_wavefront(args) -> int:
         v = pt.as_vector()
         lines.append(",".join(repr(float(c)) for c in v))
     _emit("\n".join(lines), args.out)
-    return 0
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args):
     P = _load_symbol(args.symbols[0])
     u = quantize.GridFunction.read_csv(args.grid)
     v = quantize.op_apply(P, u)
     if args.out:
         v.write_csv(args.out)
     print(f"l2_norm: {v.l2_norm()!r}")
-    return 0
 
 
-def _cmd_sobolev(args) -> int:
+def _cmd_sobolev(args):
     u = quantize.GridFunction.read_csv(args.grid)
     val = quantize.sobolev_norm(u, args.s)
     _emit(f"sobolev_norm: {val!r}", args.out)
-    return 0
 
 
-def _cmd_oscint(args) -> int:
+def _cmd_oscint(args):
     a = parse_expr(args.amp, 1)
     psi = parse_expr(args.test, 1)
     val = quantize.oscint_eval(a, psi, args.method, tol=args.tol)
     _emit(f"value: {val.real!r},{val.imag!r}", args.out)
-    return 0
 
 
-def _cmd_index(args) -> int:
+def _cmd_index(args):
     ap_ = parse_expr(args.aplus, 1)
     am = parse_expr(args.aminus, 1)
     rep = quantize.circle_index(ap_, am, K=args.K)
@@ -251,35 +222,24 @@ def _cmd_index(args) -> int:
         f"truncation: {rep.truncation}",
     ]
     _emit("\n".join(lines), args.out)
-    return 0
 
 
-def _cmd_hodge(args) -> int:
+def _cmd_hodge(args):
     op = args.op
-    if op == "betti":
+    if op in ("betti", "parametrix-check"):
         if args.n is None or args.j is None:
-            raise ValidationError("betti needs --n and --j")
-        _emit(f"betti: {hodge.betti(args.n, args.j)}", args.out)
-        return 0
-    if op == "parametrix-check":
-        if args.n is None or args.j is None:
-            raise ValidationError("parametrix-check needs --n and --j")
-        rep = hodge.complex_parametrix_check(args.n, args.j, args.trials)
-        _emit(f"max_residual: {rep['max_residual']!r}\n"
-              f"trials: {rep['trials']}", args.out)
-        return 0
+            raise ValidationError(f"{op} needs --n and --j")
+        if op == "betti":
+            _emit(f"betti: {hodge.betti(args.n, args.j)}", args.out)
+        else:
+            rep = hodge.complex_parametrix_check(args.n, args.j, args.trials)
+            _emit(f"max_residual: {rep['max_residual']!r}\n"
+                  f"trials: {rep['trials']}", args.out)
+        return
     if not args.form:
         raise ValidationError(f"hodge {op} needs --form FILE")
     w = hodge.FormField.read_csv(args.form)
-    if op == "d":
-        result = hodge.ext_d(w)
-    elif op == "star":
-        result = hodge.hodge_star(w)
-    elif op == "delta":
-        result = hodge.codifferential(w)
-    elif op == "laplacian":
-        result = hodge.laplacian(w)
-    else:   # decompose
+    if op == "decompose":
         h, e, c = hodge.hodge_decompose(w)
         if args.out:
             h.write_csv(args.out + ".harmonic")
@@ -288,37 +248,27 @@ def _cmd_hodge(args) -> int:
         print(f"harmonic_norm: {h.norm()!r}")
         print(f"exact_norm: {e.norm()!r}")
         print(f"coexact_norm: {c.norm()!r}")
-        return 0
+        return
+    result = {"d": hodge.ext_d, "star": hodge.hodge_star,
+              "delta": hodge.codifferential,
+              "laplacian": hodge.laplacian}[op](w)
     if args.out:
         result.write_csv(args.out)
     print(f"degree: {result.degree}")
     print(f"max_abs: {result.max_abs()!r}")
-    return 0
-
-
-_DISPATCH = {
-    "compose": _cmd_symbolic, "commutator": _cmd_symbolic,
-    "adjoint": _cmd_symbolic, "convert": _cmd_symbolic,
-    "parametrix": _cmd_symbolic, "sqrt": _cmd_symbolic,
-    "pullback": _cmd_symbolic,
-    "ellipticity": _cmd_ellipticity,
-    "flow": _cmd_flow, "wavefront": _cmd_wavefront,
-    "apply": _cmd_apply, "sobolev": _cmd_sobolev,
-    "oscint": _cmd_oscint, "index": _cmd_index,
-    "hodge": _cmd_hodge,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        args.run(args)
     except (ValidationError, SyntaxError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -65,14 +65,11 @@ class BottomDegree(ValidationError):
 
 
 class HomogeneityError(ValidationError):
-    def __init__(self, degree, residual, message=None):
+    def __init__(self, degree, residual):
         self.degree = degree
         self.residual = residual
-        super().__init__(
-            message
-            or f"expression is not homogeneous of degree {degree} "
-            f"(Euler residual {residual:.3e})"
-        )
+        super().__init__(f"expression is not homogeneous of degree {degree} "
+                         f"(Euler residual {residual:.3e})")
 
 
 class DegreeOrderError(ValidationError):

@@ -13,6 +13,8 @@ Nodes are immutable and hash-consed (Filliatre & Conchon 2006): a table
 of weak references, keyed by class, child ids and payload (floats by bit
 pattern: 0.0 is not -0.0), gives each structure one live node, so
 identity means structure and all that is keyed by it shares subtrees.
+A node defines no `__eq__`: it hashes by identity, so memos and tables
+key nodes themselves, and a key keeps its node alive.
 
 Evaluation is vectorized and has one implementation, `Program`: it
 compiles a list of roots into a topologically ordered list of steps and
@@ -46,8 +48,9 @@ are one code for both loops.  The entry points are
 `Program(roots)(x, xi)` for several trees or repeated batches,
 `e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
 `evaluate(e, point)` for one phase-space point.  A program given a table
-of node values on one sample set reads the nodes it holds and records the
-ones it computes, so callers compute a node once per sample set.
+{node: array} of values on one sample set takes the nodes it holds as
+constant slots and records the ones it computes, so callers compute a
+node once per sample set.
 
 Each node kind lists its children once, as `args` in evaluation order,
 and `rebuild(args)` makes the same kind of node over new children
@@ -182,17 +185,16 @@ class Expr:
 
 def _walk(root: Expr, rule, memo=None, leaf=None):
     """rule(node, results for node.args) applied bottom up, once per
-    distinct node (by identity) however many parents share it; returns
-    the result for root and leaves every node's result in memo, under
-    id(node).  Linear in the DAG, where a tree recursion is exponential
-    in its depth of sharing.  The walk does not enter a node for which
-    leaf(node) holds: it gets rule(node, None)."""
+    distinct node however many parents share it; returns the result for
+    root and leaves every node's result in memo, keyed by the node, which
+    the key keeps alive.  Linear in the DAG, where a tree recursion is
+    exponential in its depth of sharing.  The walk does not enter a node
+    for which leaf(node) holds: it gets rule(node, None)."""
     memo = {} if memo is None else memo
-    k = id(root)
-    if k not in memo:
-        memo[k] = rule(root, None if leaf and leaf(root) else
-                       [_walk(c, rule, memo, leaf) for c in root.args])
-    return memo[k]
+    if root not in memo:
+        memo[root] = rule(root, None if leaf and leaf(root) else
+                          [_walk(c, rule, memo, leaf) for c in root.args])
+    return memo[root]
 
 
 _NODES = {}     # (class, child ids, payload) -> KeyedRef to the one node
@@ -586,9 +588,6 @@ def _function(node, v, _):
     return getattr(np, node.name)(v)          # np.sin, np.cos, np.exp
 
 
-_seeded = object()      # marks a step that reads its node from the table
-
-
 # `Program` computes sums and products in its call loop: these mark them
 _OPS = {Add: operator.add, Mul: operator.mul, Pow: _power,
         Sin: _function, Cos: _function, Exp: _function}
@@ -628,14 +627,14 @@ class Program:
     where numpy returns inf or NaN, the point is computed again on arrays,
     so values and warnings there are numpy's too.
 
-    `values` is a table {id(node): (node, array)} of values on the samples
-    of every call; each entry keeps its node, and so its id, alive.  A node
-    in it at compilation is read from it, nothing below it compiled, and
-    each call adds every node it computes."""
+    `values` is a table {node: array} of values on the samples of every
+    call.  A node in it at compilation is a constant slot, as a constant
+    is, with nothing below it compiled; each call adds every node it
+    computes.  A program given a table always runs the array loop."""
 
     def __init__(self, roots, values=None):
         table = {} if values is None else values
-        slot = {}               # id(node) -> its slot
+        slot = {}               # node -> its slot
         init = [None, None]     # the slots at the start of a call
         steps = []              # (op, node, its slot, argument slots a, b)
 
@@ -645,13 +644,14 @@ class Program:
             return len(init) - 1
 
         def visit(node):
-            k = slot.get(id(node))
+            k = slot.get(node)
             if k is None:
-                if id(node) in table:
-                    k = emit(_seeded, node)
-                elif type(node) is Const:
-                    v = node.value      # a real one in float64
-                    init.append(np.full(1, v.real if v.imag == 0 else v))
+                v = table.get(node)
+                if v is None and type(node) is Const:
+                    v = node.value          # a real one in float64
+                    v = np.full(1, v.real if v.imag == 0 else v)
+                if v is not None:           # a slot a call starts with
+                    init.append(v)
                     k = len(init) - 1
                 elif type(node) is Var:         # slot 0 holds x, 1 xi
                     k = emit(_var, node, int(node.kind == "xi"))
@@ -665,24 +665,27 @@ class Program:
                 else:                           # one child, read as a and b
                     k = visit(node.args[0])
                     k = emit(_OPS[type(node)], node, k, k)
-                slot[id(node)] = k
+                slot[node] = k
             return k
 
         roots = list(map(visit, roots))
         visit = None            # drop its self-reference: no garbage cycle
         self._table = values
-        self._record = [] if values is None else [
-            (node, k) for op, node, k, a, b in steps if op is not _seeded]
+        # each node's last step computes it (an n-ary sum's or product's
+        # earlier ones give partial results)
+        self._record = {} if values is None else {
+            node: k for op, node, k, a, b in steps}
         # each step's dead slots: those it reads last, bar x, xi, the
         # constants, the roots and the recorded nodes
-        live = {0, 1, *roots, *(k for _, k in self._record),
+        live = {0, 1, *roots, *self._record.values(),
                 *(k for k, v in enumerate(init) if v is not None)}
         for i in reversed(range(len(steps))):
             dies = {steps[i][3], steps[i][4]} - live
             live |= dies
             steps[i] += (tuple(dies),)
         self._steps, self._init = steps, init
-        self._point_init = [v if v is None else v.item() for v in init]
+        self._point_init = None if values is not None else [
+            v if v is None else v.item() for v in init]
         # a constant, a table entry or a repeated root is returned as a copy
         made = {s[2] for s in steps} if values is None else ()
         self._roots = [(k, k in made and k not in roots[:i])
@@ -693,7 +696,8 @@ class Program:
             x = x[:, None]
         if xi.ndim == 1:
             xi = xi[:, None]
-        if 0 < len(x) == x.size and 0 < len(xi) == xi.size:
+        if self._point_init and 0 < len(x) == x.size and \
+                0 < len(xi) == xi.size:
             out = self._at_point(x, xi)
             if out is not None:
                 return out
@@ -705,14 +709,12 @@ class Program:
                 vals[k] = vals[a] * vals[b]
             elif op is add:
                 vals[k] = vals[a] + vals[b]
-            elif op is _seeded:
-                vals[k] = self._table[id(node)][1]
             else:
                 vals[k] = op(node, vals[a], vals[b])
             for d in dead:
                 vals[d] = None
-        for node, k in self._record:
-            self._table[id(node)] = (node, vals[k])
+        for node, k in self._record.items():
+            self._table[node] = vals[k]
         shape = x.shape[1:]
         if xi.shape[1:] != shape:
             shape = np.broadcast_shapes(shape, xi.shape[1:])
@@ -734,7 +736,7 @@ class Program:
         docstring)."""
         vals = self._point_init.copy()
         vals[0], vals[1] = x.ravel().tolist(), xi.ravel().tolist()
-        add, mul, table = operator.add, operator.mul, self._table
+        add, mul = operator.add, operator.mul
         try:
             for op, node, k, a, b, _ in self._steps:
                 u, v = vals[a], vals[b]
@@ -743,8 +745,6 @@ class Program:
                         if type(u) is complex is type(v) else u * v
                 elif op is add:
                     vals[k] = u + v
-                elif op is _seeded:
-                    vals[k] = table[id(node)][1].item()
                 else:
                     vals[k] = op(node, u, v)
             roots = [vals[k] for k, _ in self._roots]
@@ -752,10 +752,8 @@ class Program:
                 return None
         except (ArithmeticError, ValueError):
             return None
-        # an array of the broadcast shape (1, ..., 1) per value
+        # an array of the broadcast shape (1, ..., 1) per root
         shape = (1,) * (max(x.ndim, xi.ndim) - 1)
-        for node, k in self._record:
-            table[id(node)] = (node, np.full(shape, vals[k]))
         if shape == (1,):
             return [np.array([v]) for v in roots]
         return [np.full(shape, v) for v in roots]

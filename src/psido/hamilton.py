@@ -94,21 +94,20 @@ def _phase_vector(pt, n: int) -> np.ndarray:
 
 def hamiltonian_field(p: HomogeneousTerm):
     """Evaluator of the field (dp/dxi_1..n, -dp/dx_1..n), assembled by
-    symbolic differentiation: a PhasePoint or 2n-vector gives a 2n-vector,
-    a (2n, rays) array one column per ray."""
+    symbolic differentiation: a 2n-vector gives a 2n-vector, a (2n, rays)
+    array one column per ray, and the flat (2n * rays) vector of that
+    array, as `solve_ivp` integrates it, its flat field."""
     _check_real(p)
     n = p.dimension
-    grad = ex.Program([p.expr.diff(kind, j) for kind in ("xi", "x")
-                       for j in range(1, n + 1)])
+    js = range(1, n + 1)
+    field = ex.Program([p.expr.diff("xi", j) for j in js]
+                       + [ex.neg(p.expr.diff("x", j)) for j in js])
 
     def field_at(z) -> np.ndarray:
-        if isinstance(z, PhasePoint):
-            z = z.as_vector()
         z = np.asarray(z, dtype=float)
         cols = z.reshape(2 * n, -1)
-        out = np.array([v.real for v in grad(cols[:n], cols[n:])])
-        out[n:] = -out[n:]
-        return out.reshape(z.shape)
+        return np.array([v.real for v in field(cols[:n], cols[n:])]
+                        ).reshape(z.shape)
 
     return field_at
 
@@ -278,13 +277,11 @@ def solve_ivp(rhs, T: float, y0, rtol: float, atol: float,
 
 def _integrate(field, n: int, z0: np.ndarray, T: float, tol: float):
     """Integrate the (2n, rays) start z0 over t in [0, T] as one system:
-    `field` runs once per stage for all rays.  Returns the times and the
-    states, shape (len(times), 2n, rays).  Raises StepFailure if any ray
-    nears xi = 0 (outside the symbol's phase space) or a step fails."""
+    `field` runs once per stage for all rays, on the flat state.  Returns
+    the times and the states, shape (len(times), 2n, rays).  Raises
+    StepFailure if any ray nears xi = 0 (outside the symbol's phase space)
+    or a step fails."""
     shape = z0.shape
-
-    def rhs(z):
-        return field(z.reshape(shape)).reshape(-1)
 
     def stop(z):
         xi = z.reshape(shape)[n:]
@@ -292,7 +289,7 @@ def _integrate(field, n: int, z0: np.ndarray, T: float, tol: float):
             raise StepFailure(
                 "trajectory entered |xi| < 1e-8 (symbol singularity)")
 
-    sol = solve_ivp(rhs, T, z0.reshape(-1), tol, tol * 1e-3, stop)
+    sol = solve_ivp(field, T, z0.reshape(-1), tol, tol * 1e-3, stop)
     return sol.t, sol.y.reshape((-1,) + shape)
 
 

@@ -11,7 +11,6 @@ the harmonic projector as the entire remainder.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import BottomDegree, GridMismatch, TopDegree, ValidationError
 from .quantize import (band_limited_samples, lattice, read_csv_header,
-                       wavenumbers)
+                       read_samples, wavenumbers, write_samples)
 
 
 def basis_indices(n: int, j: int):
@@ -131,37 +130,20 @@ class FormField:
     def write_csv(self, path):
         n, j, M = self.dimension, self.degree, self.M
         order = basis_indices(n, j)
+        alphas = ";".join(".".join(map(str, a)) or "0" for a in order)
         with open(path, "w", newline="") as fh:
-            fh.write(f"# formfield n={n} j={j} M={M} "
-                     f"alphas={';'.join('.'.join(map(str, a)) or '0' for a in order)}\n")
-            w = csv.writer(fh)
-            for ai, alpha in enumerate(order):
-                v = self.coefficients[alpha]
-                for idx in np.ndindex(*([M] * n)):
-                    z = v[idx]
-                    w.writerow([ai] + list(idx) + [repr(float(z.real)),
-                                                  repr(float(z.imag))])
+            write_samples(fh, f"formfield n={n} j={j} M={M} alphas={alphas}",
+                          np.stack([self.coefficients[a] for a in order]))
 
     @classmethod
     def read_csv(cls, path) -> "FormField":
+        """The form `write_csv` wrote: its basis coefficients stacked, one
+        (M,)^n block per basis index, as one array of the lattice format."""
         with open(path) as fh:
             n, j, M = read_csv_header(fh, "form", ("n", "j", "M"), range(4))
-            coeffs = cls.zero(n, j, M).coefficients
             order = basis_indices(n, j)
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                if len(row) < n + 3:
-                    raise GridMismatch(f"form CSV row {row} is short")
-                a = int(row[0])
-                idx = tuple(int(c) for c in row[1:1 + n])
-                if not (0 <= a < len(order)
-                        and all(0 <= i < M for i in idx)):
-                    raise GridMismatch(
-                        f"form CSV entry {a}, {idx} is off the grid")
-                coeffs[order[a]][idx] = (float(row[1 + n])
-                                         + 1j * float(row[2 + n]))
-        return cls(n, j, M, coeffs)
+            stacked = read_samples(fh, "form", (len(order),) + (M,) * n)
+        return cls(n, j, M, dict(zip(order, stacked)))
 
 
 def _spectral_partial(v: np.ndarray, axis: int, M: int) -> np.ndarray:
@@ -265,18 +247,18 @@ def hodge_decompose(w: FormField):
     return h, exact, coexact
 
 
-def betti(n: int, j: int, probes: int = 8, M: int = 8) -> int:
+def betti(n: int, j: int) -> int:
     """Rank of the harmonic projector on degree-j forms, estimated by
-    probing with random fields and cross-checked against C(n, j)."""
+    probing with 8 random fields on the 8^n lattice and cross-checked
+    against C(n, j)."""
     rng = np.random.default_rng(7)
     rows = []
-    for _ in range(probes):
-        w = FormField.random_band_limited(n, j, M, band=2, rng=rng)
+    for _ in range(8):
+        w = FormField.random_band_limited(n, j, 8, band=2, rng=rng)
         h = harmonic_projection(w)
         rows.append([complex(np.mean(h.coefficients[a]))
                      for a in basis_indices(n, j)])
-    a = np.array(rows) if rows else np.zeros((0, 0))
-    rank = int(np.linalg.matrix_rank(a, tol=1e-10)) if a.size else 0
+    rank = int(np.linalg.matrix_rank(np.array(rows), tol=1e-10))
     comb = math.comb(n, j)
     if rank != comb:
         raise GridMismatch(
@@ -284,11 +266,14 @@ def betti(n: int, j: int, probes: int = 8, M: int = 8) -> int:
     return rank
 
 
-def complex_parametrix_check(n: int, j: int, trials: int = 50,
-                             M: int = 8) -> dict:
-    """Verify d Q_{j-1} + Q_j d = I - H on degree-j forms, with
-    Q_j = G delta acting on (j+1)-forms and H the harmonic projector.
-    Returns {"max_residual": ..., "trials": ...}."""
+def complex_parametrix_check(n: int, j: int, trials: int = 50) -> dict:
+    """Verify d Q_{j-1} + Q_j d = I - H on degree-j forms on the 8^n
+    lattice, with Q_j = G delta acting on (j+1)-forms and H the harmonic
+    projector, at `trials` random forms.  Returns {"max_residual": ...,
+    "trials": ...}; ValueError for trials < 1, a check of no form."""
+    if trials < 1:
+        raise ValueError(f"parametrix check needs trials >= 1, got {trials}")
+    M = 8
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(trials):

@@ -121,39 +121,25 @@ class GridFunction:
         return cls(n, M, band_limited_samples(n, M, band,
                                               rng or np.random.default_rng(0)))
 
-    def spectrum(self) -> "GridSpectrum":
-        coef = np.fft.fftn(self.values) / self.M ** self.dimension
-        return GridSpectrum(self.dimension, self.M, coef)
+    def spectrum(self) -> np.ndarray:
+        """Discrete Fourier coefficients u^(k) = M^-n sum_x u(x) e^{-ikx}
+        in fft order: k ranges over {-M/2 .. M/2-1}^n."""
+        return np.fft.fftn(self.values) / self.M ** self.dimension
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2)
                              / self.M ** self.dimension))
 
     def write_csv(self, path):
-        n, M = self.dimension, self.M
         with open(path, "w", newline="") as fh:
-            fh.write(f"# gridfunction n={n} M={M}\n")
-            w = csv.writer(fh)
-            for idx in np.ndindex(*([M] * n)):
-                v = self.values[idx]
-                w.writerow(list(idx) + [repr(float(v.real)),
-                                        repr(float(v.imag))])
+            write_samples(fh, f"gridfunction n={self.dimension} M={self.M}",
+                          self.values)
 
     @classmethod
     def read_csv(cls, path) -> "GridFunction":
         with open(path) as fh:
             n, M = read_csv_header(fh, "grid", ("n", "M"), (1, 2))
-            vals = np.zeros((M,) * n, dtype=complex)
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                if len(row) < n + 2:
-                    raise GridMismatch(f"grid CSV row {row} is short")
-                idx = tuple(int(c) for c in row[:n])
-                if not all(0 <= i < M for i in idx):
-                    raise GridMismatch(f"grid CSV index {idx} is off the grid")
-                vals[idx] = float(row[n]) + 1j * float(row[n + 1])
-        return cls(n, M, vals)
+            return cls(n, M, read_samples(fh, "grid", (M,) * n))
 
 
 def read_csv_header(fh, kind: str, keys: tuple, dims) -> list:
@@ -178,28 +164,32 @@ def read_csv_header(fh, kind: str, keys: tuple, dims) -> list:
     return [vals[k] for k in keys]
 
 
-@dataclass
-class GridSpectrum:
-    """Discrete Fourier coefficients u^(k) = M^-n sum_x u(x) e^{-ikx},
-    stored in fft order; k ranges over {-M/2 .. M/2-1}^n."""
+def write_samples(fh, header: str, values: np.ndarray):
+    """The lattice CSV format of grids and forms: a `# header` line, then
+    one row `i1, ..., id, re, im` per entry of values, in C order."""
+    fh.write(f"# {header}\n")
+    w = csv.writer(fh)
+    for idx in np.ndindex(*values.shape):
+        z = values[idx]
+        w.writerow([*idx, repr(float(z.real)), repr(float(z.imag))])
 
-    dimension: int
-    M: int
-    coefficients: np.ndarray     # fft order
 
-    def to_grid(self) -> GridFunction:
-        vals = np.fft.ifftn(self.coefficients) * self.M ** self.dimension
-        return GridFunction(self.dimension, self.M, vals)
-
-    def coefficient(self, k) -> complex:
-        idx = tuple(int(kk) % self.M for kk in np.atleast_1d(k))
-        return complex(self.coefficients[idx])
-
-    def shifted(self) -> np.ndarray:
-        return np.fft.fftshift(self.coefficients)
-
-    def power(self) -> float:
-        return float(np.sum(np.abs(self.coefficients) ** 2))
+def read_samples(fh, kind: str, shape: tuple) -> np.ndarray:
+    """The complex array of `shape` that the rows of fh after its header
+    give, in the format of `write_samples` (zero where no row does);
+    GridMismatch for a short row or an index off the array."""
+    vals = np.zeros(shape, dtype=complex)
+    d = len(shape)
+    for row in csv.reader(fh):
+        if not row:
+            continue
+        if len(row) < d + 2:
+            raise GridMismatch(f"{kind} CSV row {row} is short")
+        idx = tuple(int(c) for c in row[:d])
+        if not all(0 <= i < m for i, m in zip(idx, shape)):
+            raise GridMismatch(f"{kind} CSV entry {idx} is off the grid")
+        vals[idx] = float(row[d]) + 1j * float(row[d + 1])
+    return vals
 
 
 def _merge(pairs) -> dict:
@@ -221,20 +211,20 @@ def _separate(e: ex.Expr, shape=None, parts=None):
     are built, so a term that does not factor builds none.  A product's
     xi-only children are one xi factor and its other one-kind children
     one x factor, so only its mixed children pair up with what is built.
-    shape and parts are the `_walk` memos of the counts and the splits:
-    given the same two dicts, the terms of one symbol count and split a
-    subtree they share once."""
+    shape and parts are the `_walk` memos of the counts and the splits,
+    keyed by the nodes, which they keep alive: given the same two dicts,
+    the terms of one symbol count and split a subtree they share once."""
     shape = {} if shape is None else shape
     if ex._walk(e, _pair_count, shape)[1] is None:
         return None
 
     def split(node, subs):
         if subs is None:
-            return ({node: ex.ONE} if shape[id(node)][0] == _XI
+            return ({node: ex.ONE} if shape[node][0] == _XI
                     else {ex.ONE: node})
         if isinstance(node, ex.Add):
             return _merge(pair for sub in subs for pair in sub.items())
-        kinds = [shape[id(f)][0] for f in node.factors]     # a product
+        kinds = [shape[f][0] for f in node.factors]     # a product
         acc = {ex.mul(*(f for f, k in zip(node.factors, kinds) if k == _XI)):
                ex.mul(*(f for f, k in zip(node.factors, kinds)
                         if not k & _XI))}
@@ -246,7 +236,7 @@ def _separate(e: ex.Expr, shape=None, parts=None):
         return acc
 
     return ex._walk(e, split, {} if parts is None else parts,
-                    lambda c: shape[id(c)][0] != _X | _XI)
+                    lambda c: shape[c][0] != _X | _XI)
 
 
 def _pair_count(node, parts):
@@ -343,10 +333,9 @@ def sobolev_norm(u: GridFunction, s: float) -> float:
     a mode whose coefficient is zero adds nothing, whatever its weight."""
     if not math.isfinite(s):
         raise ValidationError(f"Sobolev order must be finite, got {s}")
-    sp = u.spectrum()
     kgrid = wavenumbers(u.dimension, u.M)
     k2 = sum(K.astype(float) ** 2 for K in kgrid)
-    a = np.abs(sp.coefficients) ** 2
+    a = np.abs(u.spectrum()) ** 2
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         norm = float(np.sqrt(np.sum(np.where(a > 0, (1.0 + k2) ** s * a,
                                              0.0))))
@@ -359,9 +348,7 @@ def duality_pair(u: GridFunction, v: GridFunction) -> complex:
     """sum_k u^(k) conj(v^(k)); the H^s x H^-s pairing on the torus."""
     if (u.dimension, u.M) != (v.dimension, v.M):
         raise GridMismatch("duality pairing needs matching grids")
-    su = u.spectrum().coefficients
-    sv = v.spectrum().coefficients
-    return complex(np.sum(su * np.conj(sv)))
+    return complex(np.sum(u.spectrum() * np.conj(v.spectrum())))
 
 
 # ---------------------------------------------------------------------------
@@ -598,21 +585,22 @@ def _winding(values: np.ndarray) -> int:
     return w
 
 
-def _fourier_coefs(e: ex.Expr, samples: int = 256) -> np.ndarray:
-    xv = 2.0 * np.pi * np.arange(samples) / samples
-    vals = e.ev(xv.reshape(1, -1), np.zeros((1, samples)))
+def _fourier_coefs(e: ex.Expr) -> tuple:
+    """The fft coefficients and the values of e at 256 circle samples."""
+    xv = 2.0 * np.pi * np.arange(256) / 256
+    vals = e.ev(xv.reshape(1, -1), np.zeros((1, 256)))
     if np.min(np.abs(vals)) < 1e-8:
         raise SymbolVanishes("symbol modulus < 1e-8 at a circle sample")
-    return np.fft.fft(vals) / samples, vals
+    return np.fft.fft(vals) / 256, vals
 
 
-def _kernel_dim(A: np.ndarray, rank_tol: float = 1e-8) -> tuple:
-    """Numerical kernel dimension of A, with its singular values below
-    rank_tol relative to the largest."""
+def _kernel_dim(A: np.ndarray) -> tuple:
+    """Numerical kernel dimension of A, with its singular values at most
+    1e-8 relative to the largest."""
     sv = np.linalg.svd(A, compute_uv=False)
     smax = sv[0] if sv.size else 1.0
-    rank = int(np.sum(sv > rank_tol * max(smax, 1e-300)))
-    near = tuple(float(s) for s in sv[sv <= rank_tol * max(smax, 1e-300)])
+    rank = int(np.sum(sv > 1e-8 * max(smax, 1e-300)))
+    near = tuple(float(s) for s in sv[sv <= 1e-8 * max(smax, 1e-300)])
     return A.shape[1] - rank, near
 
 

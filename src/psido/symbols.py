@@ -28,58 +28,19 @@ _SAMPLE_SEED = 73
 _N_SAMPLES = 64
 
 
-class MultiIndex:
-    """Ordered tuple of non-negative integers, one per variable."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = tuple(int(e) for e in entries)
-        if any(e < 0 for e in entries):
-            raise ValueError("multi-index entries must be non-negative")
-        self.entries = entries
-
-    @property
-    def order(self) -> int:
-        return sum(self.entries)
-
-    @property
-    def factorial(self) -> int:
-        out = 1
-        for e in self.entries:
-            out *= math.factorial(e)
-        return out
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, k):
-        return self.entries[k]
-
-    def __eq__(self, other):
-        return isinstance(other, MultiIndex) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"MultiIndex{self.entries}"
+def factorial(alpha) -> int:
+    """alpha! = alpha_1! ... alpha_n! of a multi-index alpha."""
+    return math.prod(map(math.factorial, alpha))
 
 
 def multi_indices(n: int, max_order: int):
-    """All multi-indices in n variables with order <= max_order."""
+    """All multi-indices in n variables with order <= max_order, as tuples
+    of non-negative integers, by order and then from the last entry's
+    largest value down."""
     for total in range(max_order + 1):
         for cuts in itertools.combinations(range(total + n - 1), n - 1):
-            prev = -1
-            entry = []
-            for c in cuts:
-                entry.append(c - prev - 1)
-                prev = c
-            entry.append(total + n - 2 - prev)
-            yield MultiIndex(entry)
+            bounds = (-1, *cuts, total + n - 1)
+            yield tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
 
 
 _sample_cache: dict = {}
@@ -109,11 +70,11 @@ class HomogeneousTerm:
         object.__setattr__(self, "degree", float(self.degree))
 
     @classmethod
-    def checked(cls, e: ex.Expr, degree: float, dimension: int,
-                tol: float = EULER_TOL) -> "HomogeneousTerm":
+    def checked(cls, e: ex.Expr, degree: float,
+                dimension: int) -> "HomogeneousTerm":
         term = cls(e, degree, dimension)
         res = check_homogeneity(term)
-        if res > tol:
+        if res > EULER_TOL:
             raise HomogeneityError(degree, res)
         return term
 
@@ -152,8 +113,9 @@ def differentiate(term: HomogeneousTerm, var_kind: str,
     the plain partial for x-derivatives.  xi-differentiation lowers the
     degree by |alpha|; x-differentiation leaves it unchanged.
     """
-    if not isinstance(alpha, MultiIndex):
-        alpha = MultiIndex(alpha)
+    alpha = tuple(map(int, alpha))
+    if any(k < 0 for k in alpha):
+        raise ValueError("multi-index entries must be non-negative")
     if len(alpha) != term.dimension:
         raise DimensionMismatch("multi-index length != dimension")
     e = term.expr
@@ -161,8 +123,8 @@ def differentiate(term: HomogeneousTerm, var_kind: str,
         for _ in range(k):
             e = e.diff(var_kind, j)
     if var_kind == "xi":
-        e = ex.mul(ex.Const((-1j) ** alpha.order), e)
-    deg = term.degree - (alpha.order if var_kind == "xi" else 0)
+        e = ex.mul(ex.Const((-1j) ** sum(alpha)), e)
+    deg = term.degree - (sum(alpha) if var_kind == "xi" else 0)
     return HomogeneousTerm(e, deg, term.dimension)
 
 
@@ -331,15 +293,13 @@ class Diffeo:
     """A diffeomorphism of the working box given by forward and inverse
     coordinate expressions (lists of n Exprs in x)."""
 
-    def __init__(self, forward, inverse, check: bool = True,
-                 tol: float = 1e-9):
+    def __init__(self, forward, inverse):
         self.forward = tuple(forward)
         self.inverse = tuple(inverse)
         self.dimension = len(self.forward)
         if len(self.inverse) != self.dimension:
             raise DimensionMismatch("forward/inverse length mismatch")
-        if check:
-            self._validate(tol)
+        self._validate()
 
     def jacobian(self):
         """Entries J[i][j] = d forward_i / d x_j as Exprs."""
@@ -347,7 +307,7 @@ class Diffeo:
         return [[self.forward[i].diff("x", j + 1) for j in range(n)]
                 for i in range(n)]
 
-    def _validate(self, tol):
+    def _validate(self):
         n = self.dimension
         xs, xis = sample_points(n)
         # round-trip inverse(forward(x)) = x at the samples
@@ -355,7 +315,7 @@ class Diffeo:
         comp = [g.subst(sub) for g in self.inverse]
         vals = np.array(ex.Program(comp)(xs, xis))
         err = np.max(np.abs(vals - xs))
-        if err > tol:
+        if err > 1e-9:
             raise DegreeOrderError(
                 f"inverse(forward) deviates from identity by {err:.2e}")
         jac = self.jacobian()

@@ -2,6 +2,7 @@ import copy
 import gc
 import operator
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -339,12 +340,12 @@ def test_seeded_program_matches_a_fresh_one(dag, samples):
         if _outcome(lambda: ex.Program([shared], values)(x, xi)) \
                 is DomainError:
             return
-        seeds = {k: v.copy() for k, (_, v) in values.items()}
+        seeds = {node: v.copy() for node, v in values.items()}
         want = _outcome(lambda: ex.Program([e, shared])(x, xi))
         got = _outcome(lambda: ex.Program([e, shared], values)(x, xi))
         # every array in the table, seeded or recorded, is its node's
         # value (a constant's is one sample, spread over the batch here)
-        for node, v in values.values():
+        for node, v in values.items():
             np.testing.assert_array_equal(np.broadcast_to(v, x.shape[1:]),
                                           _reference(node, x, xi))
     if want is DomainError:
@@ -352,8 +353,8 @@ def test_seeded_program_matches_a_fresh_one(dag, samples):
     else:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
-    for k, v in seeds.items():
-        np.testing.assert_array_equal(values[k][1], v)
+    for node, v in seeds.items():
+        np.testing.assert_array_equal(values[node], v)
 
 
 @st.composite
@@ -491,6 +492,31 @@ def test_a_point_alone_has_its_value_in_a_batch_bit_for_bit(e, point):
     assert alone.tobytes() == batch[:1].tobytes()
 
 
+@pytest.mark.parametrize("e, x1", [
+    (ex.exp(ex.x(1)), 800.0),           # cmath.exp raises OverflowError
+    (ex.sin(ex.x(1)), float("inf")),    # math.sin raises ValueError
+    (ex.x(1) * ex.x(1), 1e200),         # inf in Python, without an error
+])
+def test_a_point_python_cannot_compute_is_computed_on_arrays(e, x1):
+    prog = ex.Program([e])
+    point = (x1, 0.0, 1.0, 1.0)
+    z = np.array([point], dtype=float).T
+    assert prog._at_point(z[:2], z[2:]) is None
+
+    def run(*points):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out, = _at_points(prog, *points)
+        return out, [str(w.message) for w in caught
+                     if w.category is RuntimeWarning]
+
+    alone, said = run(point)
+    batch, said_in_batch = run(point, (0.5, 0.25, -1.0, 2.0))
+    assert alone.shape == (1,) and alone.dtype == batch.dtype
+    assert alone.tobytes() == batch[:1].tobytes()
+    assert said and said == said_in_batch
+
+
 def _reference_diff(e, kind, j, memo=None):
     """The per-class derivative recursion that the `_DIFF` table replaced,
     kept as the reference it must reproduce node for node; memoized by
@@ -625,7 +651,7 @@ def test_returned_roots_are_fresh_arrays_the_caller_owns():
                     assert not any(np.shares_memory(g, h) for h in got[:i])
                     g[...] = 99.0
                 np.testing.assert_array_equal(x, x0)
-        for node, v in values.values():
+        for node, v in values.items():
             np.testing.assert_array_equal(v, node.ev(x, xi))
 
 

@@ -131,6 +131,13 @@ def test_complex_parametrix_check():
     assert rep["max_residual"] < 1e-8
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_complex_parametrix_check_needs_a_trial(trials):
+    # a check of no form reported max_residual 0.0
+    with pytest.raises(ValueError, match="trials >= 1"):
+        complex_parametrix_check(2, 1, trials=trials)
+
+
 def test_grid_mismatch_rejected():
     a = _rand(2, 1, M=8)
     b = _rand(2, 1, M=16)

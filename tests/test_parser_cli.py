@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from psido import calculus, hamilton, hodge, quantize
 from psido import expr as ex
-from psido.cli import main
+from psido.cli import build_parser, main
 from psido.errors import DegreeOrderError, DomainError, HomogeneityError
 from psido.parser import parse_expr, parse_symbol_document, parse_symbol_text
 from psido.quantize import GridFunction
@@ -400,6 +401,31 @@ def test_cli_hodge_parametrix_check(capsys):
     assert main(["hodge", "parametrix-check", "--n", "2", "--j", "1",
                  "--trials", "5"]) == 0
     assert "max_residual" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_hodge_parametrix_check_needs_a_trial(capsys, trials):
+    assert main(["hodge", "parametrix-check", "--n", "2", "--j", "1",
+                 "--trials", trials]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
+_COMMANDS = {"compose", "commutator", "adjoint", "ellipticity", "convert",
+             "parametrix", "sqrt", "pullback", "flow", "wavefront", "apply",
+             "sobolev", "oscint", "index", "hodge"}
+
+
+def test_every_subcommand_has_help(capsys):
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == _COMMANDS
+    for name in _COMMANDS:
+        with pytest.raises(SystemExit) as done:
+            main([name, "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: psido {name} ")
 
 
 def test_cli_convert_writes_what_it_prints(tmp_path, capsys):

@@ -473,25 +473,24 @@ def test_sobolev_norm_that_overflows_raises_without_a_warning():
 def test_spectrum_round_trip():
     rng = np.random.default_rng(2)
     u = GridFunction.random_band_limited(2, 16, 5, rng)
-    back = u.spectrum().to_grid()
-    assert np.allclose(back.values, u.values, atol=1e-12)
+    back = np.fft.ifftn(u.spectrum()) * 16 ** 2
+    assert np.allclose(back, u.values, atol=1e-12)
 
 
 def test_spectrum_coefficient_indexing():
-    u = GridFunction.single_mode(1, 16, [3])
-    sp = u.spectrum()
-    assert sp.coefficient([3]) == pytest.approx(1.0)
-    assert abs(sp.coefficient([2])) < 1e-12
-    # indices are read modulo the grid size
-    assert sp.coefficient([3 - 16]) == pytest.approx(1.0)
+    sp = GridFunction.single_mode(1, 16, [3]).spectrum()
+    assert sp.shape == (16,)
+    assert sp[3] == pytest.approx(1.0)
+    assert abs(sp[2]) < 1e-12
+    # fft order: mode k - 16 is stored at index k
+    assert sp[3 - 16] == pytest.approx(1.0)
 
 
 def test_spectrum_shift_and_power():
-    u = GridFunction.single_mode(1, 16, [2])
-    sh = u.spectrum().shifted()
+    sp = GridFunction.single_mode(1, 16, [2]).spectrum()
     # fftshift puts mode k at position k + M/2
-    assert sh[2 + 8] == pytest.approx(1.0)
-    assert u.spectrum().power() == pytest.approx(1.0)
+    assert np.fft.fftshift(sp)[2 + 8] == pytest.approx(1.0)
+    assert np.sum(np.abs(sp) ** 2) == pytest.approx(1.0)
 
 
 def test_gridfunction_csv_round_trip(tmp_path):
@@ -502,6 +501,19 @@ def test_gridfunction_csv_round_trip(tmp_path):
     v = GridFunction.read_csv(path)
     assert v.dimension == 2 and v.M == 8
     assert np.allclose(v.values, u.values, atol=1e-12)
+
+
+def test_grids_and_forms_are_written_in_one_lattice_format(tmp_path):
+    # one row per lattice entry: its index (a form's basis index first),
+    # then the real and imaginary parts; csv rows end in CRLF
+    from psido.hodge import FormField
+    GridFunction(1, 2, [1 + 0.5j, -0.25]).write_csv(tmp_path / "u.csv")
+    assert (tmp_path / "u.csv").read_bytes() == (
+        b"# gridfunction n=1 M=2\n0,1.0,0.5\r\n1,-0.25,0.0\r\n")
+    FormField(1, 1, 2, {(1,): [0.5 - 1j, 2.0]}).write_csv(tmp_path / "w.csv")
+    assert (tmp_path / "w.csv").read_bytes() == (
+        b"# formfield n=1 j=1 M=2 alphas=1\n"
+        b"0,0,0.5,-1.0\r\n0,1,2.0,0.0\r\n")
 
 
 def test_gridfunction_rejects_zero_points_per_axis():

@@ -3,7 +3,7 @@ import pytest
 
 from psido import expr as ex
 from psido import symbols as sy
-from psido.errors import HomogeneityError
+from psido.errors import DimensionMismatch, HomogeneityError
 
 
 def _eval_term(term, x, xi):
@@ -11,12 +11,17 @@ def _eval_term(term, x, xi):
 
 
 def test_multi_index_basics():
-    mi = sy.MultiIndex([2, 1])
-    assert mi.order == 3
-    assert mi.factorial == 2
-    idxs = list(sy.multi_indices(2, 2))
-    # all alpha with |alpha| <= 2 in two variables
-    assert len(idxs) == 6
+    assert sy.factorial((2, 1)) == 2
+    assert sy.factorial((3, 0, 2)) == 12
+    # all alpha with |alpha| <= 2 in two variables, by order, in the
+    # order compose and convert_left_right collect their terms
+    assert list(sy.multi_indices(2, 2)) == [
+        (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    t = sy.HomogeneousTerm(ex.xi(1), 1.0, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        sy.differentiate(t, "xi", (1, -1))
+    with pytest.raises(DimensionMismatch):
+        sy.differentiate(t, "xi", (1,))
 
 
 def test_d_xi_of_xi_is_minus_i():
@@ -139,4 +144,4 @@ def test_diffeo_validation():
     J = d.jacobian()
     assert ex.evaluate(J[0][0], [1.3, 0.0]) == pytest.approx(2.0)
     with pytest.raises(Exception):
-        sy.Diffeo(fwd, fwd, check=True)
+        sy.Diffeo(fwd, fwd)
