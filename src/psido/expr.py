@@ -24,8 +24,9 @@ sums and products are computed inline by the call loop.  A call computes
 each distinct node once per batch of samples, drops each array after its
 last use, holds every domain check (negative power of a vanishing base,
 fractional power of a negative or non-real base -> DomainError) and
-returns fresh arrays the caller owns, in the dtype it was computed in.
-Real nodes compute in float64, bit for bit as complex128 would while
+returns one fresh array, a row per root: float64 if every root is
+real, else complex128, into which a real root upcasts exactly.  Real
+nodes compute in float64, bit for bit as complex128 would while
 values stay finite: real constants and the variables start real, numpy's
 promotion keeps sums, products, sin and cos of real operands real and
 promotes a real operand of a complex step as a + 0j would, and only two
@@ -596,14 +597,14 @@ _OPS = {Add: operator.add, Mul: operator.mul, Pow: _power,
 class Program:
     """Root expressions compiled into one topologically ordered list of
     steps.  Called with real samples x, xi of shapes (n, *S) and (n, *T),
-    S and T broadcastable (a flat (n,) is one sample), it returns per root
-    a fresh array of the broadcast shape, which the caller owns, in the
-    dtype the root was computed in: float64 for a real root (real
-    constants, no exp below it), else complex128, with the values of a
-    complex128 evaluation bit for bit while they stay finite.  A node
-    computes on the samples of the variables below it: for x of shape
-    (n, 1, P) and xi of shape (n, C, 1), x-only nodes on P samples, xi-only
-    ones on C, constants on one and mixed nodes on the C x P product grid.
+    S and T broadcastable (a flat (n,) is one sample), it returns one
+    fresh array of shape (len(roots), *broadcast(S, T)), a row per root:
+    float64 if every root is real (real constants, no exp below it), else
+    complex128, with the values of a complex128 evaluation bit for bit
+    while they stay finite.  A node computes on the samples of the
+    variables below it: for x of shape (n, 1, P) and xi of shape
+    (n, C, 1), x-only nodes on P samples, xi-only ones on C, constants on
+    one and mixed nodes on the C x P product grid.
 
     Each node, one object per structure, is one slot of a list, filled
     once per call however many parents or roots share it.  Compilation
@@ -630,7 +631,8 @@ class Program:
     `values` is a table {node: array} of values on the samples of every
     call.  A node in it at compilation is a constant slot, as a constant
     is, with nothing below it compiled; each call adds every node it
-    computes.  A program given a table always runs the array loop."""
+    computes, and the table keeps its own arrays.  A program given a table
+    always runs the array loop."""
 
     def __init__(self, roots, values=None):
         table = {} if values is None else values
@@ -683,15 +685,11 @@ class Program:
             dies = {steps[i][3], steps[i][4]} - live
             live |= dies
             steps[i] += (tuple(dies),)
-        self._steps, self._init = steps, init
+        self._steps, self._init, self._roots = steps, init, roots
         self._point_init = None if values is not None else [
             v if v is None else v.item() for v in init]
-        # a constant, a table entry or a repeated root is returned as a copy
-        made = {s[2] for s in steps} if values is None else ()
-        self._roots = [(k, k in made and k not in roots[:i])
-                       for i, k in enumerate(roots)]
 
-    def __call__(self, x: np.ndarray, xi: np.ndarray) -> list:
+    def __call__(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         if x.ndim == 1:
             x = x[:, None]
         if xi.ndim == 1:
@@ -718,16 +716,11 @@ class Program:
         shape = x.shape[1:]
         if xi.shape[1:] != shape:
             shape = np.broadcast_shapes(shape, xi.shape[1:])
-        out = []
-        for k, owned in self._roots:
-            v = vals[k]
-            # a root below the full shape (a constant, or a one-kind root
-            # on a product grid) is spread over it
-            if v.shape != shape:
-                v = np.broadcast_to(v, shape).copy()
-            elif not owned:
-                v = v.copy()
-            out.append(v)
+        roots = [vals[k] for k in self._roots]
+        out = np.empty((len(roots), *shape), complex if any(
+            v.dtype.kind == "c" for v in roots) else float)
+        for i, v in enumerate(roots):
+            out[i] = v      # spreads a constant or a one-kind root
         return out
 
     def _at_point(self, x, xi):
@@ -747,16 +740,14 @@ class Program:
                     vals[k] = u + v
                 else:
                     vals[k] = op(node, u, v)
-            roots = [vals[k] for k, _ in self._roots]
+            roots = [vals[k] for k in self._roots]
             if not cmath.isfinite(sum(roots)):
                 return None
         except (ArithmeticError, ValueError):
             return None
-        # an array of the broadcast shape (1, ..., 1) per root
-        shape = (1,) * (max(x.ndim, xi.ndim) - 1)
-        if shape == (1,):
-            return [np.array([v]) for v in roots]
-        return [np.full(shape, v) for v in roots]
+        # the broadcast shape of one sample is (1, ..., 1)
+        return np.array(roots).reshape(
+            len(roots), *(1,) * (max(x.ndim, xi.ndim) - 1))
 
 
 ev_cached = Expr.ev         # ev_cached(e, x, xi) is e.ev(x, xi)

@@ -106,8 +106,7 @@ def hamiltonian_field(p: HomogeneousTerm):
     def field_at(z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         cols = z.reshape(2 * n, -1)
-        return np.array([v.real for v in field(cols[:n], cols[n:])]
-                        ).reshape(z.shape)
+        return field(cols[:n], cols[n:]).real.reshape(z.shape)
 
     return field_at
 

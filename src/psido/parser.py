@@ -177,23 +177,49 @@ class SymbolDocument:
 
 _DOC_RE = re.compile(
     r"\s*symbol\s+(?P<name>\w+)\s*\{(?P<body>.*)\}\s*$", re.DOTALL)
-_FIELD_RE = re.compile(r"(dim|order|trunc)\s*=\s*(-?\d+(?:\.\d+)?)")
+_FIELD_RE = re.compile(r"(dim|order|trunc)\s*=\s*(\S+)")
+_FIELDS_LINE_RE = re.compile(r"(?:(?:dim|order|trunc)\s*=\s*\S+\s*)+")
 _TERM_RE = re.compile(r"term\s+(-?\d+(?:\.\d+)?)\s*:\s*\"([^\"]*)\"")
+# each field's value: its pattern and what it names
+_FIELD_VALUES = {"dim": (r"-?\d+", "an integer"),
+                 "order": (r"-?\d+(?:\.\d+)?", "a number"),
+                 "trunc": (r"-?\d+", "an integer")}
 
 
 def parse_symbol_document(text: str) -> SymbolDocument:
+    """The name, fields and terms of a symbol document.  Each non-blank
+    body line is a line of fields or one `term d: "..."` line; SyntaxError
+    names any other line, and is raised for a field given twice or not at
+    all and for a dim or trunc that is not an integer."""
     m = _DOC_RE.match(text)
     if m is None:
         raise SyntaxError("expected `symbol NAME { ... }`")
-    body = m.group("body")
-    fields = {k: float(v) for k, v in _FIELD_RE.findall(body)}
+    fields, terms = {}, []
+    first = text.count("\n", 0, m.start("body")) + 1
+    for no, line in enumerate(m.group("body").splitlines(), first):
+        line = line.strip()
+        term = _TERM_RE.fullmatch(line)
+        if term:
+            terms.append((float(term[1]), term[2]))
+        elif _FIELDS_LINE_RE.fullmatch(line):
+            for key, value in _FIELD_RE.findall(line):
+                pattern, what = _FIELD_VALUES[key]
+                if key in fields:
+                    raise SyntaxError(f"line {no}: field {key}= is given "
+                                      "twice")
+                if not re.fullmatch(pattern, value):
+                    raise SyntaxError(f"line {no}: {key}= must be {what}, "
+                                      f"got {value!r}")
+                fields[key] = value
+        elif line:
+            raise SyntaxError(f"line {no}: {line!r} is neither fields nor "
+                              'a term line `term d: "..."`')
     for req in ("dim", "order", "trunc"):
         if req not in fields:
             raise SyntaxError(f"missing field {req}= in symbol body")
     n = int(fields["dim"])
-    order = fields["order"]
+    order = float(fields["order"])
     trunc = int(fields["trunc"])
-    terms = [(float(d), t) for d, t in _TERM_RE.findall(body)]
     if not terms:
         raise SyntaxError("symbol body declares no terms")
     degrees = [d for d, _ in terms]

@@ -175,10 +175,12 @@ def write_samples(fh, header: str, values: np.ndarray):
 
 
 def read_samples(fh, kind: str, shape: tuple) -> np.ndarray:
-    """The complex array of `shape` that the rows of fh after its header
-    give, in the format of `write_samples` (zero where no row does);
-    GridMismatch for a short row or an index off the array."""
+    """The complex array of `shape` whose entries the rows of fh after its
+    header give, one row each, in the format of `write_samples`;
+    GridMismatch for a short row, an index off the array, or an entry
+    given twice or not at all."""
     vals = np.zeros(shape, dtype=complex)
+    given = np.zeros(shape, dtype=bool)
     d = len(shape)
     for row in csv.reader(fh):
         if not row:
@@ -188,7 +190,13 @@ def read_samples(fh, kind: str, shape: tuple) -> np.ndarray:
         idx = tuple(int(c) for c in row[:d])
         if not all(0 <= i < m for i, m in zip(idx, shape)):
             raise GridMismatch(f"{kind} CSV entry {idx} is off the grid")
+        if given[idx]:
+            raise GridMismatch(f"{kind} CSV entry {idx} is given twice")
+        given[idx] = True
         vals[idx] = float(row[d]) + 1j * float(row[d + 1])
+    if not given.all():
+        idx = tuple(map(int, np.argwhere(~given)[0]))
+        raise GridMismatch(f"{kind} CSV entry {idx} is missing")
     return vals
 
 
@@ -548,8 +556,7 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
     sums = _merge([(ex.div(a, 1 + ex.pow_(theta, 8)), psi), *sums.items()])
     x_prog = ex.Program(list(sums.values()))
     theta_prog = ex.Program(list(sums))
-    psi_hat = _panel_transform(
-        np.stack([_PSI_WEIGHTS * v for v in x_prog(xrow, zrow)], axis=1))
+    psi_hat = _panel_transform((_PSI_WEIGHTS * x_prog(xrow, zrow)).T)
 
     def f(th, mid):
         row = th.reshape(1, -1)

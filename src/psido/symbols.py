@@ -313,14 +313,14 @@ class Diffeo:
         # round-trip inverse(forward(x)) = x at the samples
         sub = {("x", j + 1): self.forward[j] for j in range(n)}
         comp = [g.subst(sub) for g in self.inverse]
-        vals = np.array(ex.Program(comp)(xs, xis))
+        vals = ex.Program(comp)(xs, xis)
         err = np.max(np.abs(vals - xs))
         if err > 1e-9:
             raise DegreeOrderError(
                 f"inverse(forward) deviates from identity by {err:.2e}")
         jac = self.jacobian()
-        jv = np.array(ex.Program([e for row in jac for e in row])(xs, xis))
-        jv = jv.reshape(n, n, -1)
+        jv = ex.Program([e for row in jac for e in row])(xs, xis).reshape(
+            n, n, -1)
         dets = np.linalg.det(np.moveaxis(jv, 2, 0))
         if np.min(np.abs(dets)) < 1e-12:
             raise DegreeOrderError("Jacobian determinant vanishes at a sample")

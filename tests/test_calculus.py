@@ -4,10 +4,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psido import calculus as ca
 from psido import expr as ex
 from psido import symbols as sy
+from psido.quantize import GridFunction, op_apply
 from psido.errors import (NonConvergent, NotElliptic, NotPositive,
                           ZeroCovector)
 
@@ -346,3 +349,68 @@ def test_pullback_rotation_invariance():
 def test_principal_picks_top_degree():
     P = _sym(ex.xi_norm_sq(2), 2.0, 2) + _sym(ex.xi(1), 1.0, 2)
     assert ca.principal(P).degree == 2.0
+
+
+# -- calculus laws on random differential symbols ---------------------------
+
+_QUARTERS = st.integers(-4, 4).map(lambda v: v / 4)
+
+
+@st.composite
+def _trig_coefficients(draw, n):
+    """a + sum of c cos(k.x) + s sin(k.x) over one or two small integer
+    frequency vectors k, the coefficients complex multiples of 1/4."""
+    def number():
+        return complex(draw(_QUARTERS), draw(_QUARTERS))
+
+    parts = [number()]
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        phase = ex.add(*(ex.mul(float(kj), ex.x(j + 1))
+                         for j, kj in enumerate(k)))
+        parts += [ex.mul(number(), ex.cos(phase)),
+                  ex.mul(number(), ex.sin(phase))]
+    return ex.add(*parts)
+
+
+@st.composite
+def _differential_symbols(draw):
+    """sum over |beta| <= m <= 2 of c_beta(x) xi^beta on T^n, n = 1 or 2,
+    the c_beta trigonometric polynomials, truncated past its last level
+    (degree 0), so that every level of a conversion is kept."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(0, 2))
+    terms = []
+    for d in range(m + 1):
+        monomials = [(a, d - a) for a in range(d + 1)] if n == 2 else [(d,)]
+        e = ex.add(*(ex.mul(draw(_trig_coefficients(n)),
+                            *(ex.pow_(ex.xi(j + 1), b)
+                              for j, b in enumerate(beta)))
+                     for beta in monomials))
+        terms.append(sy.HomogeneousTerm(e, float(d), n))
+    trunc = m + draw(st.integers(1, 2))
+    return sy.ClassicalSymbol(float(m), tuple(terms), trunc, n)
+
+
+def _assert_same_operator(A, P):
+    """A - P is zero level by level (the zero test), and A and P apply
+    alike to a band-limited grid function, to 1e-10."""
+    assert all(sy.is_zero(t) for t in (A - P).terms)
+    u = GridFunction.random_band_limited(P.dimension, 8, 3,
+                                         np.random.default_rng(1))
+    got, want = op_apply(A, u).values, op_apply(P, u).values
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(
+        1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_differential_symbols())
+def test_adjoint_is_an_involution_on_differential_symbols(P):
+    _assert_same_operator(ca.adjoint(ca.adjoint(P)), P)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_differential_symbols())
+def test_left_right_left_returns_a_differential_symbol(P):
+    right = ca.convert_left_right(P, "left-to-right")
+    _assert_same_operator(ca.convert_left_right(right, "right-to-left"), P)

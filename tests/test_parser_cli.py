@@ -120,6 +120,51 @@ def test_parse_symbol_document():
     assert doc.truncation_order == 4
 
 
+_BAD_DOCS = {
+    # each of these parsed before: the term line was dropped, the field
+    # truncated to an integer, or the last of two fields kept
+    "misspelt_term": ('dim=1 order=1 trunc=3\n  term 1: "xi1"\n'
+                      '  tern 0: "x1"', r"line 4: 'tern 0: \"x1\"' is "
+                      "neither fields nor a term line"),
+    "unquoted_term": ('dim=1 order=1 trunc=3\n  term 1: xi1',
+                      r"line 3: 'term 1: xi1' is neither"),
+    "text_after_term": ('dim=1 order=1 trunc=3\n  term 1: "xi1" x1',
+                        "line 3: .* is neither"),
+    "fractional_dim": ('dim=2.7 order=2 trunc=4\n  term 2: "xi1^2"',
+                       "line 2: dim= must be an integer, got '2.7'"),
+    "fractional_trunc": ('dim=1 order=1 trunc=4.9\n  term 1: "xi1"',
+                         "line 2: trunc= must be an integer, got '4.9'"),
+    "order_not_a_number": ('dim=1 order=one trunc=3\n  term 1: "xi1"',
+                           "line 2: order= must be a number"),
+    "repeated_field": ('dim=2 order=1 trunc=3\n  dim=1\n  term 1: "xi1"',
+                       "line 3: field dim= is given twice"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_DOCS))
+def test_symbol_document_rejects_what_it_cannot_read(name):
+    body, message = _BAD_DOCS[name]
+    with pytest.raises(SyntaxError, match=message):
+        parse_symbol_document(f"symbol P {{\n  {body}\n}}\n")
+
+
+def test_symbol_document_reads_fields_and_terms_line_by_line():
+    doc = parse_symbol_document(
+        'symbol P {\r\n  dim = 1   order=1.5\r\n\r\n  trunc=3\r\n'
+        '  term 1.5: "xi1*sqrt(xi1)"\r\n  term 0: "x1"\r\n}\r\n')
+    assert (doc.dimension, doc.leading_order, doc.truncation_order) == (
+        1, 1.5, 3)
+    assert doc.terms == ((1.5, "xi1*sqrt(xi1)"), (0.0, "x1"))
+
+
+def test_cli_misspelt_term_line_exits_one(tmp_path, capsys):
+    doc = FIRST_ORDER_DOC.replace('term 0: "x1"', 'tern 0: "x1"')
+    assert main(["adjoint", _write(tmp_path / "q.sym", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 4: ")
+    assert captured.out == ""
+
+
 def test_parse_symbol_text_validates_homogeneity():
     bad = 'symbol P {\n  dim=1 order=1 trunc=2\n  term 1: "xi1 + 1"\n}\n'
     with pytest.raises(HomogeneityError):
@@ -524,6 +569,12 @@ _BAD_GRIDS = {
     "negative_index": "# gridfunction n=1 M=4\n-1,1.0,0.0\n",
     "short_row": "# gridfunction n=1 M=4\n0,1.0\n",
     "negative_M": "# gridfunction n=1 M=-4\n0,1.0,0.0\n",
+    # read as [2, 0, 0, 0] before: a missing entry was zero, a repeated
+    # one the last row's
+    "missing_row": "# gridfunction n=1 M=4\n0,1.0,0.0\n1,2.0,0.0\n"
+                   "3,1.0,0.0\n",
+    "repeated_row": "# gridfunction n=1 M=4\n0,1.0,0.0\n1,2.0,0.0\n"
+                    "2,0.5,0.0\n3,1.0,0.0\n0,2.0,0.0\n",
 }
 
 
@@ -532,7 +583,7 @@ def test_cli_apply_rejects_malformed_grid(tmp_path, capsys, name):
     p = _write(tmp_path / "q.sym", FIRST_ORDER_DOC)
     grid = _write(tmp_path / "u.csv", _BAD_GRIDS[name])
     assert main(["apply", p, "--grid", grid]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith("error: grid CSV ")
 
 
 _BAD_FORMS = {
@@ -542,14 +593,20 @@ _BAD_FORMS = {
     "short_row": "# formfield n=1 j=1 M=4\n0,0,1.0\n",
     "zero_M": "# formfield n=2 j=1 M=0\n",
     "negative_M": "# formfield n=2 j=1 M=-4\n0,0,0,1.0,0.0\n",
+    "missing_row": "# formfield n=1 j=1 M=4\n0,0,1.0,0.0\n0,1,2.0,0.0\n"
+                   "0,2,0.5,0.0\n",
+    "repeated_row": "# formfield n=1 j=1 M=4\n0,0,1.0,0.0\n0,1,2.0,0.0\n"
+                    "0,2,0.5,0.0\n0,3,1.0,0.0\n0,1,2.0,0.0\n",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_FORMS))
 def test_cli_hodge_rejects_malformed_form(tmp_path, capsys, name):
+    # laplacian, not d: d rejects every 1-form on T^1 as top-degree, so it
+    # exits 1 whether or not the reader does
     form = _write(tmp_path / "w.csv", _BAD_FORMS[name])
-    assert main(["hodge", "d", "--form", form]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert main(["hodge", "laplacian", "--form", form]) == 1
+    assert capsys.readouterr().err.startswith("error: form CSV ")
 
 
 def test_cli_import_loads_no_scipy():

@@ -551,6 +551,27 @@ def test_csv_readers_reject_negative_points_per_axis(tmp_path):
         FormField(2, 1, 0, {})
 
 
+@pytest.mark.parametrize("header, rows, message", [
+    # two rows for entry 0 read as [2, 0, 0, 0], with no error
+    ("gridfunction n=1 M=4", "0,1.0,0.0\n0,2.0,0.0\n",
+     r"grid CSV entry \(0,\) is given twice"),
+    ("gridfunction n=1 M=4", "0,1.0,0.0\n1,2.0,0.0\n3,1.0,0.0\n",
+     r"grid CSV entry \(2,\) is missing"),
+    ("formfield n=1 j=1 M=2", "0,0,1.0,0.0\n",
+     r"form CSV entry \(0, 1\) is missing"),
+    ("formfield n=1 j=1 M=2", "0,0,1.0,0.0\n0,1,1.0,0.0\n0,0,1.0,0.0\n",
+     r"form CSV entry \(0, 0\) is given twice"),
+])
+def test_csv_readers_need_every_entry_exactly_once(tmp_path, header, rows,
+                                                   message):
+    from psido.hodge import FormField
+    path = tmp_path / "u.csv"
+    path.write_text(f"# {header}\n{rows}")
+    cls = GridFunction if header.startswith("grid") else FormField
+    with pytest.raises(GridMismatch, match=message):
+        cls.read_csv(path)
+
+
 def test_adjoint_duality():
     # <P u, v> = <u, P* v> in the unweighted L^2 pairing
     from psido.calculus import adjoint
