@@ -21,6 +21,8 @@ import numpy as np
 from . import expr as ex
 from .errors import (DimensionMismatch, NonConvergent, NotElliptic,
                      NotPositive, ZeroCovector)
+from .hamilton import phase_vector
+from .quantize import lattice
 from .symbols import (DEGREE_TOL, ClassicalSymbol, Diffeo, HomogeneousTerm,
                       conjugate, differentiate, factorial, is_zero,
                       multi_indices, zero_margin)
@@ -130,52 +132,40 @@ def _sphere_directions(n: int, count: int = 64) -> np.ndarray:
     return g / np.linalg.norm(g, axis=0, keepdims=True)
 
 
-def _grid_points(n: int, per_axis: int = 16) -> np.ndarray:
-    axes = [np.linspace(0.0, 2.0 * np.pi, per_axis, endpoint=False)
-            for _ in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.vstack([m.ravel() for m in mesh])
-
-
 def _sphere_samples(e: ex.Expr, n: int, per_axis: int, directions: int):
-    """Values of e on an x-grid times unit sphere directions, in one
-    broadcast evaluation: (grid, directions, values of shape (ndirs,
-    npoints))."""
-    xg = _grid_points(n, per_axis)
+    """Values of e on lattice(n, per_axis) times unit sphere directions,
+    in one broadcast evaluation: (lattice, directions, values of shape
+    (ndirs, npoints))."""
+    xg = lattice(n, per_axis)
     dirs = _sphere_directions(n, directions)
     return xg, dirs, e.ev(xg[:, None], dirs[:, :, None])
 
 
-def is_elliptic(P: ClassicalSymbol, per_axis: int = 16,
-                directions: int = 64,
-                threshold: float = ELLIPTIC_THRESHOLD) -> EllipticityReport:
-    """Sample |principal(P)| on an x-grid times unit sphere directions.
-    Sampling can miss zeros; the argmin (first direction, then first
-    point, among ties) is reported so near-characteristic locations are
-    inspectable."""
-    xg, dirs, vals = _sphere_samples(principal(P).expr, P.dimension,
-                                     per_axis, directions)
+def is_elliptic(P: ClassicalSymbol) -> EllipticityReport:
+    """Sample |principal(P)| on lattice(n, 16) times 64 unit sphere
+    directions against ELLIPTIC_THRESHOLD.  Sampling can miss zeros; the
+    argmin (first direction, then first point, among ties) is reported in
+    floats so near-characteristic locations are inspectable."""
+    xg, dirs, vals = _sphere_samples(principal(P).expr, P.dimension, 16, 64)
     mods = np.abs(vals)
     k, idx = np.unravel_index(np.argmin(mods), mods.shape)
     min_mod = float(mods[k, idx])
-    argmin = (tuple(xg[:, idx]), tuple(dirs[:, k]))
-    return EllipticityReport(min_mod, argmin, min_mod >= threshold, threshold)
+    argmin = (tuple(xg[:, idx].tolist()), tuple(dirs[:, k].tolist()))
+    return EllipticityReport(min_mod, argmin, min_mod >= ELLIPTIC_THRESHOLD)
 
 
-def micro_elliptic_at(P: ClassicalSymbol, point,
-                      threshold: float = ELLIPTIC_THRESHOLD) -> bool:
-    """True iff the principal symbol is nonzero at (x0, xi0/|xi0|)."""
-    pt = np.asarray(point, dtype=float)
+def micro_elliptic_at(P: ClassicalSymbol, point) -> bool:
+    """True iff the principal symbol is at least ELLIPTIC_THRESHOLD in
+    modulus at (x0, xi0/|xi0|); the point is checked by `phase_vector`."""
     n = P.dimension
-    if pt.size != 2 * n:
-        raise ValueError(f"start must have length {2 * n}")
+    pt = phase_vector(point, n)
     x0, xi0 = pt[:n], pt[n:]
     nrm = np.linalg.norm(xi0)
     if nrm == 0.0:
         raise ZeroCovector("micro-ellipticity needs a nonzero covector")
     val = ex.evaluate(principal(P).expr,
                       np.concatenate([x0, xi0 / nrm]))
-    return abs(val) >= threshold
+    return abs(val) >= ELLIPTIC_THRESHOLD
 
 
 def _residual_correction_loop(make_first, next_term, cutoff, n_out,

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import calculus, hamilton, hodge, quantize
 from .errors import NumericalError, ValidationError
-from .parser import parse_expr, parse_symbol_text
-from .symbols import Diffeo
+from .parser import parse_expr, parse_map_text, parse_symbol_text
 
 _HODGE_OPS = ("d", "star", "delta", "laplacian", "decompose", "betti",
               "parametrix-check")
@@ -36,26 +35,6 @@ def _emit(text: str, out: str | None):
     print(text)
 
 
-def _parse_map_file(path: str) -> Diffeo:
-    """Map files list `dim=n`, then `forward j: "expr"` and
-    `inverse j: "expr"` lines (expressions in x1..xn)."""
-    import re
-    with open(path) as fh:
-        text = fh.read()
-    m = re.search(r"dim\s*=\s*(\d+)", text)
-    if m is None:
-        raise SyntaxError("map file must declare dim=n")
-    n = int(m.group(1))
-    fwd, inv = [None] * n, [None] * n
-    for kind, j, body in re.findall(
-            r"(forward|inverse)\s+(\d)\s*:\s*\"([^\"]*)\"", text):
-        (fwd if kind == "forward" else inv)[int(j) - 1] = \
-            parse_expr(body, n)
-    if any(e is None for e in fwd + inv):
-        raise SyntaxError("map file must give all forward/inverse components")
-    return Diffeo(fwd, inv)
-
-
 def _ellipticity_report(P) -> str:
     rep = calculus.is_elliptic(P)
     argmin = ",".join(repr(float(v)) for pair in rep.argmin for v in pair)
@@ -68,7 +47,8 @@ def _ellipticity_report(P) -> str:
 
 
 def _pullback_report(P, map_file: str) -> str:
-    phi = _parse_map_file(map_file)
+    with open(map_file) as fh:
+        phi = parse_map_text(fh.read())
     term = calculus.pullback_principal(calculus.principal(P), phi)
     return f"degree {term.degree:g}: {term.expr.render()}"
 

@@ -83,12 +83,15 @@ def _check_real(p: HomogeneousTerm):
         raise NotReal("Hamiltonian flow needs a real-valued symbol")
 
 
-def _phase_vector(pt, n: int) -> np.ndarray:
-    """A start point, PhasePoint or sequence, as a flat (x, xi) vector."""
+def phase_vector(pt, n: int) -> np.ndarray:
+    """A phase-space point of T^n, PhasePoint or sequence, as a flat
+    (x, xi) vector; ValueError unless it has 2n entries, all finite."""
     z = pt.as_vector() if isinstance(pt, PhasePoint) \
         else np.asarray(pt, dtype=float)
     if z.size != 2 * n:
-        raise ValueError(f"start must have length {2 * n}")
+        raise ValueError(f"phase point must have length {2 * n}")
+    if not np.isfinite(z).all():
+        raise ValueError(f"phase point {z.tolist()} is not finite")
     return z
 
 
@@ -297,7 +300,7 @@ def flow(p: HomogeneousTerm, start, T: float,
     """Integrate the Hamiltonian flow from `start` over t in [0, T]: the
     one-ray case of `_integrate`, with its StepFailure."""
     n = p.dimension
-    z0 = _phase_vector(start, n)
+    z0 = phase_vector(start, n)
     times, states = _integrate(hamiltonian_field(p), n, z0.reshape(-1, 1),
                                T, tol)
     pts = states[:, :, 0]
@@ -313,12 +316,13 @@ def propagate_wavefront(p: HomogeneousTerm, initial, T: float,
     NotReal and a point of the wrong length ValueError, as in `flow`."""
     fld = hamiltonian_field(p)
     n = p.dimension
-    z = np.reshape([_phase_vector(pt, n) for pt in initial], (-1, 2 * n)).T
+    z = np.reshape([phase_vector(pt, n) for pt in initial], (-1, 2 * n)).T
     mods = np.abs(p.expr.ev(z[:n], z[n:]))
     if np.any(mods > 1e-6):
         k = int(np.argmax(mods > 1e-6))
         raise NotCharacteristic(
-            f"initial point {tuple(z[:, k])} has |p| = {mods[k]:.2e} > 1e-6")
+            f"initial point {tuple(z[:, k].tolist())} has |p| = "
+            f"{mods[k]:.2e} > 1e-6")
     _, states = _integrate(fld, n, z, T, tol)
     return [PhasePoint.of(v[:n], v[n:]) for v in states[-1].T]
 

@@ -88,7 +88,7 @@ class FormField:
 
     @classmethod
     def from_callables(cls, n: int, j: int, M: int, table) -> "FormField":
-        mesh = lattice(n, M)
+        mesh = lattice(n, M).reshape((n,) + (M,) * n)
         return cls(n, j, M,
                    {alpha: f(*mesh) for alpha, f in table.items()})
 
@@ -212,9 +212,8 @@ def green(w: FormField) -> FormField:
     """Spectral pseudo-inverse of the Hodge Laplacian: divide each nonzero
     Fourier mode by |k|^2, zero the k = 0 modes."""
     k2 = sum(K.astype(float) ** 2 for K in wavenumbers(w.dimension, w.M))
-    inv = np.zeros_like(k2)
-    nz = k2 > 0
-    inv[nz] = 1.0 / k2[nz]
+    inv = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0).reshape(
+        (w.M,) * w.dimension)
 
     def per_field(v):
         return np.fft.ifftn(inv * np.fft.fftn(v))

@@ -14,6 +14,16 @@ Symbol documents:
 
 Degrees must be strictly decreasing and stay above order - trunc; every
 term is validated against the Euler relation at parse time.
+
+Map files, for `psido pullback`, give a diffeomorphism of T^n by its
+components in x1..xn, each once in each direction:
+
+    dim=1
+    forward 1: "x1 + 0.5"
+    inverse 1: "x1 - 0.5"
+
+One reader takes both line by line: each non-blank line is a line of
+`key=value` fields or one item line, and SyntaxError names any other.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from .errors import DegreeOrderError
-from .symbols import ClassicalSymbol, HomogeneousTerm
+from .symbols import ClassicalSymbol, Diffeo, HomogeneousTerm
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+\.\d*|\.\d+|\d+)
@@ -177,49 +187,61 @@ class SymbolDocument:
 
 _DOC_RE = re.compile(
     r"\s*symbol\s+(?P<name>\w+)\s*\{(?P<body>.*)\}\s*$", re.DOTALL)
-_FIELD_RE = re.compile(r"(dim|order|trunc)\s*=\s*(\S+)")
-_FIELDS_LINE_RE = re.compile(r"(?:(?:dim|order|trunc)\s*=\s*\S+\s*)+")
 _TERM_RE = re.compile(r"term\s+(-?\d+(?:\.\d+)?)\s*:\s*\"([^\"]*)\"")
-# each field's value: its pattern and what it names
-_FIELD_VALUES = {"dim": (r"-?\d+", "an integer"),
-                 "order": (r"-?\d+(?:\.\d+)?", "a number"),
-                 "trunc": (r"-?\d+", "an integer")}
+_COMPONENT_RE = re.compile(r"(forward|inverse)\s+(\d+)\s*:\s*\"([^\"]*)\"")
+# each field of a document: the pattern of its value and what it names
+_SYMBOL_FIELDS = {"dim": (r"-?\d+", "an integer"),
+                  "order": (r"-?\d+(?:\.\d+)?", "a number"),
+                  "trunc": (r"-?\d+", "an integer")}
+_MAP_FIELDS = {"dim": (r"[1-9]", "an integer in 1..9")}
 
 
-def parse_symbol_document(text: str) -> SymbolDocument:
-    """The name, fields and terms of a symbol document.  Each non-blank
-    body line is a line of fields or one `term d: "..."` line; SyntaxError
-    names any other line, and is raised for a field given twice or not at
-    all and for a dim or trunc that is not an integer."""
-    m = _DOC_RE.match(text)
-    if m is None:
-        raise SyntaxError("expected `symbol NAME { ... }`")
-    fields, terms = {}, []
-    first = text.count("\n", 0, m.start("body")) + 1
-    for no, line in enumerate(m.group("body").splitlines(), first):
+def _read_lines(lines, first: int, fields: dict, item_re, item: str):
+    """The field values, and (line number, *groups) of each item line, of
+    lines numbered from `first`; SyntaxError names a line neither of
+    `key=value` fields nor matched in full by `item_re`, a field given
+    twice or not at all, and a value not of its field's pattern."""
+    keys = "|".join(fields)
+    values, items = {}, []
+    for no, line in enumerate(lines, first):
         line = line.strip()
-        term = _TERM_RE.fullmatch(line)
-        if term:
-            terms.append((float(term[1]), term[2]))
-        elif _FIELDS_LINE_RE.fullmatch(line):
-            for key, value in _FIELD_RE.findall(line):
-                pattern, what = _FIELD_VALUES[key]
-                if key in fields:
+        match = item_re.fullmatch(line)
+        if match:
+            items.append((no, *match.groups()))
+        elif re.fullmatch(rf"(?:(?:{keys})\s*=\s*\S+\s*)+", line):
+            for key, value in re.findall(rf"({keys})\s*=\s*(\S+)", line):
+                pattern, what = fields[key]
+                if key in values:
                     raise SyntaxError(f"line {no}: field {key}= is given "
                                       "twice")
                 if not re.fullmatch(pattern, value):
                     raise SyntaxError(f"line {no}: {key}= must be {what}, "
                                       f"got {value!r}")
-                fields[key] = value
+                values[key] = value
         elif line:
             raise SyntaxError(f"line {no}: {line!r} is neither fields nor "
-                              'a term line `term d: "..."`')
-    for req in ("dim", "order", "trunc"):
-        if req not in fields:
-            raise SyntaxError(f"missing field {req}= in symbol body")
+                              f"{item}")
+    for key in fields:
+        if key not in values:
+            raise SyntaxError(f"missing field {key}=")
+    return values, items
+
+
+def parse_symbol_document(text: str) -> SymbolDocument:
+    """The name, fields and terms of a symbol document, its body read by
+    `_read_lines` with `term d: "..."` items; SyntaxError also for a body
+    without terms, DegreeOrderError for degrees out of order or range."""
+    m = _DOC_RE.match(text)
+    if m is None:
+        raise SyntaxError("expected `symbol NAME { ... }`")
+    first = text.count("\n", 0, m.start("body")) + 1
+    fields, items = _read_lines(m.group("body").splitlines(), first,
+                                _SYMBOL_FIELDS, _TERM_RE,
+                                'a term line `term d: "..."`')
     n = int(fields["dim"])
     order = float(fields["order"])
     trunc = int(fields["trunc"])
+    terms = [(float(degree), body) for _, degree, body in items]
     if not terms:
         raise SyntaxError("symbol body declares no terms")
     degrees = [d for d, _ in terms]
@@ -234,3 +256,28 @@ def parse_symbol_document(text: str) -> SymbolDocument:
 def parse_symbol_text(text: str) -> ClassicalSymbol:
     """Parse and fully validate a symbol document."""
     return parse_symbol_document(text).to_symbol()
+
+
+def parse_map_text(text: str) -> Diffeo:
+    """The diffeomorphism of a map file: dim=n in 1..9 and each component
+    j in 1..n given once in each direction, else SyntaxError naming it.
+    Diffeo checks the round trip and the Jacobian."""
+    fields, items = _read_lines(
+        text.splitlines(), 1, _MAP_FIELDS, _COMPONENT_RE,
+        'a component line `forward j: "..."` or `inverse j: "..."`')
+    n = int(fields["dim"])
+    parts = {"forward": [None] * n, "inverse": [None] * n}
+    for no, kind, j, body in items:
+        comps, j = parts[kind], int(j)
+        if not 1 <= j <= n:
+            raise SyntaxError(f"line {no}: component {kind} {j} is outside "
+                              f"1..{n}")
+        if comps[j - 1] is not None:
+            raise SyntaxError(f"line {no}: component {kind} {j} is given "
+                              "twice")
+        comps[j - 1] = parse_expr(body, n)
+    for kind, comps in parts.items():
+        if None in comps:
+            raise SyntaxError(f"map file gives no component {kind} "
+                              f"{comps.index(None) + 1}")
+    return Diffeo(parts["forward"], parts["inverse"])

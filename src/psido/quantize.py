@@ -53,24 +53,26 @@ _X, _XI = 1, 2             # the variable kinds in a term, as bits
 _QUIET_PANELS = 3          # empty theta panels in a row that end a quadrature
 
 
-def lattice(n: int, M: int):
-    """Spatial lattice axes (2pi/M){0..M-1} as a meshgrid list."""
+def lattice(n: int, M: int) -> np.ndarray:
+    """The torus lattice points (2pi/M)(i1, ..., in), ij in 0..M-1, as
+    one flat (n, M**n) array in the C order of a grid's samples."""
     ax = 2.0 * np.pi * np.arange(M) / M
-    return np.meshgrid(*([ax] * n), indexing="ij")
+    return ax[np.indices((M,) * n).reshape(n, -1)]
 
 
-def wavenumbers(n: int, M: int):
-    """Integer wavenumber meshgrid in fft order."""
+def wavenumbers(n: int, M: int) -> np.ndarray:
+    """The integer wavenumbers in fft order, as one flat (n, M**n) array
+    in the C order of `lattice` and of the fft's entries."""
     ks = np.fft.fftfreq(M, d=1.0 / M).astype(int)
-    return np.meshgrid(*([ks] * n), indexing="ij")
+    return ks[np.indices((M,) * n).reshape(n, -1)]
 
 
 def band_limited_samples(n: int, M: int, band: int, rng) -> np.ndarray:
     """Lattice samples of sum_k c_k e^{ikx} over the modes with every
     |k_j| <= band, each c_k drawn from rng as a standard normal real part,
     then all the imaginary parts."""
-    mask = np.logical_and.reduce([np.abs(K) <= band
-                                  for K in wavenumbers(n, M)])
+    mask = np.all(np.abs(wavenumbers(n, M)) <= band, axis=0).reshape(
+        (M,) * n)
     cnt = int(mask.sum())
     coef = np.zeros((M,) * n, dtype=complex)
     coef[mask] = rng.standard_normal(cnt) + 1j * rng.standard_normal(cnt)
@@ -102,17 +104,14 @@ class GridFunction:
 
     @classmethod
     def from_expr(cls, e: ex.Expr, n: int, M: int) -> "GridFunction":
-        mesh = lattice(n, M)
-        flat = np.vstack([m.ravel() for m in mesh])
-        zero_xi = np.zeros_like(flat)
-        vals = e.ev(flat, zero_xi)
-        return cls(n, M, vals.reshape((M,) * n))
+        x = lattice(n, M)
+        return cls(n, M, e.ev(x, np.zeros_like(x)))
 
     @classmethod
     def single_mode(cls, n: int, M: int, k) -> "GridFunction":
-        mesh = lattice(n, M)
+        x = lattice(n, M)
         k = np.atleast_1d(k)
-        phase = sum(k[j] * mesh[j] for j in range(n))
+        phase = sum(k[j] * x[j] for j in range(n))
         return cls(n, M, np.exp(1j * phase))
 
     @classmethod
@@ -177,16 +176,17 @@ def write_samples(fh, header: str, values: np.ndarray):
 def read_samples(fh, kind: str, shape: tuple) -> np.ndarray:
     """The complex array of `shape` whose entries the rows of fh after its
     header give, one row each, in the format of `write_samples`;
-    GridMismatch for a short row, an index off the array, or an entry
-    given twice or not at all."""
+    GridMismatch for a row of other than d + 2 fields (d = len(shape)),
+    an index off the array, or an entry given twice or not at all."""
     vals = np.zeros(shape, dtype=complex)
     given = np.zeros(shape, dtype=bool)
     d = len(shape)
     for row in csv.reader(fh):
         if not row:
             continue
-        if len(row) < d + 2:
-            raise GridMismatch(f"{kind} CSV row {row} is short")
+        if len(row) != d + 2:
+            raise GridMismatch(f"{kind} CSV row {row} has {len(row)} "
+                               f"fields, not {d + 2}")
         idx = tuple(int(c) for c in row[:d])
         if not all(0 <= i < m for i, m in zip(idx, shape)):
             raise GridMismatch(f"{kind} CSV entry {idx} is off the grid")
@@ -293,8 +293,8 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
         raise GridMismatch("symbol/grid dimension mismatch")
     uhat = np.fft.fftn(u.values)
     active = (np.abs(uhat) > _MODE_EPS * np.abs(uhat).max()).ravel()
-    x = np.vstack([m.ravel() for m in lattice(n, M)])
-    k = np.vstack([K.ravel() for K in wavenumbers(n, M)]).astype(float)
+    x = lattice(n, M)
+    k = wavenumbers(n, M).astype(float)
     out = np.zeros(M ** n, dtype=complex)
     # the k = 0 rule, on the first mode in fft order: the degree-0 terms
     # are read there at xi = e1, every other term drops it
@@ -341,9 +341,8 @@ def sobolev_norm(u: GridFunction, s: float) -> float:
     a mode whose coefficient is zero adds nothing, whatever its weight."""
     if not math.isfinite(s):
         raise ValidationError(f"Sobolev order must be finite, got {s}")
-    kgrid = wavenumbers(u.dimension, u.M)
-    k2 = sum(K.astype(float) ** 2 for K in kgrid)
-    a = np.abs(u.spectrum()) ** 2
+    k2 = sum(K.astype(float) ** 2 for K in wavenumbers(u.dimension, u.M))
+    a = np.abs(u.spectrum().ravel()) ** 2
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         norm = float(np.sqrt(np.sum(np.where(a > 0, (1.0 + k2) ** s * a,
                                              0.0))))

@@ -4,13 +4,13 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psido import calculus as ca
 from psido import expr as ex
 from psido import symbols as sy
-from psido.quantize import GridFunction, op_apply
+from psido.quantize import GridFunction, lattice, op_apply
 from psido.errors import (NonConvergent, NotElliptic, NotPositive,
                           ZeroCovector)
 
@@ -163,12 +163,13 @@ def test_is_elliptic_wave_operator_fails_on_diagonal():
     assert abs(abs(xi[0]) - abs(xi[1])) < 1e-6
 
 
-def _is_elliptic_by_direction(P, per_axis=16, directions=64):
-    """One direction at a time; ties go to the first direction, then to
-    the first grid point."""
+def _is_elliptic_by_direction(P):
+    """One direction at a time, on is_elliptic's 16^n lattice and 64
+    directions; ties go to the first direction, then to the first grid
+    point."""
     p = ca.principal(P).expr
-    xg = ca._grid_points(P.dimension, per_axis)
-    dirs = ca._sphere_directions(P.dimension, directions)
+    xg = lattice(P.dimension, 16)
+    dirs = ca._sphere_directions(P.dimension, 64)
     best = (np.inf, None)
     for k in range(dirs.shape[1]):
         xiv = np.repeat(dirs[:, k:k + 1], xg.shape[1], axis=1)
@@ -187,9 +188,8 @@ def test_is_elliptic_matches_direction_by_direction_sampling():
                    2.0, 2),
               _sym(ex.xi(1), 1.0, 1),
               _sym(ex.mul(coef, ex.xi_norm(3)), 1.0, 3)):
-        rep = ca.is_elliptic(P, per_axis=8)
-        assert (rep.min_modulus, rep.argmin) == \
-            _is_elliptic_by_direction(P, per_axis=8)
+        rep = ca.is_elliptic(P)
+        assert (rep.min_modulus, rep.argmin) == _is_elliptic_by_direction(P)
 
 
 def test_sqrt_approx_needs_a_real_positive_principal_symbol():
@@ -265,6 +265,14 @@ def test_micro_elliptic_at_needs_a_point_of_length_2n():
     P = _sym(ex.xi(1), 1.0, 2)
     for point in ([0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]):
         with pytest.raises(ValueError, match="must have length 4"):
+            ca.micro_elliptic_at(P, point)
+
+
+def test_micro_elliptic_at_needs_a_finite_point():
+    # [0, 0, inf, 0] read as not micro-elliptic, with a RuntimeWarning
+    P = _sym(ex.xi(1), 1.0, 2)
+    for point in ([0.0, 0.0, np.inf, 0.0], [np.nan, 0.0, 1.0, 0.0]):
+        with pytest.raises(ValueError, match="is not finite"):
             ca.micro_elliptic_at(P, point)
 
 
@@ -374,11 +382,12 @@ def _trig_coefficients(draw, n):
 
 
 @st.composite
-def _differential_symbols(draw):
-    """sum over |beta| <= m <= 2 of c_beta(x) xi^beta on T^n, n = 1 or 2,
-    the c_beta trigonometric polynomials, truncated past its last level
-    (degree 0), so that every level of a conversion is kept."""
-    n = draw(st.integers(1, 2))
+def _differential_symbols(draw, n=None):
+    """sum over |beta| <= m <= 2 of c_beta(x) xi^beta on T^n, n = 1 or 2
+    unless given, the c_beta trigonometric polynomials, truncated past its
+    last level (degree 0), so that every level of a conversion is kept."""
+    if n is None:
+        n = draw(st.integers(1, 2))
     m = draw(st.integers(0, 2))
     terms = []
     for d in range(m + 1):
@@ -414,3 +423,31 @@ def test_adjoint_is_an_involution_on_differential_symbols(P):
 def test_left_right_left_returns_a_differential_symbol(P):
     right = ca.convert_left_right(P, "left-to-right")
     _assert_same_operator(ca.convert_left_right(right, "right-to-left"), P)
+
+
+def _symbols_on_one_torus(count):
+    """count differential symbols on one T^n, n = 1 or 2."""
+    return st.integers(1, 2).flatmap(
+        lambda n: st.tuples(*[_differential_symbols(n)] * count))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_symbols_on_one_torus(3))
+def test_compose_is_associative_on_differential_symbols(PQR):
+    # both sides keep the levels above m_P + m_Q + m_R - min(truncations)
+    P, Q, R = PQR
+    _assert_same_operator(ca.compose(ca.compose(P, Q), R),
+                          ca.compose(P, ca.compose(Q, R)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_symbols_on_one_torus(2))
+def test_commutator_next_level_is_the_poisson_bracket_over_i(PQ):
+    P, Q = PQ
+    # a truncation of 1 drops the level m_P + m_Q - 1 from [P, Q]
+    assume(min(P.truncation_order, Q.truncation_order) >= 2)
+    bracket = ca.poisson_bracket(ca.principal(P), ca.principal(Q))
+    level = ca.commutator(P, Q).term_at(bracket.degree)
+    _assert_same_operator(sy.ClassicalSymbol.from_terms([level], 1),
+                          sy.ClassicalSymbol.from_terms(
+                              [bracket.scale(-1j)], 1))

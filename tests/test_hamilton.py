@@ -193,6 +193,20 @@ def test_flows_reject_a_time_or_tolerance_out_of_range(T, tol):
     with pytest.raises(ValueError, match="finite"):
         transport_solve(p, ex.x(1), T, start, tol=tol)
 
+
+@pytest.mark.parametrize("k, bad", [(0, np.nan), (2, np.inf), (3, -np.inf)])
+def test_flows_reject_a_phase_point_that_is_not_finite(k, bad):
+    p = sy.HomogeneousTerm(ex.xi(1) - ex.xi(2), 1.0, 2)
+    start = [0.0, 0.0, 1.0, 1.0]        # on char(p)
+    bad_start = start[:k] + [bad] + start[k + 1:]
+    with pytest.raises(ValueError, match="is not finite"):
+        flow(p, bad_start, 1.0)
+    with pytest.raises(ValueError, match="is not finite"):
+        propagate_wavefront(p, [start, bad_start], 1.0)
+    with pytest.raises(ValueError, match="is not finite"):
+        transport_solve(p, ex.x(1), 1.0, bad_start)
+
+
 def test_flow_zero_time():
     p = sy.HomogeneousTerm(ex.xi_norm_sq(2), 2.0, 2)
     b = flow(p, [0.3, 0.4, 1.0, 2.0], 0.0)

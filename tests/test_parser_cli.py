@@ -12,7 +12,8 @@ from psido import calculus, hamilton, hodge, quantize
 from psido import expr as ex
 from psido.cli import build_parser, main
 from psido.errors import DegreeOrderError, DomainError, HomogeneityError
-from psido.parser import parse_expr, parse_symbol_document, parse_symbol_text
+from psido.parser import (parse_expr, parse_map_text, parse_symbol_document,
+                          parse_symbol_text)
 from psido.quantize import GridFunction
 from psido.symbols import Diffeo
 
@@ -214,6 +215,21 @@ def test_cli_parametrix_not_elliptic_exits_one(tmp_path, capsys):
     assert main(["parametrix", p, "--order", "2"]) == 1
 
 
+def test_cli_error_points_print_as_plain_floats(tmp_path, capsys):
+    # both messages printed np.float64(...) reprs of the point before
+    wave = ('symbol W {\n  dim=2 order=2 trunc=4\n'
+            '  term 2: "xi1^2 - xi2^2"\n}\n')
+    p = _write(tmp_path / "w.sym", wave)
+    assert main(["parametrix", p, "--order", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: principal symbol has modulus ")
+    assert " at ((0.0, 0.0), (0.70710678" in err and "np.float64" not in err
+    init = _write(tmp_path / "init.csv", "0,0,1,0\n")
+    assert main(["wavefront", p, "--init", init, "--time", "1.0"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: initial point (0.0, 0.0, 1.0, 0.0) has |p| = 1.00e+00")
+
+
 def test_cli_parse_error_exits_one(tmp_path):
     p = _write(tmp_path / "bad.sym", "symbol P { this is not valid }")
     assert main(["adjoint", p]) == 1
@@ -272,6 +288,18 @@ def test_cli_flow_time_or_tolerance_out_of_range_exits_one(tmp_path, capsys,
     assert main(["flow", p, "--start", "0,0,1,0", *args]) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error:")
+
+@pytest.mark.parametrize("start", ["nan,0,1,0", "0,0,inf,0"])
+def test_cli_flow_start_that_is_not_finite_exits_one(tmp_path, capsys,
+                                                     start):
+    # a NaN start was a numerical error (exit 2) before
+    p = _write(tmp_path / "p.sym", LAPLACIAN_DOC)
+    assert main(["flow", p, "--start", start, "--time", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: phase point ")
+    assert out.err.endswith(" is not finite\n")
+
 
 def test_cli_flow_writes_csv(tmp_path, capsys):
     p = _write(tmp_path / "p.sym", LAPLACIAN_DOC)
@@ -504,6 +532,52 @@ def test_cli_pullback(tmp_path, capsys):
                                        f"{term.expr.render()}\n")
 
 
+_MAP = ('dim=2\nforward 1: "x1 + 0.5"\nforward 2: "2*x2"\n'
+        'inverse 1: "x1 - 0.5"\ninverse 2: "0.5*x2"\n')
+
+_BAD_MAPS = {
+    # before, the first was an IndexError traceback, the second kept the
+    # last copy, the third wrote component n, the fourth read dim=2, the
+    # fifth was ignored and the sixth failed inside numpy
+    "component_past_dim": (_MAP + 'forward 3: "x1"\n',
+                           "line 6: component forward 3 is outside 1..2"),
+    "repeated_component": (_MAP + 'forward 1: "x1"\n',
+                           "line 6: component forward 1 is given twice"),
+    "component_zero": (_MAP.replace("inverse 1", "inverse 0"),
+                       "line 4: component inverse 0 is outside 1..2"),
+    "fractional_dim": (_MAP.replace("dim=2", "dim=2.7"),
+                       "line 1: dim= must be an integer in 1..9, got '2.7'"),
+    "junk_line": (_MAP + "junk\n", "line 6: 'junk' is neither fields nor "
+                                   "a component line"),
+    "zero_dim": ('dim=0\nforward 1: "x1"\ninverse 1: "x1"\n',
+                 "line 1: dim= must be an integer in 1..9, got '0'"),
+    "missing_component": (_MAP.replace('inverse 2: "0.5*x2"\n', ""),
+                          "map file gives no component inverse 2"),
+    "repeated_dim": ("dim=2\n" + _MAP, "line 2: field dim= is given twice"),
+    "missing_dim": (_MAP.replace("dim=2\n", ""), "missing field dim="),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_MAPS))
+def test_cli_pullback_rejects_malformed_map(tmp_path, capsys, name):
+    text, message = _BAD_MAPS[name]
+    p = _write(tmp_path / "p.sym", VARIABLE_DOC)
+    m = _write(tmp_path / "phi.map", text)
+    assert main(["pullback", p, "--map", m]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
+def test_map_file_reads_fields_and_components_line_by_line():
+    lines = _MAP.splitlines()
+    text = "\r\n\r\n".join(["  " + lines[0]] + lines[:0:-1]) + "\r\n"
+    got, want = parse_map_text(text), parse_map_text(_MAP)
+    assert (got.forward, got.inverse) == (want.forward, want.inverse)
+    assert want.inverse == (parse_expr("x1 - 0.5", 2),
+                            parse_expr("0.5*x2", 2))
+
+
 def test_cli_wavefront(tmp_path, capsys):
     doc = ('symbol P {\n  dim=2 order=2 trunc=4\n'
            '  term 2: "xi1^2 - (1 + 0.5*sin(x1))^2*xi2^2"\n}\n')
@@ -575,6 +649,9 @@ _BAD_GRIDS = {
                    "3,1.0,0.0\n",
     "repeated_row": "# gridfunction n=1 M=4\n0,1.0,0.0\n1,2.0,0.0\n"
                     "2,0.5,0.0\n3,1.0,0.0\n0,2.0,0.0\n",
+    # read as [1, 0.5] before: fields past the value were ignored
+    "extra_field": "# gridfunction n=1 M=2\n0,1.0,0.0,7.5\n"
+                   "1,0.5,0.0,junk\n",
 }
 
 
@@ -597,6 +674,8 @@ _BAD_FORMS = {
                    "0,2,0.5,0.0\n",
     "repeated_row": "# formfield n=1 j=1 M=4\n0,0,1.0,0.0\n0,1,2.0,0.0\n"
                     "0,2,0.5,0.0\n0,3,1.0,0.0\n0,1,2.0,0.0\n",
+    "extra_field": "# formfield n=1 j=1 M=2\n0,0,1.0,0.0,7.5\n"
+                   "0,1,0.5,0.0\n",
 }
 
 

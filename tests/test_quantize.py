@@ -65,6 +65,16 @@ def test_zero_mode_policy():
     assert op_apply(P, u).l2_norm() < 1e-12
 
 
+def test_lattice_and_wavenumbers_list_the_grid_in_c_order():
+    # column c is the entry np.ndindex visits c-th: a grid's sample order
+    for n, M in ((1, 4), (2, 8), (3, 4)):
+        x, k = lattice(n, M), wavenumbers(n, M)
+        assert x.shape == k.shape == (n, M ** n)
+        for c, idx in enumerate(np.ndindex(*(M,) * n)):
+            assert x[:, c].tolist() == [2.0 * np.pi * i / M for i in idx]
+            assert k[:, c].tolist() == [i - M * (i >= M // 2) for i in idx]
+
+
 def _direct_sum(P, u, floor=None):
     """sum_k e^{ikx} p(x, k) u^(k) over every lattice mode k, or, given a
     floor, over the modes whose |u^(k)| is above floor times the largest.
@@ -75,11 +85,7 @@ def _direct_sum(P, u, floor=None):
     uhat = (np.fft.fftn(u.values) / M ** n).ravel()
     keep = np.abs(uhat) > (-1.0 if floor is None
                            else floor * np.abs(uhat).max())
-    ks = np.fft.fftfreq(M, d=1.0 / M)
-    axis = 2.0 * np.pi * np.arange(M) / M
-    x, k = (np.vstack([m.ravel()
-                       for m in np.meshgrid(*([a] * n), indexing="ij")])
-            for a in (axis, ks))
+    x, k = lattice(n, M), wavenumbers(n, M).astype(float)
     out = np.zeros(x.shape[1], dtype=complex)
     for t in P.terms:
         modes = np.flatnonzero(keep & (k.any(axis=0)
@@ -204,8 +210,7 @@ def _one_program_per_mode(P, u):
     n, M = u.dimension, u.M
     uhat = np.fft.fftn(u.values)
     active = (np.abs(uhat) > 1e-12 * np.abs(uhat).max()).ravel()
-    x = np.vstack([m.ravel() for m in lattice(n, M)])
-    k = np.vstack([K.ravel() for K in wavenumbers(n, M)]).astype(float)
+    x, k = lattice(n, M), wavenumbers(n, M).astype(float)
     group = max(1, _SAMPLE_BUDGET // M ** n)
     for term in P.terms:
         assert _separate(term.expr) is None
