@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import (DimensionMismatch, NonConvergent, NotElliptic,
-                     NotPositive, ZeroCovector)
+                     NotPositive, ValidationError, ZeroCovector)
 from .hamilton import phase_vector
 from .quantize import lattice
 from .symbols import (DEGREE_TOL, ClassicalSymbol, Diffeo, HomogeneousTerm,
@@ -121,23 +121,25 @@ class EllipticityReport:
     threshold: float = ELLIPTIC_THRESHOLD
 
 
-def _sphere_directions(n: int, count: int = 64) -> np.ndarray:
+def _sphere_samples(e: ex.Expr, n: int):
+    """Values of e on lattice(n, 16) times the unit sphere directions (+-1
+    for n = 1, 64 equally spaced angles for n = 2, 64 seeded Gaussian ones
+    beyond), in one broadcast evaluation: (lattice, directions, values of
+    shape (ndirs, npoints)).  ValidationError for n >= 5, where the
+    samples would number 16^n * 64 >= 67 M."""
+    if n >= 5:
+        raise ValidationError(f"sampling the principal symbol on T^{n} "
+                              f"takes 16^{n} x 64 points; dimension must "
+                              "be at most 4")
     if n == 1:
-        return np.array([[1.0, -1.0]])
-    if n == 2:
-        ang = 2.0 * np.pi * np.arange(count) / count
-        return np.vstack([np.cos(ang), np.sin(ang)])
-    rng = np.random.default_rng(421)
-    g = rng.standard_normal((n, count))
-    return g / np.linalg.norm(g, axis=0, keepdims=True)
-
-
-def _sphere_samples(e: ex.Expr, n: int, per_axis: int, directions: int):
-    """Values of e on lattice(n, per_axis) times unit sphere directions,
-    in one broadcast evaluation: (lattice, directions, values of shape
-    (ndirs, npoints))."""
-    xg = lattice(n, per_axis)
-    dirs = _sphere_directions(n, directions)
+        dirs = np.array([[1.0, -1.0]])
+    elif n == 2:
+        ang = 2.0 * np.pi * np.arange(64) / 64
+        dirs = np.vstack([np.cos(ang), np.sin(ang)])
+    else:
+        g = np.random.default_rng(421).standard_normal((n, 64))
+        dirs = g / np.linalg.norm(g, axis=0, keepdims=True)
+    xg = lattice(n, 16)
     return xg, dirs, e.ev(xg[:, None], dirs[:, :, None])
 
 
@@ -146,7 +148,7 @@ def is_elliptic(P: ClassicalSymbol) -> EllipticityReport:
     directions against ELLIPTIC_THRESHOLD.  Sampling can miss zeros; the
     argmin (first direction, then first point, among ties) is reported in
     floats so near-characteristic locations are inspectable."""
-    xg, dirs, vals = _sphere_samples(principal(P).expr, P.dimension, 16, 64)
+    xg, dirs, vals = _sphere_samples(principal(P).expr, P.dimension)
     mods = np.abs(vals)
     k, idx = np.unravel_index(np.argmin(mods), mods.shape)
     min_mod = float(mods[k, idx])
@@ -168,27 +170,33 @@ def micro_elliptic_at(P: ClassicalSymbol, point) -> bool:
     return abs(val) >= ELLIPTIC_THRESHOLD
 
 
-def _residual_correction_loop(make_first, next_term, cutoff, n_out,
-                              residual_of, max_iter):
-    """Shared driver for parametrix/sqrt: repeatedly kill the highest
-    residual level that fails the semantic zero test.  Raises
-    NonConvergent if a level still survives after max_iter corrections."""
-    q_terms = [make_first()]
+def _kill_levels(first: HomogeneousTerm, lead: HomogeneousTerm,
+                 factor: float, residual_of, N: int) -> ClassicalSymbol:
+    """Shared driver for parametrix/sqrt: from Q = first, truncated at
+    order N, kill the highest level r of R = residual_of(Q) above degree
+    R.leading_order - N that fails the semantic zero test, by adding
+    factor * r / lead at degree r.degree - lead.degree, until none is
+    left.  Raises NonConvergent if one survives 4N + 4 corrections."""
+    q_terms = [first]
     values = {}     # node values shared by this construction's zero tests
     try:
-        for it in range(max_iter + 1):
-            Q = ClassicalSymbol.from_terms(q_terms, n_out)
-            target = next((t for t in residual_of(Q).terms
+        for it in range(4 * N + 5):
+            Q = ClassicalSymbol.from_terms(q_terms, N)
+            R = residual_of(Q)
+            cutoff = R.leading_order - N
+            target = next((t for t in R.terms
                            if t.degree > cutoff + DEGREE_TOL
                            and not is_zero(t, values=values)), None)
             if target is None:
                 return Q
-            if it == max_iter:
+            if it == 4 * N + 4:
                 raise NonConvergent(
                     f"residual level of degree {target.degree:g} survives "
-                    f"{max_iter} corrections (zero-test margin "
+                    f"{it} corrections (zero-test margin "
                     f"{zero_margin(target, values=values):.3g})")
-            q_terms.append(next_term(target))
+            e = ex.mul(ex.Const(factor), ex.div(target.expr, lead.expr))
+            q_terms.append(HomogeneousTerm(e, target.degree - lead.degree,
+                                           lead.dimension))
     finally:
         values.clear()      # a traceback keeps this frame, not the table
 
@@ -202,32 +210,21 @@ def parametrix(P: ClassicalSymbol, N: int) -> ClassicalSymbol:
         raise NotElliptic(
             f"principal symbol has modulus {rep.min_modulus:.2e} "
             f"at {rep.argmin}")
-    n = P.dimension
-    m = P.leading_order
-    p_m = principal(P)
+    n, m = P.dimension, P.leading_order
+    # at degree m itself: the level's first degree may be off by DEGREE_TOL
+    p_m = HomogeneousTerm(principal(P).expr, m, n)
     ident = ClassicalSymbol.identity(n, N)
-
-    def first():
-        return HomogeneousTerm(ex.div(ex.ONE, p_m.expr), -m, n)
-
-    def correction(res_term):
-        e = ex.neg(ex.div(res_term.expr, p_m.expr))
-        return HomogeneousTerm(e, res_term.degree - m, n)
-
-    def residual(Q):
-        return compose(P, Q, truncation=N) - ident
-
-    return _residual_correction_loop(first, correction, -N, N,
-                                     residual, max_iter=4 * N + 4)
+    return _kill_levels(HomogeneousTerm(ex.div(ex.ONE, p_m.expr), -m, n),
+                        p_m, -1.0,
+                        lambda Q: compose(P, Q, truncation=N) - ident, N)
 
 
 def sqrt_approx(P: ClassicalSymbol, N: int) -> ClassicalSymbol:
     """Approximate square root: Q with compose(Q, Q) - P of order m - N.
-    Requires the principal symbol to be real and strictly positive."""
-    n = P.dimension
-    m = P.leading_order
+    Requires the principal symbol to be real and strictly positive on the
+    samples of `is_elliptic`."""
     p_m = principal(P)
-    _, _, vals = _sphere_samples(p_m.expr, n, 8, 32)
+    _, _, vals = _sphere_samples(p_m.expr, P.dimension)
     # judged direction by direction, each on its own magnitude scale
     scale = np.maximum(1.0, np.max(np.abs(vals), axis=1, keepdims=True))
     nonreal = np.any(np.abs(vals.imag) > 1e-9 * scale, axis=1)
@@ -237,20 +234,10 @@ def sqrt_approx(P: ClassicalSymbol, N: int) -> ClassicalSymbol:
             "principal symbol takes non-real values"
             if nonreal[np.argmax(bad)]
             else "principal symbol is not strictly positive")
-    q0 = ex.sqrt(p_m.expr)
-
-    def first():
-        return HomogeneousTerm(q0, m / 2.0, n)
-
-    def correction(res_term):
-        e = ex.mul(ex.Const(0.5), ex.div(res_term.expr, q0))
-        return HomogeneousTerm(e, res_term.degree - m / 2.0, n)
-
-    def residual(Q):
-        return P - compose(Q, Q, truncation=N)
-
-    return _residual_correction_loop(first, correction, m - N, N,
-                                     residual, max_iter=4 * N + 4)
+    q0 = HomogeneousTerm(ex.sqrt(p_m.expr), P.leading_order / 2.0,
+                         P.dimension)
+    return _kill_levels(q0, q0, 0.5,
+                        lambda Q: P - compose(Q, Q, truncation=N), N)
 
 
 def _minor(mat, i, j):

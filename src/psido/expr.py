@@ -6,8 +6,10 @@ differentiation with respect to any variable.  Negation is Mul(., -1),
 square roots are Pow(., 0.5) and a quotient u / v is Mul(u, Pow(v, -1)),
 so its k-th derivative has the denominator power v^(k+1).  There is no
 simplification beyond constant folding and neutral-element elimination
-(a fold whose constant is not finite raises DomainError): semantic
-questions (is this tree zero?) are settled by sampling, not by rewriting.
+(a fold whose constant is not finite raises DomainError): `add` and
+`mul` splice in the children of a same-kind argument and fold every
+constant in the order met.  Semantic questions (is this tree zero?) are
+settled by sampling, not by rewriting.
 
 Nodes are immutable and hash-consed (Filliatre & Conchon 2006): a table
 of weak references, keyed by class, child ids and payload (floats by bit
@@ -16,42 +18,10 @@ identity means structure and all that is keyed by it shares subtrees.
 A node defines no `__eq__`: it hashes by identity, so memos and tables
 key nodes themselves, and a key keeps its node alive.
 
-Evaluation is vectorized and has one implementation, `Program`: it
-compiles a list of roots into a topologically ordered list of steps and
-settles there all that does not depend on the samples: each constant's
-array is built once, each step carries the slots that die after it, and
-sums and products are computed inline by the call loop.  A call computes
-each distinct node once per batch of samples, drops each array after its
-last use, holds every domain check (negative power of a vanishing base,
-fractional power of a negative or non-real base -> DomainError) and
-returns one fresh array, a row per root: float64 if every root is
-real, else complex128, into which a real root upcasts exactly.  Real
-nodes compute in float64, bit for bit as complex128 would while
-values stay finite: real constants and the variables start real, numpy's
-promotion keeps sums, products, sin and cos of real operands real and
-promotes a real operand of a complex step as a + 0j would, and only two
-ops look at the dtype: a real integer power squares and multiplies, the
-reciprocal last, as numpy's complex power rounds, and exp casts a real
-argument to complex.  The steps are out-of-place numpy operations, so x
-and xi broadcast: x of shape (n, 1, P) and xi of shape (n, C, 1)
-evaluate on the C x P product grid with x-only nodes computed on P
-samples and xi-only ones on C.  When x and xi hold one sample each (a
-flow's field, `evaluate`), the same steps run on Python floats and
-complex numbers, at a fraction of numpy's per-call cost on one-sample
-arrays, and give the array loop's values bit for bit: where a Python
-op rounds apart from numpy's loop -- a product of two complex numbers
-(numpy's complex multiply, fused on SIMD targets), a power other than
-sqrt or a real integer power (numpy's SIMD pow, its complex power) and
-the modulus of a complex base (numpy's hypot) -- the point calls the
-numpy ufunc on its scalars, and where a root is not finite or Python's
-math raises, the point is computed again on arrays.  The domain checks
-are one code for both loops.  The entry points are
-`Program(roots)(x, xi)` for several trees or repeated batches,
-`e.ev(x, xi)` (alias `ev_cached(e, x, xi)`) for one tree, and
-`evaluate(e, point)` for one phase-space point.  A program given a table
-{node: array} of values on one sample set takes the nodes it holds as
-constant slots and records the ones it computes, so callers compute a
-node once per sample set.
+Evaluation has one implementation, `Program`, whose docstring states its
+contract: what a call computes and returns, in which dtype, how samples
+broadcast, the one-sample loop and the domain checks.  `e.ev(x, xi)`
+(alias `ev_cached`) and `evaluate(e, point)` call it.
 
 Each node kind lists its children once, as `args` in evaluation order,
 and `rebuild(args)` makes the same kind of node over new children
@@ -315,59 +285,37 @@ def _folded(value: complex, what: str) -> Const:
     return Const(value)
 
 
-def add(*terms) -> Expr:
-    flat = []
-    const = 0.0 + 0.0j
-    for t in terms:
-        t = _as_expr(t)
-        if isinstance(t, Add):
-            flat.extend(t.terms)
-        elif isinstance(t, Const):
-            const += t.value
-        else:
-            flat.append(t)
-    # nested Adds may still carry consts
+def _spliced(cls, items, const: complex, fold):
+    """The children of items, a `cls` item's own spliced in, and const
+    with every constant among them folded in by fold, in the order met."""
     merged = []
-    for t in flat:
-        if isinstance(t, Const):
-            const += t.value
-        else:
-            merged.append(t)
+    for item in items:
+        for e in item.args if type(item) is cls else (_as_expr(item),):
+            if type(e) is Const:
+                const = fold(const, e.value)
+            else:
+                merged.append(e)
+    return merged, const
+
+
+def add(*terms) -> Expr:
+    merged, const = _spliced(Add, terms, 0.0 + 0.0j, operator.add)
     if const != 0:
         merged.append(_folded(const, "sum"))
-    if not merged:
-        return ZERO
-    if len(merged) == 1:
-        return merged[0]
-    return Add(merged)
+    if len(merged) > 1:
+        return Add(merged)
+    return merged[0] if merged else ZERO
 
 
 def mul(*factors) -> Expr:
-    flat = []
-    const = 1.0 + 0.0j
-    for f in factors:
-        f = _as_expr(f)
-        if isinstance(f, Mul):
-            flat.extend(f.factors)
-        elif isinstance(f, Const):
-            const *= f.value
-        else:
-            flat.append(f)
-    merged = []
-    for f in flat:
-        if isinstance(f, Const):
-            const *= f.value
-        else:
-            merged.append(f)
+    merged, const = _spliced(Mul, factors, 1.0 + 0.0j, operator.mul)
     if const == 0:
         return ZERO
     if const != 1:
         merged.append(_folded(const, "product"))
-    if not merged:
-        return ONE
-    if len(merged) == 1:
-        return merged[0]
-    return Mul(merged)
+    if len(merged) > 1:
+        return Mul(merged)
+    return merged[0] if merged else ONE
 
 
 def neg(e) -> Expr:
@@ -600,11 +548,21 @@ class Program:
     S and T broadcastable (a flat (n,) is one sample), it returns one
     fresh array of shape (len(roots), *broadcast(S, T)), a row per root:
     float64 if every root is real (real constants, no exp below it), else
-    complex128, with the values of a complex128 evaluation bit for bit
-    while they stay finite.  A node computes on the samples of the
-    variables below it: for x of shape (n, 1, P) and xi of shape
-    (n, C, 1), x-only nodes on P samples, xi-only ones on C, constants on
-    one and mixed nodes on the C x P product grid.
+    complex128, into which a real root upcasts exactly.  Real nodes
+    compute in float64, with the values of a complex128 evaluation bit for
+    bit while they stay finite: real constants and the variables start
+    real, numpy's promotion keeps sums, products, sin and cos of real
+    operands real and promotes a real operand of a complex step as a + 0j
+    would, and only two ops look at the dtype: a real integer power
+    squares and multiplies, the reciprocal last, as numpy's complex power
+    rounds, and exp casts a real argument to complex.  A node computes on
+    the samples of the variables below it: for x of shape (n, 1, P) and
+    xi of shape (n, C, 1), x-only nodes on P samples, xi-only ones on C,
+    constants on one and mixed nodes on the C x P product grid.
+
+    A call holds every domain check, one code for both loops below: a
+    negative power of a vanishing base, or a fractional power of a
+    negative or non-real base, raises DomainError.
 
     Each node, one object per structure, is one slot of a list, filled
     once per call however many parents or roots share it.  Compilation

@@ -1,9 +1,10 @@
 """Text grammar for symbols and phase-space expressions.
 
 Expressions: variables x1..x9, xi1..xi9, the imaginary unit `i`, numeric
-literals, operators + - * / ^ with conventional precedence (^ binds
-tightest, right-associative, constant exponent), functions sin, cos, exp,
-sqrt, and `|xi|` as sugar for sqrt(xi1^2 + ... + xin^2).
+literals with an optional exponent (2.5e-07, as `Expr.render` prints),
+operators + - * / ^ with conventional precedence (^ binds tightest,
+right-associative, constant exponent), functions sin, cos, exp, sqrt,
+and `|xi|` as sugar for sqrt(xi1^2 + ... + xin^2).
 
 Symbol documents:
 
@@ -12,8 +13,9 @@ Symbol documents:
       term 2: "xi1^2 + (1+0.5*sin(x1))*xi2^2"
     }
 
-Degrees must be strictly decreasing and stay above order - trunc; every
-term is validated against the Euler relation at parse time.
+`dim` is an integer in 1..9, since the variables stop at x9.  Degrees
+must be strictly decreasing and stay above order - trunc; every term is
+validated against the Euler relation at parse time.
 
 Map files, for `psido pullback`, give a diffeomorphism of T^n by its
 components in x1..xn, each once in each direction:
@@ -24,6 +26,7 @@ components in x1..xn, each once in each direction:
 
 One reader takes both line by line: each non-blank line is a line of
 `key=value` fields or one item line, and SyntaxError names any other.
+An error in an item's expression keeps its class and names its line.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ import re
 from dataclasses import dataclass
 
 from . import expr as ex
-from .errors import DegreeOrderError
+from .errors import DegreeOrderError, DomainError
 from .symbols import ClassicalSymbol, Diffeo, HomogeneousTerm
 
 _TOKEN_RE = re.compile(r"""
-    (?P<num>\d+\.\d*|\.\d+|\d+)
+    (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
   | (?P<name>xi[1-9]|x[1-9]|sin|cos|exp|sqrt|i)
   | (?P<op>\|xi\||[-+*/^()|])
   | (?P<ws>\s+)
@@ -174,12 +177,12 @@ class SymbolDocument:
     dimension: int
     leading_order: float
     truncation_order: int
-    terms: tuple    # of (degree, expression text)
+    terms: tuple    # of (degree, expression text, line number)
 
     def to_symbol(self) -> ClassicalSymbol:
         built = []
-        for degree, text in self.terms:
-            e = parse_expr(text, self.dimension)
+        for degree, text, no in self.terms:
+            e = _parse_item(no, text, self.dimension)
             built.append(HomogeneousTerm.checked(e, degree, self.dimension))
         return ClassicalSymbol(self.leading_order, tuple(built),
                                self.truncation_order, self.dimension)
@@ -190,10 +193,19 @@ _DOC_RE = re.compile(
 _TERM_RE = re.compile(r"term\s+(-?\d+(?:\.\d+)?)\s*:\s*\"([^\"]*)\"")
 _COMPONENT_RE = re.compile(r"(forward|inverse)\s+(\d+)\s*:\s*\"([^\"]*)\"")
 # each field of a document: the pattern of its value and what it names
-_SYMBOL_FIELDS = {"dim": (r"-?\d+", "an integer"),
+_MAP_FIELDS = {"dim": (r"[1-9]", "an integer in 1..9")}
+_SYMBOL_FIELDS = {**_MAP_FIELDS,
                   "order": (r"-?\d+(?:\.\d+)?", "a number"),
                   "trunc": (r"-?\d+", "an integer")}
-_MAP_FIELDS = {"dim": (r"[1-9]", "an integer in 1..9")}
+
+
+def _parse_item(no: int, text: str, dimension: int) -> ex.Expr:
+    """parse_expr of the expression on line `no`; its SyntaxError or
+    DomainError keeps its class and names the line."""
+    try:
+        return parse_expr(text, dimension)
+    except (SyntaxError, DomainError) as err:
+        raise type(err)(f"line {no}: {err}") from err
 
 
 def _read_lines(lines, first: int, fields: dict, item_re, item: str):
@@ -241,10 +253,10 @@ def parse_symbol_document(text: str) -> SymbolDocument:
     n = int(fields["dim"])
     order = float(fields["order"])
     trunc = int(fields["trunc"])
-    terms = [(float(degree), body) for _, degree, body in items]
+    terms = [(float(degree), body, no) for no, degree, body in items]
     if not terms:
         raise SyntaxError("symbol body declares no terms")
-    degrees = [d for d, _ in terms]
+    degrees = [d for d, _, _ in terms]
     if any(b >= a for a, b in zip(degrees, degrees[1:])):
         raise DegreeOrderError("term degrees must be strictly decreasing")
     if degrees[0] > order or any(d <= order - trunc for d in degrees):
@@ -275,7 +287,7 @@ def parse_map_text(text: str) -> Diffeo:
         if comps[j - 1] is not None:
             raise SyntaxError(f"line {no}: component {kind} {j} is given "
                               "twice")
-        comps[j - 1] = parse_expr(body, n)
+        comps[j - 1] = _parse_item(no, body, n)
     for kind, comps in parts.items():
         if None in comps:
             raise SyntaxError(f"map file gives no component {kind} "

@@ -182,8 +182,7 @@ class ClassicalSymbol:
         n = self.dimension or (self.terms[0].dimension if self.terms else 0)
         if n <= 0:
             raise DimensionMismatch("cannot infer dimension of empty symbol")
-        merged: dict = {}
-        order: list = []
+        levels: dict = {}       # a level's first degree -> its exprs
         for t in self.terms:
             if t.dimension != n:
                 raise DimensionMismatch("mixed-dimension terms")
@@ -191,20 +190,15 @@ class ClassicalSymbol:
                 raise DegreeOrderError(
                     f"term degree {t.degree} exceeds leading order "
                     f"{self.leading_order}")
-            for d in order:
-                if abs(d - t.degree) <= DEGREE_TOL:
-                    merged[d] = merged[d] + t
-                    break
-            else:
-                merged[t.degree] = t
-                order.append(t.degree)
+            d = next((d for d in levels if abs(d - t.degree) <= DEGREE_TOL),
+                     t.degree)
+            levels.setdefault(d, []).append(t.expr)
         cutoff = self.leading_order - self.truncation_order
-        kept = sorted((d for d in order if d > cutoff + DEGREE_TOL),
-                      reverse=True)
-        final = [merged[d] for d in kept
-                 if not (isinstance(merged[d].expr, ex.Const)
-                         and merged[d].expr.value == 0)]
-        object.__setattr__(self, "terms", tuple(final))
+        kept = (HomogeneousTerm(ex.add(*levels[d]), d, n)
+                for d in sorted(levels, reverse=True)
+                if d > cutoff + DEGREE_TOL)
+        object.__setattr__(self, "terms",
+                           tuple(t for t in kept if t.expr is not ex.ZERO))
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "leading_order", float(self.leading_order))
 

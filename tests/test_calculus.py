@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from psido import calculus as ca
 from psido import expr as ex
 from psido import symbols as sy
-from psido.quantize import GridFunction, lattice, op_apply
+from psido.quantize import GridFunction, op_apply
 from psido.errors import (NonConvergent, NotElliptic, NotPositive,
-                          ZeroCovector)
+                          ValidationError, ZeroCovector)
 
 
 def _sym(e, degree, n, trunc=4):
@@ -168,8 +168,7 @@ def _is_elliptic_by_direction(P):
     directions; ties go to the first direction, then to the first grid
     point."""
     p = ca.principal(P).expr
-    xg = lattice(P.dimension, 16)
-    dirs = ca._sphere_directions(P.dimension, 64)
+    xg, dirs, _ = ca._sphere_samples(p, P.dimension)
     best = (np.inf, None)
     for k in range(dirs.shape[1]):
         xiv = np.repeat(dirs[:, k:k + 1], xg.shape[1], axis=1)
@@ -192,6 +191,17 @@ def test_is_elliptic_matches_direction_by_direction_sampling():
         assert (rep.min_modulus, rep.argmin) == _is_elliptic_by_direction(P)
 
 
+def test_principal_symbol_sampling_refuses_dimension_five():
+    # lattice(5, 16) times 64 directions are 67 M samples: the sampler
+    # refuses before it builds the lattice
+    P = _sym(ex.xi_norm_sq(5), 2.0, 5)
+    for construct in (ca.is_elliptic, lambda P: ca.parametrix(P, 2),
+                      lambda P: ca.sqrt_approx(P, 2)):
+        with pytest.raises(ValidationError, match="T\\^5 takes 16\\^5 x 64 "
+                           "points; dimension must be at most 4"):
+            construct(P)
+
+
 def test_sqrt_approx_needs_a_real_positive_principal_symbol():
     with pytest.raises(NotPositive, match="not strictly positive"):
         ca.sqrt_approx(_sym(ex.xi(1), 1.0, 1), 2)
@@ -200,19 +210,17 @@ def test_sqrt_approx_needs_a_real_positive_principal_symbol():
 
 
 def test_correction_loop_raises_when_a_level_survives():
-    # a correction that adds nothing never kills the degree -1 level of
-    # P o (1/p) - 1 for a variable-coefficient P
+    # a correction of factor 0 adds nothing, so it never kills the degree
+    # -1 level of P o (1/p) - 1 for a variable-coefficient P
     P = _sym(ex.mul(ex.ONE + ex.mul(ex.Const(0.5), ex.sin(ex.x(1))),
                     ex.xi_norm_sq(2)), 2.0, 2, trunc=3)
-    p = ca.principal(P).expr
+    p = ca.principal(P)
     ident = sy.ClassicalSymbol.identity(2, 3)
-    with pytest.raises(NonConvergent, match=r"degree -1 survives 2 "
+    with pytest.raises(NonConvergent, match=r"degree -1 survives 16 "
                        r"corrections \(zero-test margin \S+\)") as info:
-        ca._residual_correction_loop(
-            lambda: sy.HomogeneousTerm(ex.div(ex.ONE, p), -2.0, 2),
-            lambda t: sy.HomogeneousTerm.zero(t.degree - 2.0, 2),
-            -3, 3, lambda Q: ca.compose(P, Q, truncation=3) - ident,
-            max_iter=2)
+        ca._kill_levels(sy.HomogeneousTerm(ex.div(ex.ONE, p.expr), -2.0, 2),
+                        p, 0.0,
+                        lambda Q: ca.compose(P, Q, truncation=3) - ident, 3)
     # the margin named is the surviving level's, far from passing
     assert float(re.search(r"margin (\S+)\)", str(info.value))[1]) > 1e3
 

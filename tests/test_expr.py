@@ -83,6 +83,24 @@ def test_singular_quotient_raises():
         ex.evaluate(e, [0.0, 0.0, 0.0, 0.0])
 
 
+def test_sums_and_products_fold_constants_in_the_order_met():
+    # a spliced child's constant is folded where its sum or product is
+    # met, not after the top-level constants: (1 + 1) + 1e16 is exact,
+    # (1 + 1e16) + 1 loses both ones; (3 * 0.1) * 0.7 and (0.1 * 0.7) * 3
+    # round apart
+    s = ex.add(ex.add(ex.x(1), 1.0), ex.Const(1.0), ex.Const(1e16))
+    assert s is ex.Add([ex.x(1), ex.Const((1.0 + 1.0) + 1e16)])
+    assert s.terms[1].value != 1e16
+    p = ex.mul(ex.mul(ex.x(1), 3.0), ex.Const(0.1), ex.Const(0.7))
+    assert p is ex.Mul([ex.x(1), ex.Const((3.0 * 0.1) * 0.7)])
+    assert p.factors[1].value != (0.1 * 0.7) * 3.0
+    # the neutral and the absorbing constant, also when spliced in
+    assert ex.add(ex.add(ex.x(1), 2.0), ex.Const(-2.0)) is ex.x(1)
+    assert ex.mul(ex.mul(ex.x(1), 0.5), ex.Const(2.0)) is ex.x(1)
+    assert ex.mul(ex.mul(ex.x(1), 2.0), ex.ZERO, ex.x(2)) is ex.ZERO
+    assert ex.add() is ex.ZERO and ex.mul() is ex.ONE
+
+
 def test_complex_constant():
     e = ex.mul(ex.I, ex.xi(1))
     assert ex.evaluate(e, [0.0, 2.0]) == 2.0j
@@ -221,8 +239,10 @@ def test_diff_of_a_dag_stays_linear_and_is_kept_on_the_node():
     assert e.diff("x", 1) is d
 
 
+# constants that render in exponent notation come before the complex
+# one, which the examples below take as _LEAVES[-1]
 _LEAVES = (ex.x(1), ex.x(2), ex.xi(1), ex.xi(2), ex.ZERO, ex.Const(0.5),
-           ex.Const(-1.5 + 0.5j))
+           ex.Const(2.5e-07), ex.Const(1e16), ex.Const(-1.5 + 0.5j))
 _EXPONENTS = (-3.0, -2.0, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0, 4.0, 5.0)
 _COORDS = (-2.0, -1.0, -0.25, -1e-9, 0.0, 0.5, 1.0, 2.5)
 

@@ -113,6 +113,19 @@ def test_parse_expr_rejects_a_number_that_is_not_finite(text):
         parse_expr(text, 1)
 
 
+def test_parse_expr_reads_numbers_in_exponent_notation():
+    # render prints constants by repr, so small and large ones come out
+    # as 2.5e-07 or 1e+16; the parser rejected their exponent before
+    assert parse_expr("(x1*2.5e-07)", 1) is ex.mul(ex.x(1), 2.5e-07)
+    for text, value in (("1E16", 1e16), ("2.e+3", 2e3), (".5e-1", 0.05)):
+        assert parse_expr(text, 1) is ex.Const(value)
+    with pytest.raises(SyntaxError, match="number at position 3 is not "
+                                          "finite"):
+        parse_expr("x1*1e400", 1)
+    with pytest.raises(SyntaxError, match="unexpected character 'e'"):
+        parse_expr("2e", 1)
+
+
 def test_parse_symbol_document():
     doc = parse_symbol_document(VARIABLE_DOC)
     assert doc.name == "P"
@@ -132,7 +145,11 @@ _BAD_DOCS = {
     "text_after_term": ('dim=1 order=1 trunc=3\n  term 1: "xi1" x1',
                         "line 3: .* is neither"),
     "fractional_dim": ('dim=2.7 order=2 trunc=4\n  term 2: "xi1^2"',
-                       "line 2: dim= must be an integer, got '2.7'"),
+                       "line 2: dim= must be an integer in 1..9, got '2.7'"),
+    # the grammar's variables stop at x9; before, dim=12 reached the
+    # ellipticity sampler, which asked numpy for 24 PiB
+    "dim_past_nine": ('dim=12 order=2 trunc=4\n  term 2: "xi1^2"',
+                      "line 2: dim= must be an integer in 1..9, got '12'"),
     "fractional_trunc": ('dim=1 order=1 trunc=4.9\n  term 1: "xi1"',
                          "line 2: trunc= must be an integer, got '4.9'"),
     "order_not_a_number": ('dim=1 order=one trunc=3\n  term 1: "xi1"',
@@ -155,7 +172,7 @@ def test_symbol_document_reads_fields_and_terms_line_by_line():
         '  term 1.5: "xi1*sqrt(xi1)"\r\n  term 0: "x1"\r\n}\r\n')
     assert (doc.dimension, doc.leading_order, doc.truncation_order) == (
         1, 1.5, 3)
-    assert doc.terms == ((1.5, "xi1*sqrt(xi1)"), (0.0, "x1"))
+    assert doc.terms == ((1.5, "xi1*sqrt(xi1)", 5), (0.0, "x1", 6))
 
 
 def test_cli_misspelt_term_line_exits_one(tmp_path, capsys):
@@ -206,6 +223,73 @@ def test_cli_ellipticity(tmp_path, capsys):
     assert main(["ellipticity", p]) == 0
     out = capsys.readouterr().out
     assert "verdict: elliptic" in out
+
+
+def test_cli_rereads_a_printed_level_in_exponent_notation(tmp_path, capsys):
+    doc = ('symbol P {\n  dim=1 order=2 trunc=8\n'
+           '  term 2: "(1+0.01*sin(x1))*xi1^2"\n}\n')
+    assert main(["parametrix", _write(tmp_path / "p.sym", doc),
+                 "--order", "4"]) == 0
+    level = next(line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("degree -5: "))
+    body = level.removeprefix("degree -5: ")
+    assert "e-0" in body
+    r = _write(tmp_path / "r.sym", 'symbol R {\n  dim=1 order=-5 trunc=2\n'
+               f'  term -5: "{body}"\n}}\n')
+    assert main(["adjoint", r]) == 0
+    assert capsys.readouterr().out.startswith("degree -5: ")
+
+
+def test_cli_ellipticity_rejects_a_dimension_past_nine(tmp_path, capsys):
+    p = _write(tmp_path / "p.sym", LAPLACIAN_DOC.replace("dim=2", "dim=12"))
+    assert main(["ellipticity", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: line 2: dim= must be an integer in "
+                            "1..9, got '12'\n")
+    assert captured.out == ""
+
+
+def test_cli_ellipticity_refuses_dimension_five(tmp_path, capsys):
+    p = _write(tmp_path / "p.sym", 'symbol P {\n  dim=5 order=2 trunc=4\n'
+               '  term 2: "xi1^2 + xi5^2"\n}\n')
+    assert main(["ellipticity", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: sampling the principal symbol "
+                                   "on T^5 ")
+    assert captured.out == ""
+
+
+_BAD_EXPRESSIONS = {
+    # an expression error names its line, as a field error does, and
+    # keeps its class; before, only the position within the expression
+    "symbol_syntax": ("symbol", 'term 0: "x3"', SyntaxError,
+                      "line 4: variable x3 exceeds dimension 1 at "
+                      "position 0"),
+    "symbol_domain": ("symbol", 'term 0: "1e200*1e200*x1"', DomainError,
+                      "line 4: constant product is not finite"),
+    "map_syntax": ("map", 'forward 1: "x3"', SyntaxError,
+                   "line 2: variable x3 exceeds dimension 1 at position 0"),
+    "map_domain": ("map", 'forward 1: "x1 + 1e308 + 1e308"', DomainError,
+                   "line 2: constant sum is not finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_EXPRESSIONS))
+def test_an_expression_error_names_its_line(tmp_path, capsys, name):
+    kind, line, cls, message = _BAD_EXPRESSIONS[name]
+    if kind == "symbol":
+        text = FIRST_ORDER_DOC.replace('term 0: "x1"', line)
+        with pytest.raises(cls, match=f"^{message}$"):
+            parse_symbol_text(text)
+        argv = ["adjoint", _write(tmp_path / "q.sym", text)]
+    else:
+        text = f'dim=1\n{line}\ninverse 1: "x1"\n'
+        with pytest.raises(cls, match=f"^{message}$"):
+            parse_map_text(text)
+        argv = ["pullback", _write(tmp_path / "p.sym", FIRST_ORDER_DOC),
+                "--map", _write(tmp_path / "phi.map", text)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_parametrix_not_elliptic_exits_one(tmp_path, capsys):
@@ -271,7 +355,7 @@ def test_cli_constant_fold_that_overflows_exits_one(tmp_path, capsys):
         warnings.simplefilter("error")
         rc, err = _adjoint_of_term(tmp_path, capsys, f"xi1*{_BIG_SQUARE}")
     assert rc == 1
-    assert err == "error: constant product is not finite\n"
+    assert err == "error: line 3: constant product is not finite\n"
 
 
 def test_cli_number_that_is_not_finite_exits_one(tmp_path, capsys):

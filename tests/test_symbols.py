@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psido import expr as ex
 from psido import symbols as sy
@@ -112,6 +114,33 @@ def test_classical_symbol_container():
     s = p + q
     assert set(s.degrees()) == {2.0, 0.0}
     assert isinstance(s.render(), str)
+
+
+# level expressions, several carrying constants whose sum depends on the
+# order they are folded in: (1 + 1) + 1e16 is exact, (1 + 1e16) + 1 is not
+_LEVEL_EXPRS = (ex.xi(1), ex.mul(ex.x(1), ex.xi(2), 3.0), ex.ZERO,
+                ex.add(ex.x(1), 1.0), ex.Const(1.0), ex.Const(1e16),
+                ex.Const(-1.0), ex.add(ex.xi(2), ex.Const(0.5j)))
+# 2 + 5e-13 is within DEGREE_TOL of 2, so the two share a level
+_LEVEL_DEGREES = (2.0, 2.0 + 5e-13, 1.0, 0.0, -3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_LEVEL_DEGREES),
+                          st.sampled_from(_LEVEL_EXPRS)),
+                min_size=1, max_size=8))
+def test_each_level_is_the_pairwise_sum_of_its_terms(draws):
+    terms = [sy.HomogeneousTerm(e, d, 2) for d, e in draws]
+    P = sy.ClassicalSymbol(2.0, tuple(terms), 4, 2)
+    levels = {}     # the first degree of a level -> its pairwise sum
+    for t in terms:
+        d = next((d for d in levels if abs(d - t.degree) <= sy.DEGREE_TOL),
+                 t.degree)
+        levels[d] = levels[d] + t if d in levels else t
+    want = [levels[d] for d in sorted(levels, reverse=True)
+            if d > -2.0 and levels[d].expr is not ex.ZERO]
+    assert [t.degree for t in P.terms] == [t.degree for t in want]
+    assert all(a.expr is b.expr for a, b in zip(P.terms, want))
 
 
 def test_make_lambda_s_trivial_cases():
