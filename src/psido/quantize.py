@@ -25,10 +25,13 @@ circle.  Each oscillatory-integral regularization is one sweep over theta
 in full Gauss panels of one width, ended once every component of its
 integrand is quiet: the epsilon-cutoff sweeps its whole epsilon sequence
 as one vector integrand, and integration by parts keys its separable
-terms by their theta factor, the near remainder one more of them.  Each
-takes its x integrals from one transform whose phase is factored at the
-panel centre, e^{i theta x} = e^{i (theta - mid) x} e^{i mid x}: the
-first factor is built once, so a panel costs one exponential per x node.
+terms by their theta factor, the near remainder one more of them.  The
+sweep evaluates a block of 8 panels at a time: one call of the theta
+program on the block's nodes, and one transform of the block for the x
+integrals.  The transform's phase is factored at each panel centre,
+e^{i theta x} = e^{i (theta - mid) x} e^{i mid x}: the first factor is
+built once, so a block costs one exponential per x node and panel, and
+one matrix product per transformed column.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from .symbols import ClassicalSymbol
 _MODE_EPS = 1e-12          # below the fft roundoff floor a mode is noise
 _DEGREE_ZERO_TOL = 1e-9
 _PAIR_CAP = 256            # a term with more (x, xi) pairs is summed by mode
-_SAMPLE_BUDGET = 2 ** 14   # samples per array of a mode group or xi chunk
+_SAMPLE_BUDGET = 2 ** 14   # samples per array of a mode group, xi chunk
+                           # or theta block (its phases on psi's nodes)
 _X, _XI = 1, 2             # the variable kinds in a term, as bits
 _QUIET_PANELS = 3          # empty theta panels in a row that end a quadrature
 
@@ -273,6 +277,11 @@ def _pair_count(node, parts):
     return kinds, count
 
 
+def _reads(e: ex.Expr, kind: int) -> bool:
+    """Whether e reads a variable of kind (_X or _XI)."""
+    return bool(ex._walk(e, _pair_count)[0] & kind)
+
+
 def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     """Apply the quantization of P to u: sum_k e^{ikx} p(x, k) u^(k) over
     the modes k of u above the noise floor.  The k = 0 rule is applied
@@ -375,52 +384,61 @@ _PSI_WEIGHTS = (_PSI_HALF * _GL_WEIGHTS).ravel()
 
 
 def _outward_theta_quad(f, theta_max: float):
-    """Integrate f over |theta| <= theta_max symmetric outward, a pair of
-    16-node Gauss panels [a, a + _PANEL_WIDTH], [-a - _PANEL_WIDTH, -a] at
-    a time.  f(theta, mid) gets a panel's nodes and its centre and returns
-    its values on the last axis, so f may be vector valued: the result has
-    the shape of f's leading axes.  The sweep stops once every component
-    has been quiet (contributed nothing) for _QUIET_PANELS pairs in a row.
-    theta_max must be a whole number of widths: then every panel is full,
-    and its nodes are mid + _PANEL_WIDTH/2 * _GL_NODES, the offsets
+    """Integrate f over |theta| <= theta_max symmetric outward, in pairs
+    of 16-node Gauss panels [a, a + _PANEL_WIDTH], [-a - _PANEL_WIDTH, -a]
+    swept a block of _SAMPLE_BUDGET // _PSI_NODES.size panels at a time.
+    f(theta, mids) gets a block's nodes, shape (panels, 16), and their
+    centres, shape (panels,), the pairs interleaved, and returns its
+    values with those two axes last, so f may be vector valued: the
+    result has the shape of f's leading axes.  The pairs are added in
+    order, and the sweep stops once every component has been quiet
+    (contributed nothing) for _QUIET_PANELS pairs in a row, counted across
+    block edges; the block's pairs past the stop are dropped.  theta_max
+    must be a whole number of widths: then every panel is full, and its
+    nodes are mid + _PANEL_WIDTH/2 * _GL_NODES, the offsets
     `_panel_transform` is built on."""
     half = 0.5 * _PANEL_WIDTH
+    block = _SAMPLE_BUDGET // _PSI_NODES.size // 2      # pairs
+    starts = _PANEL_WIDTH * np.arange(math.ceil(theta_max / _PANEL_WIDTH))
     total = 0.0
     quiet = 0
-    a = 0.0
-    while a < theta_max:
-        c = 0.0
-        for mid in (a + half, -a - half):
-            t = mid + half * _GL_NODES
-            c = c + half * np.sum(_GL_WEIGHTS * f(t, mid), axis=-1)
-        total = total + c
-        scale = np.maximum(1.0, np.abs(total))
-        if a > 8.0 and np.all(np.abs(c) < 1e-9 * scale):
-            quiet += 1
-            if quiet >= _QUIET_PANELS:
-                break
-        else:
-            quiet = 0
-        a += _PANEL_WIDTH
+    for b in range(0, starts.size, block):
+        a = starts[b:b + block]
+        mids = np.stack([a + half, -a - half], axis=1).ravel()
+        c = half * np.sum(_GL_WEIGHTS * f(mids[:, None] + half * _GL_NODES,
+                                          mids), axis=-1)
+        for j, aj in enumerate(a):
+            pair = c[..., 2 * j] + c[..., 2 * j + 1]
+            total = total + pair
+            scale = np.maximum(1.0, np.abs(total))
+            if aj > 8.0 and np.all(np.abs(pair) < 1e-9 * scale):
+                quiet += 1
+                if quiet >= _QUIET_PANELS:
+                    return total
+            else:
+                quiet = 0
     return total
 
 
 def _panel_transform(W: np.ndarray):
     """The transforms sum_j e^{i theta x_j} W[j, c] of the columns of W,
-    quadrature weights on psi's nodes x_j, as a function of a panel centre
-    mid: its rows are theta = mid + _PANEL_WIDTH/2 * _GL_NODES.  The phase
-    factors as e^{i theta x} = e^{i (theta - mid) x} e^{i mid x}, and the
-    first factor is the same for every panel, so it is built once here and
-    a panel costs one exponential per node."""
-    E = np.exp(1j * np.outer(0.5 * _PANEL_WIDTH * _GL_NODES, _PSI_NODES))
+    quadrature weights on psi's nodes x_j, as a function of a block of
+    panel centres mids: its value has shape (columns, panels, 16), the
+    last axis theta = mid + _PANEL_WIDTH/2 * _GL_NODES.  The phase factors
+    as e^{i theta x} = e^{i (theta - mid) x} e^{i mid x}, and the first
+    factor is the same for every panel, so it is built once here and a
+    block costs one exponential per node and panel, and one matrix
+    product per column of W."""
+    E = np.exp(1j * np.outer(_PSI_NODES, 0.5 * _PANEL_WIDTH * _GL_NODES))
     # below this level the computed transform is dominated by support
     # truncation and quadrature noise; snapping it to an exact zero makes
     # tail integrals terminate instead of amplifying noise by |theta|^m
     floor = 1e-9 * np.maximum(1.0, np.sum(np.abs(W), axis=0))
 
-    def transform(mid: float) -> np.ndarray:
-        out = E @ (np.exp(1j * mid * _PSI_NODES)[:, None] * W)
-        out[np.abs(out) < floor] = 0.0
+    def transform(mids: np.ndarray) -> np.ndarray:
+        phase = np.exp(1j * mids[:, None] * _PSI_NODES)
+        out = np.stack([(phase * w) @ E for w in W.T])
+        out[np.abs(out) < floor[:, None, None]] = 0.0
         return out
 
     return transform
@@ -468,21 +486,30 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
     Each makes one theta sweep in full panels of one width: the cutoff
     sweeps its whole epsilon sequence as one vector integrand, and parts
     sweeps a separable sum {F(theta): G(x)}, psi inside each G and the
-    near remainder one more term.  The sweep ends once every component is
-    quiet.  Every x integral is a
-    column of one `_panel_transform` of weights on psi's nodes: the phase
-    e^{i theta x} is factored at the panel centre, so a panel costs one
-    exponential per node.  ValueError for an unknown method or a tol
-    that is not finite and positive, before any work; ValidationError,
-    before the expansion, when parts (or both) would integrate by parts
-    more than the 8 times its excision absorbs, for an amplitude of order
-    7 or more; NonConvergent when a regularization's value is not finite.
+    near remainder one more term.  The sweep runs a block of 8 panels at a
+    time, one call of the amplitude's or the F's program per block, and
+    ends once every component is quiet.  Every x integral is a column of
+    one `_panel_transform` of weights on psi's nodes: the phase
+    e^{i theta x} is factored at the panel centres, so a block costs one
+    exponential per node and panel and one matrix product per column.
+    ValueError for an unknown method or a tol that is not finite and
+    positive, before any work; ValidationError for an amplitude that
+    reads x or a psi that reads xi, and, before the expansion, when parts
+    (or both) would integrate by parts more than the 8 times its excision
+    absorbs, for an amplitude of order 7 or more; NonConvergent when a
+    regularization's value is not finite.
     """
     if method not in ("both", "epsilon-cutoff", "parts"):
         raise ValueError(f"unknown oscint method {method!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"oscint tolerance must be finite and positive, "
                          f"got {tol}")
+    if _reads(a, _X):
+        raise ValidationError(f"amplitude {a.render()} reads an x variable: "
+                              f"it is a function of theta (xi1) alone")
+    if _reads(psi, _XI):
+        raise ValidationError(f"test function {psi.render()} reads a xi "
+                              f"variable: it is a function of x1 alone")
     m = _estimate_order(a)
     r = max(0, math.floor(m) + 2)   # the integrations by parts
     if method != "epsilon-cutoff" and r > 8:
@@ -505,16 +532,15 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
         amp_prog = ex.Program([a])
         psi_hat = _panel_transform(
             (_PSI_WEIGHTS * psi.ev(xrow, zrow))[:, None])
-        eps = 2.0 ** -np.arange(4.0, 11.0)[:, None]
+        eps = 2.0 ** -np.arange(4.0, 11.0)[:, None, None]
 
-        def f(th, mid):
-            row = th.reshape(1, -1)
-            return (amp_prog(np.zeros_like(row), row)[0]
-                    * _cutoff_profile(eps * th) * psi_hat(mid)[:, 0])
+        def f(th, mids):
+            return (amp_prog(np.zeros((1, 1)), th[None])[0]
+                    * _cutoff_profile(eps * th) * psi_hat(mids)[0])
 
         # chi(eps theta) = 0 beyond 2/eps, so one sweep to 2/eps_min
         # gives every eps its own integral
-        vals = _outward_theta_quad(f, 2.0 / eps[-1, 0]).tolist()
+        vals = _outward_theta_quad(f, 2.0 / eps[-1, 0, 0]).tolist()
         if not np.all(np.isfinite(vals)):
             raise NonConvergent("epsilon-cutoff: a value in the epsilon "
                                 "sequence is not finite")
@@ -557,10 +583,9 @@ def oscint_eval(a: ex.Expr, psi: ex.Expr, method: str = "both",
     theta_prog = ex.Program(list(sums))
     psi_hat = _panel_transform((_PSI_WEIGHTS * x_prog(xrow, zrow)).T)
 
-    def f(th, mid):
-        row = th.reshape(1, -1)
+    def f(th, mids):
         return sum(fv * hv for fv, hv in
-                   zip(theta_prog(np.zeros_like(row), row), psi_hat(mid).T))
+                   zip(theta_prog(np.zeros((1, 1)), th[None]), psi_hat(mids)))
 
     value = complex(_outward_theta_quad(f, 512.0))
     if not np.isfinite(value):
@@ -615,9 +640,15 @@ def circle_index(aplus: ex.Expr, aminus: ex.Expr, K: int = 32) -> IndexReport:
     of the operator with symbol a+(x) for xi>0, a-(x) for xi<0 (the a+
     branch also takes the xi = 0 mode).  Unstable unless the truncations
     at K and K + 8 both give winding_minus - winding_plus; ValueError for
-    K < 1, a window with no columns."""
+    K < 1, a window with no columns; ValidationError for a+ or a- that
+    reads a xi variable, since each is a function of x1 alone."""
     if K < 1:
         raise ValueError(f"index truncation K must be >= 1, got {K}")
+    for e in (aplus, aminus):
+        if _reads(e, _XI):
+            raise ValidationError(f"symbol {e.render()} reads a xi variable: "
+                                  f"a branch of a circle symbol is a "
+                                  f"function of x1 alone")
     cp, vp = _fourier_coefs(aplus)
     cm, vm = _fourier_coefs(aminus)
     wp = _winding(vp)

@@ -1,0 +1,113 @@
+"""Mutation gate: each row of MUTANTS is a small wrong edit to the program
+that the row's test selection must catch.
+
+Usage, from the root of a checkout:
+
+    python tests/mutants.py             # every row
+    python tests/mutants.py NAME ...    # the named rows
+
+For each row, src/, tests/ and pyproject.toml are copied to a temporary
+directory and the row's old text, which must occur exactly once in its
+file, is replaced by the new text.  `pytest -x` then runs the row's
+selection in the copy, with the copy's src/ first on the path.  The
+mutant is killed when a test of the selection fails (pytest exit status
+1; a collection or usage error does not count).  The script exits 1 if
+any row's old text does not occur exactly once or any mutant survives.
+Put the test that kills a row first in its selection, so that -x stops
+early: --keep-duplicates keeps it first when a file of the selection
+holds it too.  pytest does not collect this file: its name has no test_ prefix.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CALCULUS = ["tests/test_calculus.py", "tests/test_acceptance.py"]
+
+# name, file, old text, new text, test selection
+MUTANTS = [
+    ("compose without 1/alpha!", "src/psido/calculus.py",
+     "contrib = dp.mul(dq).scale(1.0 / factorial(alpha))",
+     "contrib = dp.mul(dq)",
+     ["tests/test_acceptance.py::"
+      "test_composition_matches_operator_application", *CALCULUS]),
+    ("compose with (-1)^|alpha|", "src/psido/calculus.py",
+     "contrib = dp.mul(dq).scale(1.0 / factorial(alpha))",
+     "contrib = dp.mul(dq).scale((-1.0) ** sum(alpha) / factorial(alpha))",
+     ["tests/test_calculus.py::test_compose_xi_with_x", *CALCULUS]),
+    ("convert_left_right without 1/alpha!", "src/psido/calculus.py",
+     "c = 1.0 / factorial(alpha)",
+     "c = 1.0",
+     ["tests/test_calculus.py::test_adjoint_involution", *CALCULUS]),
+    ("convert_left_right without its sign", "src/psido/calculus.py",
+     "c *= (-1.0) ** sum(alpha)",
+     "c *= 1.0",
+     ["tests/test_calculus.py::test_convert_left_right_x_xi", *CALCULUS]),
+    ("theta sweep resets its quiet count at each block",
+     "src/psido/quantize.py",
+     "        for j, aj in enumerate(a):\n",
+     "        quiet = 0\n        for j, aj in enumerate(a):\n",
+     ["tests/test_quantize.py::test_block_sweep_equals_the_pairwise_sweep",
+      "tests/test_quantize.py"]),
+    ("theta sweep drops the negative panel of each pair",
+     "src/psido/quantize.py",
+     "pair = c[..., 2 * j] + c[..., 2 * j + 1]",
+     "pair = c[..., 2 * j]",
+     ["tests/test_quantize.py::test_block_sweep_equals_the_pairwise_sweep",
+      "tests/test_quantize.py"]),
+]
+
+
+def run(row) -> tuple:
+    """(killed, detail) for one row, its mutant built in a fresh copy."""
+    _, path, old, new, selection = row
+    with tempfile.TemporaryDirectory(prefix="psido-mutant-") as tmp:
+        tmp = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", "*.egg-info")
+        for d in ("src", "tests"):
+            shutil.copytree(ROOT / d, tmp / d, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        text = (tmp / path).read_text()
+        if text.count(old) != 1:
+            return False, f"old text occurs {text.count(old)} times in {path}"
+        (tmp / path).write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "--keep-duplicates",
+             "-p", "no:cacheprovider", *selection],
+            cwd=tmp, env=env, capture_output=True, text=True)
+    failed = re.findall(r"^FAILED (\S+)", done.stdout, re.M)
+    if done.returncode == 1 and failed:
+        return True, f"killed by {failed[0]}"
+    return False, f"survived: pytest exit status {done.returncode}"
+
+
+def main(names) -> int:
+    rows = [r for r in MUTANTS if not names or r[0] in names]
+    unknown = set(names) - {r[0] for r in rows}
+    if unknown:
+        print(f"no mutant named {', '.join(sorted(unknown))}")
+        return 1
+    bad = 0
+    for row in rows:
+        start = time.perf_counter()
+        killed, detail = run(row)
+        bad += not killed
+        print(f"{'ok  ' if killed else 'FAIL'} {row[0]}: {detail} "
+              f"({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(rows) - bad} of {len(rows)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -515,12 +515,26 @@ def test_cli_oscint_value_that_is_not_finite_exits_two(monkeypatch, capsys,
     # a NaN theta sweep, in the shape of f's leading axes; "both" printed
     # "value: nan,nan" and exited 0
     monkeypatch.setattr(quantize, "_outward_theta_quad", lambda f, _: np.full(
-        f(quantize._GL_NODES, 0.0).shape[:-1], np.nan))
+        f(quantize._GL_NODES[None], np.zeros(1)).shape[:-2], np.nan))
     assert main(["oscint", "--amp", "1", "--test", "exp(0 - 2*x1^2)",
                  "--method", method]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("numerical error:")
     assert "not finite" in out.err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["oscint", "--amp", "x1", "--test", "exp(0-x1^2)"], "amplitude x1"),
+    (["oscint", "--amp", "1", "--test", "xi1"], "test function xi1"),
+    (["index", "--aplus", "2+xi1", "--aminus", "2+cos(x1)"],
+     "symbol (xi1 + 2)"),
+])
+def test_cli_variable_of_the_wrong_kind_exits_one(capsys, argv, named):
+    # each was evaluated with the other kind's variables at 0: oscint
+    # printed "value: 0.0,0.0" and index printed index 0, both exit 0
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: {named} reads a")
 
 
 @pytest.mark.parametrize("K", ["0", "-5"])

@@ -642,18 +642,24 @@ def test_panel_transform_matches_the_direct_transform():
         axis=1)
     scale = np.sum(np.abs(W), axis=0)
     transform = _panel_transform(W)
-    snapped = 0
-    for mid in [0.5, -0.5, 3.5, -100.5, 255.5, 511.5, -511.5]:
-        theta = mid + 0.5 * np.polynomial.legendre.leggauss(16)[0]
-        want = np.exp(1j * np.outer(theta, x)) @ W
-        want[np.abs(want) < 1e-9 * np.maximum(1.0, scale)] = 0.0
-        got = transform(mid)
-        assert got.shape == want.shape
-        assert np.all((got == 0) == (want == 0))
-        assert np.all(np.abs(got - want) <= 1e-12 * scale)
-        snapped += int(np.count_nonzero(got == 0))
-        assert np.all(got[:, 2] != 0)
-    assert snapped > 0
+    mids = np.array([0.5, -0.5, 3.5, -100.5, 255.5, 511.5, -511.5])
+    # one block of all seven panels, and blocks of one panel each
+    blocks = [transform(mids)]
+    blocks.append(np.concatenate([transform(mids[i:i + 1])
+                                  for i in range(mids.size)], axis=1))
+    for got in blocks:
+        assert got.shape == (3, mids.size, 16)
+        snapped = 0
+        for i, mid in enumerate(mids):
+            theta = mid + 0.5 * np.polynomial.legendre.leggauss(16)[0]
+            want = (np.exp(1j * np.outer(theta, x)) @ W).T
+            want[np.abs(want) < 1e-9 * np.maximum(1.0, scale)[:, None]] = 0.0
+            assert np.all((got[:, i] == 0) == (want == 0))
+            assert np.all(np.abs(got[:, i] - want)
+                          <= 1e-12 * scale[:, None])
+            snapped += int(np.count_nonzero(got[:, i] == 0))
+            assert np.all(got[2, i] != 0)
+        assert snapped > 0
 
 
 def test_epsilon_sweep_equals_one_scalar_sweep_per_epsilon():
@@ -670,19 +676,22 @@ def test_epsilon_sweep_equals_one_scalar_sweep_per_epsilon():
             (ex.sqrt(ex.mul(x1, x1)), 7)):
         transform = _panel_transform(
             (_PSI_WEIGHTS * psi.ev(xrow, np.zeros_like(xrow)))[:, None])
-        # one transform per panel, shared by all the sweeps below
-        psi_hat = functools.lru_cache(None)(lambda mid: transform(mid)[:, 0])
+        # one transform per block of panels, shared by all the sweeps
+        # below: every 2/eps is a whole number of blocks
+        block_hat = functools.lru_cache(None)(
+            lambda key: transform(np.frombuffer(key))[0])
         for amp in (ex.ONE, ex.xi_norm(1)):
             prog = ex.Program([amp])
 
             def integrand(eps):
-                def f(th, mid):
-                    row = th.reshape(1, -1)
-                    return (prog(np.zeros_like(row), row)[0]
-                            * _cutoff_profile(eps * th) * psi_hat(mid))
+                def f(th, mids):
+                    return (prog(np.zeros((1, 1)), th[None])[0]
+                            * _cutoff_profile(eps * th)
+                            * block_hat(mids.tobytes()))
                 return f
 
-            got = _outward_theta_quad(integrand(eps[:, None]), 2.0 / eps[-1])
+            got = _outward_theta_quad(integrand(eps[:, None, None]),
+                                      2.0 / eps[-1])
             want = [_outward_theta_quad(integrand(e), 2.0 / e) for e in eps]
             assert got.shape == (7,)
             assert got.tolist() == want
@@ -703,10 +712,10 @@ def test_oscint_closed_form_where_the_epsilon_values_differ():
     xrow = _PSI_NODES.reshape(1, -1)
     transform = _panel_transform(
         (_PSI_WEIGHTS * psi.ev(xrow, np.zeros_like(xrow)))[:, None])
-    eps = 2.0 ** -np.arange(4.0, 11.0)[:, None]
+    eps = 2.0 ** -np.arange(4.0, 11.0)[:, None, None]
     vals = _outward_theta_quad(
-        lambda th, mid: _cutoff_profile(eps * th) * transform(mid)[:, 0],
-        2.0 / eps[-1, 0])
+        lambda th, mids: _cutoff_profile(eps * th) * transform(mids)[0],
+        2.0 / eps[-1, 0, 0])
     assert len(set(vals.tolist())) == 7
     diffs = np.abs(np.diff(vals))
     r = diffs[-1] / diffs[-2]
@@ -714,6 +723,96 @@ def test_oscint_closed_form_where_the_epsilon_values_differ():
     # the step moves the value by about 1e-12 relative
     richardson = vals[-1] + (vals[-1] - vals[-2]) * r / (1.0 - r)
     assert abs(got["epsilon-cutoff"] - richardson) <= 1e-14 * want
+
+
+def _pairwise_sweep(f, theta_max):
+    """The outward theta sweep one pair of panels at a time, each pair
+    added and checked for quiet as it is met, written out as a reference
+    for the block sweep.  Returns the integral and the pairs swept."""
+    half = 0.5 * quantize._PANEL_WIDTH
+    total, quiet, a, pairs = 0.0, 0, 0.0, 0
+    while a < theta_max:
+        mids = np.array([a + half, -a - half])
+        v = half * np.sum(quantize._GL_WEIGHTS * f(
+            mids[:, None] + half * quantize._GL_NODES, mids), axis=-1)
+        c = v[..., 0] + v[..., 1]
+        total = total + c
+        pairs += 1
+        if a > 8.0 and np.all(
+                np.abs(c) < 1e-9 * np.maximum(1.0, np.abs(total))):
+            quiet += 1
+            if quiet >= quantize._QUIET_PANELS:
+                break
+        else:
+            quiet = 0
+        a += quantize._PANEL_WIDTH
+    return total, pairs
+
+
+def _stepped(loud):
+    """An integrand of one component per entry of loud: smooth in theta,
+    not even, and on the panels with |mid| > loud[i] about 1e-11 of its
+    size, so quiet there yet still read into the value."""
+    loud = np.asarray(loud, dtype=float)[:, None, None]
+
+    def f(th, mids):
+        size = np.where(np.abs(mids)[:, None] < loud, 1.0, 1e-11 * np.abs(th))
+        return (1.0 + 0.3 * np.sin(th) + 0.1j * th) * size
+    return f
+
+
+@pytest.mark.parametrize("loud, theta_max, pairs", [
+    ([10.0], 512.0, 13),            # stop on the first pair of a block
+    ([11.0], 512.0, 14),            # a middle pair, quiet across the edge
+    ([13.0], 512.0, 16),            # the last pair of a block
+    ([9.0, 14.0, 12.0], 512.0, 17),     # the last component to go quiet
+    ([100.0], 10.0, 10),            # no stop, 2.5 blocks
+    ([11.0], 14.0, 14),             # a stop in a partial last block
+])
+def test_block_sweep_equals_the_pairwise_sweep(loud, theta_max, pairs):
+    # pairs a = 0, 1, ... of width 1: a pair is quiet from a = loud on
+    # (and a > 8), so the third quiet pair in a row, a = loud + 2, stops
+    # the sweep.  Blocks hold 4 pairs, so the stops above fall on each
+    # place in a block.  A quiet pair still moves the value by about 1e-11
+    # relative, so a stop one pair off, or a pair's panel dropped, is far
+    # past the 1e-14 allowed
+    f = _stepped(loud)
+    want, swept = _pairwise_sweep(f, theta_max)
+    assert swept == pairs
+    got = _outward_theta_quad(f, theta_max)
+    assert got.shape == want.shape == (len(loud),)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("method", ["epsilon-cutoff", "parts"])
+def test_a_sweep_calls_its_theta_program_once_per_block(monkeypatch, method):
+    # a block holds _SAMPLE_BUDGET // _PSI_NODES.size = 8 panels, 4 pairs:
+    # the theta program (the amplitude's for the cutoff) runs once per
+    # block, ceil(pairs swept / 4) times, not once per panel
+    assert _SAMPLE_BUDGET // _PSI_NODES.size == 8
+    calls = []
+    program_call = ex.Program.__call__
+
+    def counted(self, x, xi):
+        calls.append(xi.shape)
+        return program_call(self, x, xi)
+
+    monkeypatch.setattr(ex.Program, "__call__", counted)
+    seen = {}
+
+    def sweep(f, theta_max):
+        n = len(calls)
+        value = _outward_theta_quad(f, theta_max)
+        seen["blocks"] = calls[n:]
+        seen["pairs"] = _pairwise_sweep(f, theta_max)[1]
+        return value
+
+    monkeypatch.setattr(quantize, "_outward_theta_quad", sweep)
+    psi = ex.exp(ex.neg(ex.mul(ex.Const(2.0), ex.x(1), ex.x(1))))
+    oscint_eval(ex.xi_norm(1), psi, method)
+    assert 8 < seen["pairs"] < 512
+    assert len(seen["blocks"]) == -(-seen["pairs"] // 4)
+    assert set(seen["blocks"]) == {(1, 8, 16)}
 
 
 def test_oscint_rejects_a_method_or_tolerance_before_any_work():
@@ -739,6 +838,29 @@ def test_oscint_rejects_an_amplitude_that_is_not_a_symbol(method):
             oscint_eval(a, psi, method)
 
 
+@pytest.mark.parametrize("method", ["both", "epsilon-cutoff", "parts"])
+def test_oscint_rejects_a_variable_of_the_wrong_kind(monkeypatch, method):
+    # the amplitude is read at x = 0 and psi at theta = 0, so x1 * xi1
+    # integrated as 0 and a psi of xi1 as a constant; both raise before
+    # any sweep
+    monkeypatch.setattr(quantize, "_outward_theta_quad", None)
+    x1, t = ex.x(1), ex.xi(1)
+    psi = ex.exp(ex.neg(ex.mul(ex.Const(2.0), x1, x1)))
+    for a, b, named in ((x1 * t, psi, "amplitude"),
+                        (ex.ONE, ex.cos(t) * psi, "test function")):
+        with pytest.raises(ValidationError, match=f"^{named} .* reads an? "):
+            oscint_eval(a, b, method)
+
+
+def test_circle_index_rejects_a_symbol_that_reads_xi():
+    # a+ = 2 + xi1 was read at xi = 0, as the constant 2, and gave index 0
+    x1, t = ex.x(1), ex.xi(1)
+    good = ex.Const(2.0) + ex.cos(x1)
+    for ap, am in ((ex.Const(2.0) + t, good), (good, good * ex.xi_norm(1))):
+        with pytest.raises(ValidationError, match="reads a xi variable"):
+            circle_index(ap, am)
+
+
 @pytest.mark.parametrize("method", ["both", "parts"])
 @pytest.mark.parametrize("m", [7, 8])
 def test_parts_rejects_an_order_its_excision_cannot_absorb(monkeypatch,
@@ -758,7 +880,8 @@ def test_oscint_raises_when_a_value_is_not_finite(monkeypatch, method):
     # "both" averaged a NaN pair: abs(ve - vp) > bound is False for NaN
     def nan_quad(f, theta_max):
         # NaN in the shape of f's leading axes, which one panel shows
-        return np.full(f(quantize._GL_NODES, 0.0).shape[:-1], np.nan)
+        return np.full(f(quantize._GL_NODES[None], np.zeros(1)).shape[:-2],
+                       np.nan)
 
     monkeypatch.setattr(quantize, "_outward_theta_quad", nan_quad)
     psi = ex.exp(ex.neg(ex.mul(ex.Const(2.0), ex.x(1), ex.x(1))))
