@@ -20,8 +20,9 @@ key nodes themselves, and a key keeps its node alive.
 
 Evaluation has one implementation, `Program`, whose docstring states its
 contract: what a call computes and returns, in which dtype, how samples
-broadcast, the one-sample loop and the domain checks.  `e.ev(x, xi)`
-(alias `ev_cached`) and `evaluate(e, point)` call it.
+broadcast, the point function that a program called at one point again
+runs, and the domain checks.  `e.ev(x, xi)` (alias `ev_cached`) and
+`evaluate(e, point)` call it.
 
 Each node kind lists its children once, as `args` in evaluation order,
 and `rebuild(args)` makes the same kind of node over new children
@@ -460,16 +461,14 @@ _RENDER = {
 # -- evaluation --------------------------------------------------------------
 #
 # One op per node kind that `Program` does not settle itself, op(node, a, b):
-# the node's value from its children's values a, b (a one-child node gets
-# its child twice, a variable gets x or xi, as its kind says).  Every op
-# takes arrays of samples or one point's Python scalars, and gives a point
-# the value numpy gives it in a batch.  On arrays every op is elementwise
-# and out of place, so values of different sample shapes broadcast and no
+# the node's value from its children's arrays of samples a, b (a one-child
+# node gets its child twice, a variable gets x or xi, as its kind says).
+# Every op is elementwise and out of place, so values of different sample
+# shapes broadcast, a sample's value does not depend on its batch and no
 # array is ever written after its step.
 
 def _var(node, v, _):
-    v = v[node.j - 1]
-    return v.astype(float) if isinstance(v, np.ndarray) else float(v)
+    return v[node.j - 1].astype(float)
 
 
 def _power(node, b, _):
@@ -477,40 +476,28 @@ def _power(node, b, _):
     a negative one a base of modulus at least _DIV_EPS, both judged per
     sample.  A real base takes an integer exponent 0 < |expo| < 100 as
     numpy's complex power does: squares and products, the reciprocal
-    last.  A point's base is a Python scalar and gets the same verdict and
-    value as an array's sample: its complex modulus and any power but
-    sqrt are numpy's, whose hypot and SIMD pow round apart from Python's
-    abs and libm's pow."""
-    p, whole = node.expo, node.expo.is_integer()
-    if isinstance(b, np.ndarray):
-        arrays, real = True, b.dtype.kind == "f"
-        hits, maximum = np.count_nonzero, np.maximum
-    else:
-        # max(m, 1.0) keeps a NaN m, as np.maximum does
-        arrays, real, hits, maximum = False, type(b) is float, bool, max
+    last."""
+    p, whole, real = node.expo, node.expo.is_integer(), b.dtype.kind == "f"
     if p < 0 or not whole:
-        m = np.abs(b) if arrays else abs(b) if real else float(np.abs(b))
+        m = np.abs(b)
     if not whole:
         # per sample, so the verdict on a point does not depend on its batch
-        scale = maximum(m, 1.0)
-        if not real and hits(abs(b.imag) > 1e-9 * scale):
+        scale = np.maximum(m, 1.0)
+        if not real and (abs(b.imag) > 1e-9 * scale).any():
             raise DomainError(
                 f"fractional power of non-real base {node.base.render()}")
-        if hits(b.real < -1e-12 * scale):
+        if (b.real < -1e-12 * scale).any():
             raise DomainError(
                 f"fractional power of negative base {node.base.render()}")
-        b = m = maximum(b.real, 0.0)    # real and >= 0: its own modulus
-    if p < 0 and hits(m < _DIV_EPS):
+        b = m = np.maximum(b.real, 0.0)     # real and >= 0: its own modulus
+    if p < 0 and (m < _DIV_EPS).any():
         raise DomainError(
             f"negative power of vanishing base {node.base.render()}")
     if not whole:
-        # numpy's b ** 0.5 is sqrt, correctly rounded as math.sqrt is
-        return b ** p if arrays else math.sqrt(b) if p == 0.5 \
-            else float(np.power(b, p))
+        return b ** p
     if not real or not 0 < abs(p) < 100:
         # numpy's complex power (square and reciprocal for 2 and -1)
-        v = np.asarray(b, dtype=complex) ** int(p)
-        return v if arrays else complex(v)
+        return b.astype(complex) ** int(p)
     n, out = abs(int(p)), 1.0
     while n:
         if n & 1:
@@ -521,17 +508,7 @@ def _power(node, b, _):
     return 1 / out if p < 0 else out
 
 
-# a point's sin, cos and exp: numpy's float64 sin and cos and its complex
-# ones round as libm's do, its float64 exp does not, so a real argument of
-# exp is taken as complex, on arrays too
-_POINT_FUNCTIONS = {("sin", float): math.sin, ("cos", float): math.cos,
-                    ("exp", float): cmath.exp, ("sin", complex): cmath.sin,
-                    ("cos", complex): cmath.cos, ("exp", complex): cmath.exp}
-
-
 def _function(node, v, _):
-    if not isinstance(v, np.ndarray):
-        return _POINT_FUNCTIONS[node.name, type(v)](v)
     if node.name == "exp" and v.dtype.kind == "f":
         v = v.astype(complex)   # real exp rounds apart from complex exp
     return getattr(np, node.name)(v)          # np.sin, np.cos, np.exp
@@ -540,6 +517,84 @@ def _function(node, v, _):
 # `Program` computes sums and products in its call loop: these mark them
 _OPS = {Add: operator.add, Mul: operator.mul, Pow: _power,
         Sin: _function, Cos: _function, Exp: _function}
+
+
+# A point's op for each step, fixed when its function is generated.  A
+# point's sin, cos and exp: numpy's float64 sin and cos and its complex
+# ones round as libm's do, its float64 exp does not, so a real argument of
+# exp is taken as complex, on arrays too.
+_POINT_FUNCTIONS = {("sin", float): math.sin, ("cos", float): math.cos,
+                    ("exp", float): cmath.exp, ("sin", complex): cmath.sin,
+                    ("cos", complex): cmath.cos, ("exp", complex): cmath.exp}
+
+
+def _power_at(node, b):
+    """`_power` on the one sample b, as a Python scalar."""
+    return _power(node, np.array([b]), None).item()
+
+
+def _point_power(node, k, a, real):
+    """Source lines of a power step at a point, slot k from slot a, and
+    whether its value is real.  A failed domain check returns None, so
+    that the array loop's `_power` raises its DomainError."""
+    p = node.expo
+    if real and not p.is_integer():
+        # max(m, 1.0) keeps a NaN m, as np.maximum does; np.maximum(b, 0.0)
+        # keeps a NaN b too, and turns -0.0 into 0.0
+        lines = [f"if v{a} < -1e-12 * max(abs(v{a}), 1.0): return",
+                 f"v{k} = 0.0 if v{a} <= 0.0 else v{a}"]
+        if p < 0:
+            lines.append(f"if v{k} < _DIV_EPS: return")
+        # numpy's b ** 0.5 is sqrt, correctly rounded as math.sqrt is;
+        # other powers are numpy's SIMD pow, which rounds apart from libm's
+        return lines + [f"v{k} = sqrt(v{k})" if p == 0.5 else
+                        f"v{k} = float(power(v{k}, e{k}))"], True
+    # any other power on a one-sample array: a fractional power is real,
+    # a real base's integer power 0 < |p| < 100 too, the others complex
+    return [f"v{k} = power_at(n{k}, v{a})"], \
+        not p.is_integer() or real and 0 < abs(p) < 100
+
+
+def _point_function(steps, init, roots):
+    """The steps as one straight-line Python function of a point's lists
+    of x and xi values, v0 and v1, that returns the roots' values in a
+    list, or None where a domain check fails (see `Program`).  Which
+    nodes are real is known here, so each step's op is fixed.  Slot k is
+    v{k}; a constant v{k}, a function f{k}, an exponent e{k} or a node
+    n{k} is bound in the function's namespace, never written into its
+    source."""
+    ns = {"sqrt": math.sqrt, "power": np.power, "power_at": _power_at,
+          "multiply": np.multiply, "_DIV_EPS": _DIV_EPS}
+    real = {}
+    for k, v in enumerate(init[2:], 2):
+        if v is not None:
+            ns[f"v{k}"] = v = v.item()
+            real[k] = type(v) is float
+    body = []
+    for op, node, k, a, b, _ in steps:
+        if op is _var:
+            lines, real[k] = [f"v{k} = float(v{a}[{node.j - 1}])"], True
+        elif op is operator.add:
+            lines, real[k] = [f"v{k} = v{a} + v{b}"], real[a] and real[b]
+        elif op is operator.mul:
+            # a product of two complex numbers is numpy's complex multiply,
+            # fused on SIMD targets
+            lines = [f"v{k} = v{a} * v{b}" if real[a] or real[b] else
+                     f"v{k} = complex(multiply(v{a}, v{b}))"]
+            real[k] = real[a] and real[b]
+        elif op is _power:
+            ns[f"n{k}"], ns[f"e{k}"] = node, node.expo
+            lines, real[k] = _point_power(node, k, a, real[a])
+        else:                                   # sin, cos and exp
+            ns[f"f{k}"] = _POINT_FUNCTIONS[
+                node.name, float if real[a] else complex]
+            lines = [f"v{k} = f{k}(v{a})"]
+            real[k] = real[a] and node.name != "exp"
+        body += lines
+    body.append(f"return [{', '.join(f'v{k}' for k in roots)}]")
+    source = "def point(v0, v1):\n" + "".join(f"    {s}\n" for s in body)
+    exec(compile(source, "<psido point function>", "exec"), ns)
+    return ns.pop("point")      # the namespace does not hold its function
 
 
 class Program:
@@ -560,31 +615,45 @@ class Program:
     xi of shape (n, C, 1), x-only nodes on P samples, xi-only ones on C,
     constants on one and mixed nodes on the C x P product grid.
 
-    A call holds every domain check, one code for both loops below: a
-    negative power of a vanishing base, or a fractional power of a
-    negative or non-real base, raises DomainError.
+    A call holds every domain check: a negative power of a vanishing
+    base, or a fractional power of a negative or non-real base, raises
+    DomainError.  `_power` makes them; the point function below makes a
+    real base's fractional-power checks again, with `_power`'s
+    thresholds, and hands a point that fails one to the array loop,
+    whose `_power` raises.
 
     Each node, one object per structure, is one slot of a list, filled
     once per call however many parents or roots share it.  Compilation
-    settles what does not depend on the samples: each constant's array
-    and Python scalar are built once, in the slot lists that a call starts
-    from a copy of; each step knows the slots it reads and those that die
-    after it; the call loop computes sums and products inline, as binary
-    steps that fold left and out of place, so a point's value does not
-    depend on its batch.
+    settles what does not depend on the samples: each constant's array is
+    built once, in the slot list that a call starts from a copy of; each
+    step knows the slots it reads and those that die after it; the call
+    loop computes sums and products inline, as binary steps that fold
+    left and out of place, so a point's value does not depend on its
+    batch.
 
     When x and xi hold one sample each, as a flow's field or `evaluate`
-    does, the same steps run on Python floats and complex numbers, where
-    an op costs a tenth of numpy's call on a one-sample array.  The values
-    are the array loop's bit for bit: Python's float sums and products,
-    sums and real-by-complex products, sqrt and libm's sin, cos and
-    complex exp round as numpy's loops do; a product of two complex
-    numbers (numpy's complex multiply, fused on SIMD targets), a power
-    other than sqrt or a real integer power (numpy's SIMD pow and complex
-    power) and a complex modulus (numpy's hypot) are numpy's ufuncs called
-    on the scalars.  Where a root is not finite, or Python's math raises
-    where numpy returns inf or NaN, the point is computed again on arrays,
-    so values and warnings there are numpy's too.
+    does, the first such call runs the array loop, and the second builds
+    the point function: the steps as one straight-line Python function on
+    floats and complex numbers, which that call and every later one run.
+    An op there costs a tenth of numpy's call on a one-sample array;
+    building costs a Python compile of a line or a few per step, which a
+    one-shot `evaluate` never pays.  Which nodes are real is known when it
+    is built (a constant by its value, exp is complex, a fractional power
+    real, an integer power outside 0 < |p| < 100 complex, any other node
+    real when its operands are), so each step's op is fixed there, and
+    the values are the array loop's bit for bit: Python's float sums and
+    products, sums and real-by-complex products, sqrt and libm's sin, cos
+    and complex exp round as numpy's loops do; a product of two complex
+    numbers (numpy's complex multiply, fused on SIMD targets) and a real
+    base's fractional power other than sqrt (numpy's SIMD pow) are
+    numpy's ufuncs called on the scalars; any other power is `_power` on
+    a one-sample array.  Where a root is not finite, a domain check
+    fails, or Python's math raises where numpy returns inf or NaN, the
+    point is computed again on arrays, so values, errors and warnings
+    there are numpy's too.  One sample on more axes, (n, 1, ..., 1), runs
+    on (n, 1) rows on either path, as a batch's samples do: numpy
+    multiplies a (1, 1) complex array by a (1,) constant unfused, and a
+    batch fused.
 
     `values` is a table {node: array} of values on the samples of every
     call.  A node in it at compilation is a constant slot, as a constant
@@ -644,19 +713,27 @@ class Program:
             live |= dies
             steps[i] += (tuple(dies),)
         self._steps, self._init, self._roots = steps, init, roots
-        self._point_init = None if values is not None else [
-            v if v is None else v.item() for v in init]
+        # the point function: None before a first one-point call, False
+        # after it, built on the second
+        self._point = None
 
     def __call__(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         if x.ndim == 1:
             x = x[:, None]
         if xi.ndim == 1:
             xi = xi[:, None]
-        if self._point_init and 0 < len(x) == x.size and \
-                0 < len(xi) == xi.size:
-            out = self._at_point(x, xi)
-            if out is not None:
-                return out
+        shape = x.shape[1:]
+        if xi.shape[1:] != shape:
+            shape = np.broadcast_shapes(shape, xi.shape[1:])
+        if 0 < len(x) == x.size and 0 < len(xi) == xi.size:
+            if len(shape) > 1:
+                # one sample runs on (n, 1) rows, as a batch's: numpy
+                # multiplies a (1, 1) complex array by a (1,) one unfused
+                x, xi = x.reshape(-1, 1), xi.reshape(-1, 1)
+            if self._table is None:
+                out = self._at_point(x, xi)
+                if out is not None:
+                    return out.reshape(len(out), *shape)
         vals = self._init.copy()
         vals[0], vals[1] = x, xi
         add, mul = operator.add, operator.mul
@@ -671,9 +748,6 @@ class Program:
                 vals[d] = None
         for node, k in self._record.items():
             self._table[node] = vals[k]
-        shape = x.shape[1:]
-        if xi.shape[1:] != shape:
-            shape = np.broadcast_shapes(shape, xi.shape[1:])
         roots = [vals[k] for k in self._roots]
         out = np.empty((len(roots), *shape), complex if any(
             v.dtype.kind == "c" for v in roots) else float)
@@ -682,30 +756,21 @@ class Program:
         return out
 
     def _at_point(self, x, xi):
-        """The steps on the one sample of x and xi in Python scalars, or
-        None where the array loop must compute it (see the class
-        docstring)."""
-        vals = self._point_init.copy()
-        vals[0], vals[1] = x.ravel().tolist(), xi.ravel().tolist()
-        add, mul = operator.add, operator.mul
+        """The point function on the one sample of x and xi, or None
+        where the array loop computes it (see the class docstring)."""
+        if self._point is None:
+            self._point = False
+            return None
+        if self._point is False:
+            self._point = _point_function(self._steps, self._init,
+                                          self._roots)
         try:
-            for op, node, k, a, b, _ in self._steps:
-                u, v = vals[a], vals[b]
-                if op is mul:
-                    vals[k] = complex(np.multiply(u, v)) \
-                        if type(u) is complex is type(v) else u * v
-                elif op is add:
-                    vals[k] = u + v
-                else:
-                    vals[k] = op(node, u, v)
-            roots = [vals[k] for k in self._roots]
-            if not cmath.isfinite(sum(roots)):
-                return None
+            roots = self._point(x.ravel().tolist(), xi.ravel().tolist())
         except (ArithmeticError, ValueError):
             return None
-        # the broadcast shape of one sample is (1, ..., 1)
-        return np.array(roots).reshape(
-            len(roots), *(1,) * (max(x.ndim, xi.ndim) - 1))
+        if roots is None or not cmath.isfinite(sum(roots)):
+            return None
+        return np.array(roots)
 
 
 ev_cached = Expr.ev         # ev_cached(e, x, xi) is e.ev(x, xi)

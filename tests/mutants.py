@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CALCULUS = ["tests/test_calculus.py", "tests/test_acceptance.py"]
+POINT = ["tests/test_expr.py", "tests/test_hamilton.py"]
 
 # name, file, old text, new text, test selection
 MUTANTS = [
@@ -64,6 +65,28 @@ MUTANTS = [
      "pair = c[..., 2 * j]",
      ["tests/test_quantize.py::test_block_sweep_equals_the_pairwise_sweep",
       "tests/test_quantize.py"]),
+    ("point function without its fractional-power domain check",
+     "src/psido/expr.py",
+     'f"if v{a} < -1e-12 * max(abs(v{a}), 1.0): return",',
+     "",
+     ["tests/test_expr.py::"
+      "test_a_domain_error_is_the_same_on_a_point_and_in_a_batch", *POINT]),
+    ("point function without its non-finite fallback", "src/psido/expr.py",
+     "if roots is None or not cmath.isfinite(sum(roots)):",
+     "if roots is None:",
+     ["tests/test_expr.py::"
+      "test_a_point_python_cannot_compute_is_computed_on_arrays", *POINT]),
+    ("point function reads a variable without float()", "src/psido/expr.py",
+     'f"v{k} = float(v{a}[{node.j - 1}])"',
+     'f"v{k} = v{a}[{node.j - 1}]"',
+     ["tests/test_expr.py::"
+      "test_integer_samples_at_a_point_have_the_float_samples_value",
+      *POINT]),
+    ("point function takes a real exp through math.exp", "src/psido/expr.py",
+     '("exp", float): cmath.exp',
+     '("exp", float): math.exp',
+     ["tests/test_expr.py::"
+      "test_a_point_alone_has_its_value_in_a_batch_bit_for_bit", *POINT]),
 ]
 
 

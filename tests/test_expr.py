@@ -434,15 +434,18 @@ def test_a_point_has_the_same_value_alone_and_in_a_batch(dag, samples):
     prog = ex.Program(list(dag))
     with np.errstate(all="ignore"):
         batch = _outcome(lambda: prog(x, xi))
+        # each point twice: a program's first point call runs the array
+        # loop, every later one its point function
         alone = [_outcome(lambda i=i: prog(x[:, i:i + 1], xi[:, i:i + 1]))
-                 for i in range(x.shape[1])]
+                 for i in range(x.shape[1]) for _ in range(2)]
+    assert prog._point
     if batch is DomainError:
         assert any(point is DomainError for point in alone)
         return
     for i, point in enumerate(alone):
         assert point is not DomainError
         for b, v in zip(batch, point):
-            np.testing.assert_array_equal(b[i:i + 1], v)
+            np.testing.assert_array_equal(b[i // 2:i // 2 + 1], v)
 
 
 def _at_points(prog, *points):
@@ -470,11 +473,14 @@ def test_a_domain_error_is_the_same_on_a_point_and_in_a_batch(
         e, bad, good, message):
     prog = ex.Program([e])
     errors = []
-    for points in ((bad,), (good, bad)):
+    # the bad point alone twice: on the array loop, then on the point
+    # function
+    for points in ((bad,), (bad,), (good, bad)):
         with pytest.raises(DomainError) as err:
             _at_points(prog, *points)
         errors.append((err.type, str(err.value)))
-    assert errors[0] == errors[1]
+    assert prog._point
+    assert errors[0] == errors[1] == errors[2]
     assert errors[0][1] == f"{message} {e.base.render()}"
     _at_points(prog, good)
 
@@ -484,32 +490,40 @@ def test_a_complex_modulus_at_the_threshold_gets_one_verdict():
     # (x86-64, numpy 2.4): a point must not escape the check its batch fails
     point = (6.0956934985716344e-15, 7.927327467152565e-15, 1.0, 1.0)
     prog = ex.Program([ex.pow_(_Z, -1)])
-    alone = _outcome(lambda: _at_points(prog, point))
+    # the point twice: on the array loop, then on the point function
+    alone = [_outcome(lambda: _at_points(prog, point)) for _ in range(2)]
     batch = _outcome(lambda: _at_points(prog, point, (0.0, 1.0, 1.0, 1.0)))
-    if batch is DomainError:
-        assert alone is DomainError
-    else:
-        assert alone[0].tobytes() == batch[0][:1].tobytes()
+    assert prog._point
+    for v in alone:
+        if batch is DomainError:
+            assert v is DomainError
+        else:
+            assert v[0].tobytes() == batch[0][:1].tobytes()
 
 
 # at each of these points but z^-1's, on an AVX-512 host with numpy 2.4,
 # Python's own op rounds apart from numpy's loop: libm's pow for x1^-0.5,
 # the unfused complex product, the complex square under the reciprocal of
 # z^-2, and float64 exp (exp of a real argument is complex exp, on arrays
-# too); z^-1 is numpy's reciprocal
+# too); z^-1 is numpy's reciprocal.  At x1 = -0.0, Python's max(x1, 0.0)
+# is -0.0 and its sqrt -0.0, where numpy's maximum gives 0.0
 @pytest.mark.parametrize("e, point", [
     (ex.pow_(ex.x(1), -0.5), (2.1, 0.0, 1.0, 1.0)),
     (_Z * (ex.xi(1) + ex.I * ex.xi(2)), (0.76, 0.13, 0.97, 1.59)),
     (ex.pow_(_Z, -1), (0.76, 0.13, 1.0, 1.0)),
     (ex.pow_(_Z, -2), (-0.17, -1.87, 1.0, 1.0)),
     (ex.exp(ex.x(1)), (-0.01, 0.0, 1.0, 1.0)),
+    (ex.sqrt(ex.x(1)), (-0.0, 0.0, 1.0, 1.0)),
 ])
 def test_a_point_alone_has_its_value_in_a_batch_bit_for_bit(e, point):
     prog = ex.Program([e])
-    alone, = _at_points(prog, point)
+    first, = _at_points(prog, point)    # the array loop
+    alone, = _at_points(prog, point)    # the point function
     batch, = _at_points(prog, point, (0.5, 0.25, -1.0, 2.0))
-    assert alone.shape == (1,) and alone.dtype == batch.dtype
-    assert alone.tobytes() == batch[:1].tobytes()
+    assert prog._point
+    for v in (first, alone):
+        assert v.shape == (1,) and v.dtype == batch.dtype
+        assert v.tobytes() == batch[:1].tobytes()
 
 
 @pytest.mark.parametrize("e, x1", [
@@ -521,7 +535,6 @@ def test_a_point_python_cannot_compute_is_computed_on_arrays(e, x1):
     prog = ex.Program([e])
     point = (x1, 0.0, 1.0, 1.0)
     z = np.array([point], dtype=float).T
-    assert prog._at_point(z[:2], z[2:]) is None
 
     def run(*points):
         with warnings.catch_warnings(record=True) as caught:
@@ -530,11 +543,57 @@ def test_a_point_python_cannot_compute_is_computed_on_arrays(e, x1):
         return out, [str(w.message) for w in caught
                      if w.category is RuntimeWarning]
 
-    alone, said = run(point)
+    # the point twice: the first call runs the array loop, the second
+    # builds the point function, which hands the point back to arrays
+    alone = [run(point) for _ in range(2)]
+    assert prog._point and prog._at_point(z[:2], z[2:]) is None
     batch, said_in_batch = run(point, (0.5, 0.25, -1.0, 2.0))
-    assert alone.shape == (1,) and alone.dtype == batch.dtype
-    assert alone.tobytes() == batch[:1].tobytes()
-    assert said and said == said_in_batch
+    for v, said in alone:
+        assert v.shape == (1,) and v.dtype == batch.dtype
+        assert v.tobytes() == batch[:1].tobytes()
+        assert said and said == said_in_batch
+
+
+def test_a_program_builds_its_point_function_on_its_second_point_call(
+        monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return point_function(*args)
+
+    point_function = ex._point_function
+    monkeypatch.setattr(ex, "_point_function", counted)
+    roots = [ex.sin(ex.x(1)) * ex.xi(2), ex.sqrt(ex.xi(1) * ex.xi(1))]
+    x, xi = np.array([[0.5], [1.0]]), np.array([[2.0], [-1.0]])
+    prog = ex.Program(roots)
+    prog(np.ones((2, 3)), np.ones((2, 3)))      # a batch is no point call
+    values = [prog(x, xi)]
+    assert not built and not prog._point
+    values += [prog(x, xi) for _ in range(3)]
+    assert len(built) == 1 and callable(prog._point)
+    assert all(v.tobytes() == values[0].tobytes() for v in values)
+    # a program given a value table runs the array loop only
+    tabled = ex.Program(roots, {})
+    for _ in range(3):
+        tabled(x, xi)
+    assert len(built) == 1 and tabled._point is None
+
+
+def test_integer_samples_at_a_point_have_the_float_samples_value():
+    # 2^53 + 1 is no float: a variable is read as float(x_j), on the array
+    # loop and in the point function, so the products below round as the
+    # float samples' do and the values are float64
+    roots = [ex.x(1) * ex.x(2), ex.x(2) * ex.x(2) + ex.xi(1),
+             ex.sqrt(ex.x(1)) * ex.xi(2)]
+    x, xi = np.array([[3], [2 ** 53 + 1]]), np.array([[-7], [2]])
+    want = ex.Program(roots)(x.astype(float), xi.astype(float))
+    prog = ex.Program(roots)
+    for _ in range(2):      # the array loop, then the point function
+        got = prog(x, xi)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    assert prog._point
 
 
 def _reference_diff(e, kind, j, memo=None):
@@ -709,6 +768,12 @@ def test_the_roots_come_back_in_one_dtype():
 
 @settings(max_examples=200, deadline=None)
 @given(_shared_dags(), _grid_axes())
+# one sample on (n, 1, 1) axes: numpy multiplies a (1, 1) complex array
+# by a (1,) constant unfused, so a program with a value table, which runs
+# the array loop, read 0.4218750000000001 where a batch reads ...06
+@example((ex.pow_(ex.x(1) * ex.Const(-0.6 - 0.19999999999999998j), -4)
+          * ex.Const(1.7999999999999998 + 0.6j), ex.x(1)),
+         (np.full((2, 1, 1), -2.0), np.full((2, 1, 1), -2.0)))
 def test_one_program_serves_every_sample_shape(dag, axes):
     x, xi = axes
     roots = [*dag, ex.Const(0.5 - 2j), ex.x(1)]
