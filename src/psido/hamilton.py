@@ -11,7 +11,9 @@ along the flow, which serves as an independent accuracy certificate on
 every trajectory.
 A wavefront is one integration: its rays are stacked into one system,
 the field runs once per stage for all of them, and they share the step
-size, which the error norm over the whole stacked state controls.
+size, which the error norm over the whole stacked state controls.  A
+flow is the one-ray system: its field and its per-step checks run on
+Python floats.  A start with |xi| < XI_FLOOR raises ZeroCovector.
 
 x-components are not wrapped into the periodic box during integration;
 wrap only when reporting, if a torus interpretation is wanted.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import NotCharacteristic, NotReal, StepFailure
+from .errors import NotCharacteristic, NotReal, StepFailure, ZeroCovector
 from .symbols import HomogeneousTerm, sample_points
 
 XI_FLOOR = 1e-8
@@ -99,7 +101,8 @@ def hamiltonian_field(p: HomogeneousTerm):
     """Evaluator of the field (dp/dxi_1..n, -dp/dx_1..n), assembled by
     symbolic differentiation: a 2n-vector gives a 2n-vector, a (2n, rays)
     array one column per ray, and the flat (2n * rays) vector of that
-    array, as `solve_ivp` integrates it, its flat field."""
+    array, as `solve_ivp` integrates it, its flat field; one ray's (2n,)
+    array goes to the point function as two lists (see `ex.Program`)."""
     _check_real(p)
     n = p.dimension
     js = range(1, n + 1)
@@ -107,9 +110,15 @@ def hamiltonian_field(p: HomogeneousTerm):
                        + [ex.neg(p.expr.diff("x", j)) for j in js])
 
     def field_at(z) -> np.ndarray:
+        if type(z) is np.ndarray and z.shape == (2 * n,):
+            v = z.tolist()
+            out = field._at_point(v[:n], v[n:])
+            if out is not None:
+                return np.array(out).real
         z = np.asarray(z, dtype=float)
         cols = z.reshape(2 * n, -1)
-        return field(cols[:n], cols[n:]).real.reshape(z.shape)
+        return field._loop(cols[:n], cols[n:], cols.shape[1:]).real.reshape(
+            z.shape)
 
     return field_at
 
@@ -218,7 +227,8 @@ def solve_ivp(rhs, T: float, y0, rtol: float, atol: float,
     atol + max(|y|, |y_new|) rtol must stay below 1, and each attempt
     rescales the step by 0.9 norm^(-1/8), within [0.2, 10], and by at
     most 1 right after a rejection.  `stop(y)`, if given, sees each
-    accepted state and raises to end the integration.
+    accepted state and raises to end the integration.  A state of up to
+    18 numbers (one ray, n <= 9) is checked finite on Python floats.
     Raises ValueError unless T is finite and rtol and atol are finite and
     positive, and StepFailure if the step would fall below 10 ulp(t) or
     the initial step, the error estimate or a state is not finite."""
@@ -267,7 +277,8 @@ def solve_ivp(rhs, T: float, y0, rtol: float, atol: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             rejected = True
         t, y, f = t_new, y_new, f_new
-        if not np.all(np.isfinite(y)):
+        if not (all(map(math.isfinite, y.tolist())) if y.size <= 18
+                else np.isfinite(y).all()):
             raise StepFailure(f"integrator failed: the state is not finite "
                               f"at t = {float(t)!r}")
         if stop is not None:
@@ -286,8 +297,9 @@ def _integrate(field, n: int, z0: np.ndarray, T: float, tol: float):
     shape = z0.shape
 
     def stop(z):
-        xi = z.reshape(shape)[n:]
-        if np.min(np.linalg.norm(xi, axis=0)) < XI_FLOOR:
+        xi = (math.hypot(*z.tolist()[n:]) if shape[1] == 1 else
+              np.min(np.linalg.norm(z.reshape(shape)[n:], axis=0)))
+        if xi < XI_FLOOR:
             raise StepFailure(
                 "trajectory entered |xi| < 1e-8 (symbol singularity)")
 
@@ -295,14 +307,25 @@ def _integrate(field, n: int, z0: np.ndarray, T: float, tol: float):
     return sol.t, sol.y.reshape((-1,) + shape)
 
 
+def _starts(points, n: int) -> np.ndarray:
+    """The (2n, rays) array of phase points, each checked by
+    `phase_vector`; ZeroCovector at one with |xi| < XI_FLOOR."""
+    z = np.reshape([phase_vector(pt, n) for pt in points], (-1, 2 * n)).T
+    small = np.linalg.norm(z[n:], axis=0) < XI_FLOOR
+    if small.any():
+        raise ZeroCovector(f"start {tuple(z[:, small.argmax()].tolist())} "
+                           f"has |xi| < {XI_FLOOR:g}: a flow needs xi != 0")
+    return z
+
+
 def flow(p: HomogeneousTerm, start, T: float,
          tol: float = 1e-9) -> Bicharacteristic:
     """Integrate the Hamiltonian flow from `start` over t in [0, T]: the
-    one-ray case of `_integrate`, with its StepFailure."""
+    one-ray case of `_integrate`, with its StepFailure; a bad start
+    raises ValueError or ZeroCovector (`_starts`)."""
     n = p.dimension
-    z0 = phase_vector(start, n)
-    times, states = _integrate(hamiltonian_field(p), n, z0.reshape(-1, 1),
-                               T, tol)
+    z0 = _starts([start], n)
+    times, states = _integrate(hamiltonian_field(p), n, z0, T, tol)
     pts = states[:, :, 0]
     pv = p.expr.ev(pts[:, :n].T, pts[:, n:].T).real
     return Bicharacteristic(times, pts, pv)
@@ -313,10 +336,10 @@ def propagate_wavefront(p: HomogeneousTerm, initial, T: float,
     """Flow a set of characteristic points for time T, all rays as one
     integration.  Every input must lie on char(p) (|p| <= 1e-6);
     conservation keeps the outputs there.  A complex-valued p raises
-    NotReal and a point of the wrong length ValueError, as in `flow`."""
+    NotReal, and a bad point ValueError or ZeroCovector, as in `flow`."""
     fld = hamiltonian_field(p)
     n = p.dimension
-    z = np.reshape([phase_vector(pt, n) for pt in initial], (-1, 2 * n)).T
+    z = _starts(initial, n)
     mods = np.abs(p.expr.ev(z[:n], z[n:]))
     if np.any(mods > 1e-6):
         k = int(np.argmax(mods > 1e-6))

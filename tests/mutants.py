@@ -87,6 +87,33 @@ MUTANTS = [
      '("exp", float): math.exp',
      ["tests/test_expr.py::"
       "test_a_point_alone_has_its_value_in_a_batch_bit_for_bit", *POINT]),
+    ("point-function cache shares the first program's namespace",
+     "src/psido/expr.py",
+     '    exec(_compiled(source), ns)\n    return ns.pop("point")',
+     "    fns = _compiled.__dict__      # built functions, by source\n"
+     "    if source not in fns:\n"
+     "        exec(_compiled(source), ns)\n"
+     '        fns[source] = ns.pop("point")\n'
+     "    return fns[source]",
+     ["tests/test_hamilton.py::"
+      "test_flow_fields_of_one_structure_compile_once_and_keep_their_values",
+      *POINT]),
+    ("flow stop skips the one-ray xi floor", "src/psido/hamilton.py",
+     "xi = (math.hypot(*z.tolist()[n:]) if shape[1] == 1 else",
+     "xi = (math.inf if shape[1] == 1 else",
+     ["tests/test_hamilton.py::test_flow_stops_when_xi_collapses",
+      "tests/test_hamilton.py"]),
+    ("add folds its top-level constants before the spliced ones",
+     "src/psido/expr.py",
+     "merged, const = _spliced(Add, terms, 0.0 + 0.0j, operator.add)",
+     "merged, const = _spliced(\n"
+     "        Add, [t for t in terms if type(t) is not Const],\n"
+     "        sum((t.value for t in terms if type(t) is Const), 0.0 + 0.0j),\n"
+     "        operator.add)",
+     ["tests/test_expr.py::"
+      "test_sums_and_products_fold_constants_in_the_order_met",
+      "tests/test_expr.py",
+      "tests/test_symbols.py::test_each_level_is_the_pairwise_sum_of_its_terms"]),
 ]
 
 

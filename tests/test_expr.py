@@ -534,7 +534,6 @@ def test_a_point_alone_has_its_value_in_a_batch_bit_for_bit(e, point):
 def test_a_point_python_cannot_compute_is_computed_on_arrays(e, x1):
     prog = ex.Program([e])
     point = (x1, 0.0, 1.0, 1.0)
-    z = np.array([point], dtype=float).T
 
     def run(*points):
         with warnings.catch_warnings(record=True) as caught:
@@ -546,7 +545,7 @@ def test_a_point_python_cannot_compute_is_computed_on_arrays(e, x1):
     # the point twice: the first call runs the array loop, the second
     # builds the point function, which hands the point back to arrays
     alone = [run(point) for _ in range(2)]
-    assert prog._point and prog._at_point(z[:2], z[2:]) is None
+    assert prog._point and prog._at_point([x1, 0.0], [1.0, 1.0]) is None
     batch, said_in_batch = run(point, (0.5, 0.25, -1.0, 2.0))
     for v, said in alone:
         assert v.shape == (1,) and v.dtype == batch.dtype

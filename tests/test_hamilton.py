@@ -6,7 +6,8 @@ from psido import hamilton
 from psido import symbols as sy
 from psido.hamilton import (flow, hamiltonian_field, propagate_wavefront,
                             transport_solve)
-from psido.errors import NotCharacteristic, NotReal, StepFailure
+from psido.errors import (DomainError, NotCharacteristic, NotReal,
+                          StepFailure, ValidationError, ZeroCovector)
 
 
 def test_field_of_laplacian():
@@ -36,11 +37,26 @@ def test_field_with_x_dependence():
         assert np.array_equal(cols[:, k], f(batch[:, k]))
 
 
-def test_field_at_one_point_is_its_column_of_a_batch_bit_for_bit():
+def _speed_term(a=0.35, phi=1.3):
     # the oracles benchmark's speed symbol (1 + a sin(x1 + phi)) |xi|
-    speed = ex.ONE + ex.mul(ex.Const(0.35), ex.sin(ex.x(1) + 1.3))
-    f = hamiltonian_field(
-        sy.HomogeneousTerm(ex.mul(speed, ex.xi_norm(2)), 1.0, 2))
+    speed = ex.ONE + ex.mul(ex.Const(a), ex.sin(ex.x(1) + phi))
+    return sy.HomogeneousTerm(ex.mul(speed, ex.xi_norm(2)), 1.0, 2)
+
+
+def _variable_laplacian():
+    # xi1^2 + (1 + 0.2 sin x1) xi2^2
+    c = ex.ONE + ex.mul(ex.Const(0.2), ex.sin(ex.x(1)))
+    return sy.HomogeneousTerm(
+        ex.mul(ex.xi(1), ex.xi(1)) + ex.mul(c, ex.xi(2), ex.xi(2)), 2.0, 2)
+
+
+def test_field_at_one_point_is_its_column_of_a_batch_bit_for_bit(
+        monkeypatch):
+    f = hamiltonian_field(_speed_term())
+    loops = []
+    loop = ex.Program._loop
+    monkeypatch.setattr(ex.Program, "_loop",
+                        lambda *args: loops.append(1) or loop(*args))
     rng = np.random.default_rng(3)
     batch = np.vstack([rng.uniform(-4, 4, (2, 400)),
                        rng.uniform(-2, 2, (2, 400))])
@@ -49,6 +65,58 @@ def test_field_at_one_point_is_its_column_of_a_batch_bit_for_bit():
         one = f(batch[:, k])
         assert one.shape == (4,) and one.dtype == np.float64
         assert one.tobytes() == cols[:, k].tobytes()
+    # the batch and the first one-ray call ran the array loop, every later
+    # ray the point function alone
+    assert len(loops) == 2
+
+
+def test_flow_fields_of_one_structure_compile_once_and_keep_their_values(
+        monkeypatch):
+    compiled = []
+    monkeypatch.setattr(ex, "compile", lambda *args: compiled.append(
+        args[0]) or compile(*args), raising=False)
+    ex._compiled.cache_clear()
+    rng = np.random.default_rng(5)
+    batch = np.vstack([rng.uniform(-4, 4, (2, 3)),
+                       rng.uniform(-2, 2, (2, 3))])
+    for a, phi in rng.uniform(0.1, 0.5, (20, 2)):
+        f = hamiltonian_field(_speed_term(a, phi))
+        cols = f(batch)
+        for k in range(batch.shape[1]):
+            for _ in range(2):      # the array loop, then the point function
+                assert f(batch[:, k]).tobytes() == cols[:, k].tobytes()
+    assert len(compiled) == 1
+
+
+@pytest.mark.parametrize("p, start", [
+    (_speed_term(), [0.3, -1.2, 0.7, 0.4]),
+    (_variable_laplacian(), [0.3, 0.2, 1.0, -0.5]),
+])
+def test_a_flow_is_the_same_when_its_point_function_hands_back_each_point(
+        monkeypatch, p, start):
+    want = flow(p, start, 10.0, tol=1e-10)
+    # a point function that fails a domain check at every point: the array
+    # loop computes every field call
+    monkeypatch.setattr(ex, "_point_function",
+                        lambda *args: lambda x, xi: None)
+    got = flow(p, start, 10.0, tol=1e-10)
+    for name in ("times", "points", "p_values"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_a_domain_error_of_one_ray_is_the_array_loops():
+    # dp/dxi1 = sqrt(x1) needs x1 >= 0
+    f = hamiltonian_field(sy.HomogeneousTerm(
+        ex.mul(ex.sqrt(ex.x(1)), ex.xi(1)) + ex.xi(2), 1.0, 2))
+    good, bad = np.array([1.0, 0.3, 1.0, 0.5]), np.array([-1.0, 0.3, 1.0, 0.5])
+    for _ in range(2):      # the array loop, then the point function
+        f(good)
+    errors = []
+    for z in (bad, np.stack([good, bad], axis=1)):
+        with pytest.raises(DomainError) as err:
+            f(z)
+        errors.append(str(err.value))
+    assert errors == ["fractional power of negative base x1"] * 2
 
 
 def test_field_rejects_complex_symbol():
@@ -205,6 +273,24 @@ def test_flows_reject_a_phase_point_that_is_not_finite(k, bad):
         propagate_wavefront(p, [start, bad_start], 1.0)
     with pytest.raises(ValueError, match="is not finite"):
         transport_solve(p, ex.x(1), 1.0, bad_start)
+
+
+@pytest.mark.parametrize("p", [
+    sy.HomogeneousTerm(ex.xi_norm_sq(2), 2.0, 2),
+    _variable_laplacian(),
+    _speed_term(),
+])
+@pytest.mark.parametrize("xi", [(0.0, 0.0), (3e-9, -4e-9)])
+def test_flows_reject_a_start_with_a_zero_covector(p, xi):
+    # a numerical error after one step before, or a domain error on |xi|;
+    # the wavefront's start is characteristic, p = 0 there
+    start = (0.3, 0.2, *xi)
+    msg = fr"start \(0.3, 0.2, {xi[0]!r}, {xi[1]!r}\) has \|xi\| < 1e-08"
+    assert issubclass(ZeroCovector, ValidationError)
+    with pytest.raises(ZeroCovector, match=msg):
+        flow(p, start, 1.0)
+    with pytest.raises(ZeroCovector, match=msg):
+        propagate_wavefront(p, [start], 1.0)
 
 
 def test_flow_zero_time():

@@ -385,6 +385,26 @@ def test_cli_flow_start_that_is_not_finite_exits_one(tmp_path, capsys,
     assert out.err.endswith(" is not finite\n")
 
 
+@pytest.mark.parametrize("doc", [LAPLACIAN_DOC, VARIABLE_DOC, """symbol P {
+  dim=2 order=1 trunc=3
+  term 1: "sqrt(xi1^2 + xi2^2)"
+}
+"""])
+@pytest.mark.parametrize("command, args", [
+    ("flow", ["--start", "0.3,0.2,0,0"]), ("wavefront", ["--init", None])])
+def test_cli_flow_from_a_zero_covector_exits_one(tmp_path, capsys, doc,
+                                                 command, args):
+    # a start with xi = 0 was a numerical error (exit 2) after one step on
+    # a polynomial symbol and a domain error on |xi|
+    p = _write(tmp_path / "p.sym", doc)
+    if command == "wavefront":
+        args = ["--init", _write(tmp_path / "init.csv", "0.3,0.2,0,0\n")]
+    assert main([command, p, *args, "--time", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: start (0.3, 0.2, 0.0, 0.0) has |xi|")
+
+
 def test_cli_flow_writes_csv(tmp_path, capsys):
     p = _write(tmp_path / "p.sym", LAPLACIAN_DOC)
     out = tmp_path / "curve.csv"
