@@ -11,12 +11,15 @@ applied as sum_h c F^-1[h u^], each h once with the sum c of its x
 factors over all those terms.  One pass factors the symbol: each subtree
 is counted and split once for all its terms, and a product's xi-only and
 x-only children are one factor each, so only its mixed children are
-multiplied out.  Per separable task of the benchmark's quantize workload
-(a composed pair of differential symbols at M = 32) that is 306 products
-and 169 sums built, 5 programs and 2 inverse FFTs.  The other terms are
-summed on each mode before the Fourier sum, since quantization is linear
-in the symbol: one program holds all of them, and one e^{ikx} sum runs
-per group of modes.
+multiplied out.  The other terms are summed on each mode before the
+Fourier sum, since quantization is linear in the symbol: one program
+holds all of them, and one e^{ikx} sum runs per group of modes.  The
+split and the programs are the symbol's plan, made on its first call and
+kept while it lives: on the first call of a separable task of the
+benchmark's quantize workload (a composed pair of differential symbols
+at M = 32) that is 306 products and 169 sums built and 5 programs
+compiled, and on every call 2 inverse FFTs; a repeat builds and compiles
+none.
 
 Also here: Sobolev norms and the H^s/H^-s duality pairing, the two
 regularized definitions of an oscillatory integral (mutual oracles), and
@@ -38,7 +41,9 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -282,40 +287,28 @@ def _reads(e: ex.Expr, kind: int) -> bool:
     return bool(ex._walk(e, _pair_count)[0] & kind)
 
 
-def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
-    """Apply the quantization of P to u: sum_k e^{ikx} p(x, k) u^(k) over
-    the modes k of u above the noise floor.  The k = 0 rule is applied
-    first: one program of the degree-0 terms is read there at xi = e1,
-    and every other term drops it.  On the nonzero modes, the terms that
-    `_separate` factors into {h(xi): c(x)}, with one table of counts and
-    splits for the call, are merged into one {h: c} applied as
-    sum_h c(x) F^-1[h u^]: one FFT per distinct h, a chunk of h at a time,
-    each chunk one program of its h, one of its c and one batched FFT.
-    The other terms, the dense ones, are summed on each mode before the
-    Fourier sum: their expressions are the roots of one program, evaluated
-    on the lattice x a group of modes (at most _SAMPLE_BUDGET samples, one
-    mode at least), added in term order and summed as one matrix product
-    per group.  Exact for Fourier multipliers and for differential
-    symbols on sufficiently band-limited input."""
-    n, M = u.dimension, u.M
-    if P.dimension != n:
-        raise GridMismatch("symbol/grid dimension mismatch")
-    uhat = np.fft.fftn(u.values)
-    active = (np.abs(uhat) > _MODE_EPS * np.abs(uhat).max()).ravel()
-    x = lattice(n, M)
-    k = wavenumbers(n, M).astype(float)
-    out = np.zeros(M ** n, dtype=complex)
-    # the k = 0 rule, on the first mode in fft order: the degree-0 terms
-    # are read there at xi = e1, every other term drops it
+class _Plan(NamedTuple):
+    """What op_apply computes of a symbol alone, for chunks of `group` xi
+    factors: the program of the degree-0 terms, one (xi program, x
+    program) per chunk of the {h: c} its factored terms merge into, and
+    the program of the dense terms (None for a program without roots)."""
+
+    deg0: ex.Program | None
+    chunks: list
+    dense: ex.Program | None
+
+
+# {symbol: {group: its plan}}: equal symbols share their plans, and a
+# symbol's plans die with it
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _plan(P: ClassicalSymbol, group: int) -> _Plan:
+    """P's plan: its terms split by `_separate` with one table of counts
+    and splits for all of them, and each program compiled."""
     deg0 = [t.expr for t in P.terms if abs(t.degree) <= _DEGREE_ZERO_TOL]
-    if deg0 and active[0]:
-        p = ex.Program(deg0)(x, np.eye(n)[0])
-        out += uhat.flat[0] / M ** n * sum(p[1:], p[0])
-    active[0] = False
-    cols = np.flatnonzero(active)
-    group = max(1, _SAMPLE_BUDGET // M ** n)    # modes or xi factors
     dense, pairs = [], []
-    shape, parts = {}, {}           # one split of each subtree per call
+    shape, parts = {}, {}           # one split of each subtree per plan
     for term in P.terms:
         sums = _separate(term.expr, shape, parts)
         if sums is None:
@@ -323,22 +316,68 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
         else:
             pairs.extend(sums.items())
     items = list(_merge(pairs).items())
-    for g in range(0, len(items), group):
-        h, c = zip(*items[g:g + group])
-        w = np.zeros((len(h), M ** n), dtype=complex)
-        w[:, cols] = ex.Program(h)(np.zeros((n, 1)), k[:, cols])
+    return _Plan(ex.Program(deg0) if deg0 else None,
+                 [tuple(map(ex.Program, zip(*items[g:g + group])))
+                  for g in range(0, len(items), group)],
+                 ex.Program(dense) if dense else None)
+
+
+def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
+    """Apply the quantization of P to u: sum_k e^{ikx} p(x, k) u^(k) over
+    the modes k of u above the noise floor.  The k = 0 rule is applied
+    first: one program of the degree-0 terms is read there at xi = e1,
+    and every other term drops it.  On the nonzero modes, the terms that
+    `_separate` factors into {h(xi): c(x)}, with one table of counts and
+    splits for the symbol, are merged into one {h: c} applied as
+    sum_h c(x) F^-1[h u^]: one FFT per distinct h, a chunk of h at a time,
+    each chunk one program of its h, one of its c and one batched FFT.
+    The other terms, the dense ones, are summed on each mode before the
+    Fourier sum: their expressions are the roots of one program, evaluated
+    on the lattice x a group of modes (at most _SAMPLE_BUDGET samples, one
+    mode at least), added in term order and summed as one matrix product
+    per group.  Exact for Fourier multipliers and for differential
+    symbols on sufficiently band-limited input.
+
+    The split and the programs depend on P and the group size alone: they
+    are P's plan, made on P's first call at a grid size and kept in
+    `_PLANS`, keyed by P (equal symbols, whose terms hold the same nodes,
+    share it) and the group size.  A later call with P or an equal symbol
+    runs the plan's programs and FFTs on u and builds and compiles none."""
+    n, M = u.dimension, u.M
+    if P.dimension != n:
+        raise GridMismatch("symbol/grid dimension mismatch")
+    group = max(1, _SAMPLE_BUDGET // M ** n)    # modes or xi factors
+    plans = _PLANS.setdefault(P, {})
+    plan = plans.get(group)
+    if plan is None:
+        plan = plans[group] = _plan(P, group)
+    uhat = np.fft.fftn(u.values)
+    active = (np.abs(uhat) > _MODE_EPS * np.abs(uhat).max()).ravel()
+    x = lattice(n, M)
+    k = wavenumbers(n, M).astype(float)
+    out = np.zeros(M ** n, dtype=complex)
+    # the k = 0 rule, on the first mode in fft order: the degree-0 terms
+    # are read there at xi = e1, every other term drops it
+    if plan.deg0 and active[0]:
+        p = plan.deg0(x, np.eye(n)[0])
+        out += uhat.flat[0] / M ** n * sum(p[1:], p[0])
+    active[0] = False
+    cols = np.flatnonzero(active)
+    for h, c in plan.chunks:
+        hk = h(np.zeros((n, 1)), k[:, cols])
+        w = np.zeros((len(hk), M ** n), dtype=complex)
+        w[:, cols] = hk
         spectral = np.fft.ifftn(w.reshape((-1,) + uhat.shape) * uhat,
                                 axes=tuple(range(1, n + 1)))
-        out += np.einsum("gi,gi->i", ex.Program(c)(x, np.zeros((n, 1))),
-                         spectral.reshape(len(h), -1))
-    if dense:
+        out += np.einsum("gi,gi->i", c(x, np.zeros((n, 1))),
+                         spectral.reshape(len(hk), -1))
+    if plan.dense:
         # one program of the dense terms on a group of modes at a time: its
         # x-only nodes run on the lattice, xi-only ones on the modes, mixed
         # ones on their product, by broadcasting
-        prog = ex.Program(dense)
         for g in range(0, cols.size, group):
             js = cols[g:g + group]
-            p = prog(x[:, None], k[:, js, None])
+            p = plan.dense(x[:, None], k[:, js, None])
             out += (uhat.flat[js] / M ** n) @ (
                 np.exp(1j * (k[:, js].T @ x)) * sum(p[1:], p[0]))
     return GridFunction(n, M, out)

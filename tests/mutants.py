@@ -65,6 +65,12 @@ MUTANTS = [
      "pair = c[..., 2 * j]",
      ["tests/test_quantize.py::test_block_sweep_equals_the_pairwise_sweep",
       "tests/test_quantize.py"]),
+    ("op_apply looks its plan up by the symbol's dimension",
+     "src/psido/quantize.py",
+     "plans = _PLANS.setdefault(P, {})",
+     "plans = vars(_PLANS).setdefault(P.dimension, {})",
+     ["tests/test_quantize.py::test_each_symbol_is_applied_by_its_own_plan",
+      "tests/test_quantize.py"]),
     ("point function without its fractional-power domain check",
      "src/psido/expr.py",
      'f"if v{a} < -1e-12 * max(abs(v{a}), 1.0): return",',

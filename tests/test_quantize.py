@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -441,6 +443,111 @@ def test_separable_terms_share_one_xi_one_x_and_one_k_zero_program(
     got = op_apply(P, u).values
     assert len(programs) == 3
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _composed_pair():
+    """P Q of two differential symbols with x-dependent coefficients:
+    every level of the composition factors."""
+    x1, x2, xi1, xi2 = ex.x(1), ex.x(2), ex.xi(1), ex.xi(2)
+    P = sy.ClassicalSymbol.from_terms([
+        sy.HomogeneousTerm(_SEPARABLE, 2.0, 2),
+        sy.HomogeneousTerm(ex.mul(ex.sin(x2), xi1), 1.0, 2)], 6)
+    Q = sy.ClassicalSymbol.from_terms([
+        sy.HomogeneousTerm(ex.mul(ex.cos(x1), xi2, xi2), 2.0, 2),
+        sy.HomogeneousTerm(ex.Const(0.5) + ex.cos(x2), 0.0, 2)], 6)
+    return ca.compose(P, Q)
+
+
+def _every_route():
+    return sy.ClassicalSymbol.from_terms(list(_ROUTES.values()), 4)
+
+
+def _complex_xi_factors():
+    """exp(ih) exp(h) (2 + sin x1) for h = (0.3+1.7i) xi1/|xi|: it factors,
+    and its xi factor multiplies complex by complex."""
+    h = ex.mul(ex.Const(0.3 + 1.7j), ex.xi(1), ex.pow_(ex.xi_norm_sq(2), -0.5))
+    return _sym(ex.mul(ex.exp(ex.mul(ex.I, h)), ex.exp(h),
+                       ex.Const(2.0) + ex.sin(ex.x(1))), 0.0, 2)
+
+
+_REPEATS = {
+    "separable": (_composed_pair, GridFunction.random_band_limited(
+        2, 16, 4, np.random.default_rng(31))),
+    "dense": (_parametrix_residual, GridFunction.random_band_limited(
+        2, 16, 5, np.random.default_rng(25))),
+    "k_zero": (_every_route, GridFunction.random_band_limited(
+        2, 8, 3, np.random.default_rng(30))),
+    "one_mode": (_complex_xi_factors, GridFunction.single_mode(2, 16,
+                                                               [-6, 5])),
+}
+
+
+@pytest.mark.parametrize("route", _REPEATS)
+def test_a_repeat_apply_returns_the_first_calls_bits(route):
+    # the second call runs the plan of the first; a symbol built again is
+    # another object, equal to the first, and finds the same plan
+    symbol, u = _REPEATS[route]
+    P = symbol()
+    first = op_apply(P, u).values
+    plan = quantize._PLANS[P][max(1, _SAMPLE_BUDGET // u.M ** 2)]
+    assert (plan.dense is None) == (route in ("separable", "one_mode"))
+    assert (not plan.chunks) == (route == "dense")
+    assert np.array_equal(op_apply(P, u).values, first)
+    again = symbol()
+    assert again is not P and again == P
+    assert np.array_equal(op_apply(again, u).values, first)
+    if route == "k_zero":
+        uhat = np.abs(np.fft.fftn(u.values))
+        assert plan.deg0 and uhat[0, 0] > 1e-12 * uhat.max()
+    if route == "one_mode":
+        # one mode is one point of the xi program: its first call ran the
+        # array loop, the repeats its point function
+        (h, _), = plan.chunks
+        assert callable(h._point)
+
+
+def test_one_symbol_has_a_plan_per_group_size():
+    # 64 modes per group at M = 16, 4 at M = 64
+    P = _parametrix_residual()
+    for M in (16, 64):
+        u = GridFunction.random_band_limited(2, M, 2,
+                                             np.random.default_rng(M))
+        assert np.array_equal(op_apply(P, u).values,
+                              _one_program_per_mode(P, u))
+    assert sorted(quantize._PLANS[P]) == [4, 64]
+
+
+def test_each_symbol_is_applied_by_its_own_plan():
+    # two symbols of one dimension on one grid, each applied twice in turn
+    u = GridFunction.random_band_limited(2, 16, 4, np.random.default_rng(32))
+    P = _sym(_SEPARABLE, 2.0, 2)
+    Q = _sym(ex.mul(ex.cos(ex.x(1)), ex.xi(2)), 1.0, 2)
+    for _ in range(2):
+        for S in (P, Q):
+            _assert_direct(S, u)
+
+
+def test_a_repeat_apply_compiles_nothing_and_a_plan_dies_with_its_symbol(
+        monkeypatch):
+    inits = []
+    init = ex.Program.__init__
+    monkeypatch.setattr(ex.Program, "__init__",
+                        lambda self, *a: inits.append(a) or init(self, *a))
+    # a symbol no other test builds: its degree-0 program, one chunk's xi
+    # and x programs and the dense terms' program
+    P = _every_route().scale(0.75)
+    u = GridFunction.random_band_limited(2, 8, 3, np.random.default_rng(33))
+    counts = []
+    for S in (P, P, _every_route().scale(0.75)):
+        inits.clear()
+        op_apply(S, u)
+        counts.append(len(inits))
+    assert counts == [4, 0, 0]
+    plan = quantize._PLANS[P][_SAMPLE_BUDGET // 8 ** 2]
+    gone = [weakref.ref(P), weakref.ref(plan.dense)]
+    del P, S, plan
+    gc.collect()
+    assert [r() for r in gone] == [None, None]
 
 
 def test_sobolev_norm_single_mode():
