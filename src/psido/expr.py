@@ -21,7 +21,9 @@ key nodes themselves, and a key keeps its node alive.
 Evaluation has one implementation, `Program`, whose docstring states its
 contract: what a call computes and returns, in which dtype, how samples
 broadcast, the point function that a program called at one point again
-runs (its source compiled once per process), and the domain checks.
+runs (its source compiled once per process), the buffer plan by which a
+program called on arrays again writes sums and products into dying
+operands' arrays, and the domain checks.
 `e.ev(x, xi)` (alias `ev_cached`) and `evaluate(e, point)` call it.
 
 Each node kind lists its children once, as `args` in evaluation order,
@@ -464,9 +466,11 @@ _RENDER = {
 # One op per node kind that `Program` does not settle itself, op(node, a, b):
 # the node's value from its children's arrays of samples a, b (a one-child
 # node gets its child twice, a variable gets x or xi, as its kind says).
-# Every op is elementwise and out of place, so values of different sample
-# shapes broadcast, a sample's value does not depend on its batch and no
-# array is ever written after its step.
+# Every op is elementwise and returns a fresh array, so values of different
+# sample shapes broadcast and a sample's value does not depend on its
+# batch.  Only `Program`'s loop writes an array after its step: from a
+# program's second array call on, a sum or product is written into the
+# array of an operand that dies at it (see `Program`).
 
 def _var(node, v, _):
     return v[node.j - 1].astype(float)
@@ -534,10 +538,59 @@ def _power_at(node, b):
     return _power(node, np.array([b]), None).item()
 
 
+def _slot_types(steps, init):
+    """Two dicts over the slots of a program without a `values` table:
+    the variable kinds below each slot's node, as bits 1 (x) and 2 (xi),
+    and whether its value is real.  In the array loop the kinds fix a
+    value's sample shape and the realness its dtype, float64 or
+    complex128: a constant is real by its value, a variable is real, exp
+    is complex, a fractional power real, a real base's integer power
+    0 < |p| < 100 real and any other integer power complex (numpy's
+    complex power), and any other node is real when its operands are."""
+    kinds, real = {}, {}
+    for k, v in enumerate(init[2:], 2):
+        if v is not None:
+            kinds[k], real[k] = 0, v.dtype.kind == "f"
+    for op, node, k, a, b, *_ in steps:
+        if op is _var:                  # a is slot 0 (x) or 1 (xi)
+            kinds[k], real[k] = 1 << a, True
+            continue
+        kinds[k] = kinds[a] | kinds[b]
+        if op is _power:
+            p = node.expo
+            real[k] = not p.is_integer() or real[a] and 0 < abs(p) < 100
+        else:
+            real[k] = real[a] and real[b] and type(node) is not Exp
+    return kinds, real
+
+
+# a sum's or product's ufunc, which can write into a given array
+_INTO = {operator.add: np.add, operator.mul: np.multiply}
+
+
+def _buffer_plan(steps, init):
+    """The steps of a program without a `values` table, with the last
+    field of each sum and product set to the slot of an operand that dies
+    at it and has the same variable kinds and realness as its value, so
+    the same sample shape and dtype, where it has one: the array that the
+    step can write its value into.  Where both operands can be written,
+    the first is, so that a fold's partial result keeps one array: an
+    arbitrary choice between the two made the dense program of the
+    quantize benchmark fault about six times as many pages."""
+    kinds, real = _slot_types(steps, init)
+    plan = []
+    for op, node, k, a, b, dies, _ in steps:
+        into = [d for d in (a, b) if d in dies
+                and kinds[d] == kinds[k] and real[d] == real[k]]
+        plan.append((op, node, k, a, b, dies,
+                     into[0] if into and op in _INTO else None))
+    return plan
+
+
 def _point_power(node, k, a, real):
-    """Source lines of a power step at a point, slot k from slot a, and
-    whether its value is real.  A failed domain check returns None, so
-    that the array loop's `_power` raises its DomainError."""
+    """Source lines of a power step at a point, slot k from slot a, whose
+    value is real if `real`.  A failed domain check returns None, so that
+    the array loop's `_power` raises its DomainError."""
     p = node.expo
     if real and not p.is_integer():
         # max(m, 1.0) keeps a NaN m, as np.maximum does; np.maximum(b, 0.0)
@@ -549,48 +602,43 @@ def _point_power(node, k, a, real):
         # numpy's b ** 0.5 is sqrt, correctly rounded as math.sqrt is;
         # other powers are numpy's SIMD pow, which rounds apart from libm's
         return lines + [f"v{k} = sqrt(v{k})" if p == 0.5 else
-                        f"v{k} = float(power(v{k}, e{k}))"], True
-    # any other power on a one-sample array: a fractional power is real,
-    # a real base's integer power 0 < |p| < 100 too, the others complex
-    return [f"v{k} = power_at(n{k}, v{a})"], \
-        not p.is_integer() or real and 0 < abs(p) < 100
+                        f"v{k} = float(power(v{k}, e{k}))"]
+    # any other power on a one-sample array
+    return [f"v{k} = power_at(n{k}, v{a})"]
 
 
 def _point_function(steps, init, roots):
     """The steps as one straight-line Python function of a point's lists
     of x and xi values, v0 and v1, that returns the roots' values in a
     list, or None where a domain check fails (see `Program`).  Which
-    nodes are real is known here, so each step's op is fixed.  Slot k is
-    v{k}; a constant v{k}, a function f{k}, an exponent e{k} or a node
-    n{k} is bound in the function's namespace, never written into its
-    source."""
+    nodes are real is known here (`_slot_types`), so each step's op is
+    fixed.  Slot k is v{k}; a constant v{k}, a function f{k}, an exponent
+    e{k} or a node n{k} is bound in the function's namespace, never
+    written into its source."""
     ns = {"sqrt": math.sqrt, "power": np.power, "power_at": _power_at,
           "multiply": np.multiply, "_DIV_EPS": _DIV_EPS}
-    real = {}
+    _, real = _slot_types(steps, init)
     for k, v in enumerate(init[2:], 2):
         if v is not None:
-            ns[f"v{k}"] = v = v.item()
-            real[k] = type(v) is float
+            ns[f"v{k}"] = v.item()
     body = []
-    for op, node, k, a, b, _ in steps:
+    for op, node, k, a, b, *_ in steps:
         if op is _var:
-            lines, real[k] = [f"v{k} = float(v{a}[{node.j - 1}])"], True
+            lines = [f"v{k} = float(v{a}[{node.j - 1}])"]
         elif op is operator.add:
-            lines, real[k] = [f"v{k} = v{a} + v{b}"], real[a] and real[b]
+            lines = [f"v{k} = v{a} + v{b}"]
         elif op is operator.mul:
             # a product of two complex numbers is numpy's complex multiply,
             # fused on SIMD targets
             lines = [f"v{k} = v{a} * v{b}" if real[a] or real[b] else
                      f"v{k} = complex(multiply(v{a}, v{b}))"]
-            real[k] = real[a] and real[b]
         elif op is _power:
             ns[f"n{k}"], ns[f"e{k}"] = node, node.expo
-            lines, real[k] = _point_power(node, k, a, real[a])
+            lines = _point_power(node, k, a, real[a])
         else:                                   # sin, cos and exp
             ns[f"f{k}"] = _POINT_FUNCTIONS[
                 node.name, float if real[a] else complex]
             lines = [f"v{k} = f{k}(v{a})"]
-            real[k] = real[a] and node.name != "exp"
         body += lines
     body.append(f"return [{', '.join(f'v{k}' for k in roots)}]")
     source = "def point(v0, v1):\n" + "".join(f"    {s}\n" for s in body)
@@ -635,8 +683,23 @@ class Program:
     built once, in the slot list that a call starts from a copy of; each
     step knows the slots it reads and those that die after it; the call
     loop computes sums and products inline, as binary steps that fold
-    left and out of place, so a point's value does not depend on its
-    batch.
+    left, so a point's value does not depend on its batch.
+
+    A program's first array call computes every step out of place.  The
+    second builds the buffer plan, which that call and every later one
+    run: a sum or product writes its value (np.add or np.multiply with
+    `out=`) into the array of an operand that dies at it and has the same
+    variable kinds (x-only, xi-only or mixed) and realness as the value,
+    so the same sample shape and dtype.  The ufunc, its operands and
+    their order are those of the out-of-place step, so the values are
+    the first call's bit for bit; on one sample, where numpy's complex
+    product rounds apart written into an operand, the step stays out of
+    place.  x, xi, the constants, the roots and the nodes a table records
+    never die, so no input, no returned array and no table entry is ever
+    written, and every other array is the call's own.  A symbolic check
+    that calls each of its programs once never builds a plan.  A program
+    given a table, whose slots start with arrays of sample shapes not
+    known at compilation, has none.
 
     When x and xi hold one sample each, as a flow's field or `evaluate`
     does, the first such call runs the array loop, and the second builds
@@ -715,17 +778,19 @@ class Program:
         self._record = {} if values is None else {
             node: k for op, node, k, a, b in steps}
         # each step's dead slots: those it reads last, bar x, xi, the
-        # constants, the roots and the recorded nodes
+        # constants, the roots and the recorded nodes; and the slot it
+        # writes into, none until the buffer plan
         live = {0, 1, *roots, *self._record.values(),
                 *(k for k, v in enumerate(init) if v is not None)}
         for i in reversed(range(len(steps))):
             dies = {steps[i][3], steps[i][4]} - live
             live |= dies
-            steps[i] += (tuple(dies),)
+            steps[i] += (tuple(dies), None)
         self._steps, self._init, self._roots = steps, init, roots
-        # the point function: None before a first one-point call, False
-        # after it, built on the second
-        self._point = None
+        # the point function and the buffer plan: None before a first
+        # one-point or array call, False after it, built on the second
+        # (the plan in place of the steps, and True)
+        self._point = self._into = None
 
     def __call__(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         if x.ndim == 1:
@@ -748,11 +813,20 @@ class Program:
 
     def _loop(self, x, xi, shape) -> np.ndarray:
         """The array loop on samples x, xi of broadcast shape `shape`."""
+        if self._into is False:         # the second array call
+            self._steps = _buffer_plan(self._steps, self._init)
+            self._into = True
+        elif self._into is None and self._table is None:
+            self._into = False
         vals = self._init.copy()
         vals[0], vals[1] = x, xi
         add, mul = operator.add, operator.mul
-        for op, node, k, a, b, dead in self._steps:
-            if op is mul:
+        for op, node, k, a, b, dead, into in self._steps:
+            if into is not None and vals[into].size > 1:
+                # into a dying operand's array; numpy's complex product
+                # rounds apart written into a one-sample operand
+                vals[k] = _INTO[op](vals[a], vals[b], out=vals[into])
+            elif op is mul:
                 vals[k] = vals[a] * vals[b]
             elif op is add:
                 vals[k] = vals[a] + vals[b]

@@ -334,9 +334,13 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     The other terms, the dense ones, are summed on each mode before the
     Fourier sum: their expressions are the roots of one program, evaluated
     on the lattice x a group of modes (at most _SAMPLE_BUDGET samples, one
-    mode at least), added in term order and summed as one matrix product
-    per group.  Exact for Fourier multipliers and for differential
-    symbols on sufficiently band-limited input.
+    mode at least), added in term order, multiplied by the phases and
+    summed as one matrix product per group.  The phase e^{ikx} at the
+    lattice point x = (2pi/M) i is read from the table of the M-th roots
+    of unity e^{2pi i m / M}, at m = k.i mod M from the integer k and i:
+    no exponential per sample, and no rounding of an unreduced k.x.
+    Exact for Fourier multipliers and for differential symbols on
+    sufficiently band-limited input.
 
     The split and the programs depend on P and the group size alone: they
     are P's plan, made on P's first call at a grid size and kept in
@@ -354,7 +358,8 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
     uhat = np.fft.fftn(u.values)
     active = (np.abs(uhat) > _MODE_EPS * np.abs(uhat).max()).ravel()
     x = lattice(n, M)
-    k = wavenumbers(n, M).astype(float)
+    ks = wavenumbers(n, M)
+    k = ks.astype(float)
     out = np.zeros(M ** n, dtype=complex)
     # the k = 0 rule, on the first mode in fft order: the degree-0 terms
     # are read there at xi = e1, every other term drops it
@@ -375,11 +380,13 @@ def op_apply(P: ClassicalSymbol, u: GridFunction) -> GridFunction:
         # one program of the dense terms on a group of modes at a time: its
         # x-only nodes run on the lattice, xi-only ones on the modes, mixed
         # ones on their product, by broadcasting
+        index = np.indices((M,) * n).reshape(n, -1)     # x = (2pi/M) index
+        roots = np.exp(2j * np.pi * np.arange(M) / M)
         for g in range(0, cols.size, group):
             js = cols[g:g + group]
             p = plan.dense(x[:, None], k[:, js, None])
             out += (uhat.flat[js] / M ** n) @ (
-                np.exp(1j * (k[:, js].T @ x)) * sum(p[1:], p[0]))
+                roots[ks[:, js].T @ index % M] * sum(p[1:], p[0]))
     return GridFunction(n, M, out)
 
 

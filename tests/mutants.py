@@ -65,6 +65,21 @@ MUTANTS = [
      "pair = c[..., 2 * j]",
      ["tests/test_quantize.py::test_block_sweep_equals_the_pairwise_sweep",
       "tests/test_quantize.py"]),
+    ("buffer plan without its realness test", "src/psido/expr.py",
+     "kinds[d] == kinds[k] and real[d] == real[k]",
+     "kinds[d] == kinds[k]",
+     ["tests/test_expr.py::test_later_array_calls_write_into_dying_"
+      "operands_with_the_same_bits", "tests/test_expr.py"]),
+    ("buffer plan without its kinds test", "src/psido/expr.py",
+     "kinds[d] == kinds[k] and real[d] == real[k]",
+     "real[d] == real[k]",
+     ["tests/test_expr.py::test_later_array_calls_write_into_dying_"
+      "operands_with_the_same_bits", "tests/test_expr.py"]),
+    ("mode-by-mode phase table conjugated", "src/psido/quantize.py",
+     "roots = np.exp(2j * np.pi * np.arange(M) / M)",
+     "roots = np.exp(-2j * np.pi * np.arange(M) / M)",
+     ["tests/test_quantize.py::test_the_mode_by_mode_phase_is_a_root_of_unity",
+      "tests/test_quantize.py"]),
     ("op_apply looks its plan up by the symbol's dimension",
      "src/psido/quantize.py",
      "plans = _PLANS.setdefault(P, {})",

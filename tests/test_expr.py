@@ -797,6 +797,76 @@ def test_one_program_serves_every_sample_shape(dag, axes):
                 np.testing.assert_array_equal(a, b)
 
 
+_X1, _X2, _XI1, _XI2 = ex.x(1), ex.x(2), ex.xi(1), ex.xi(2)
+_MIXED = ex.mul(_X1, _XI1)
+# the roots of each case; every one has a sum or product that writes into
+# a dying operand's array from the second array call on
+_BUFFER_CASES = {
+    # real operands of complex steps and complex operands of complex ones:
+    # x1 x2 dies at a mixed sum, the real x1 x2 + xi1 at a complex product
+    "real_complex": [
+        ex.mul(ex.add(ex.mul(_X1, _X2), _XI1), ex.Const(0.5 - 2j))
+        + ex.sin(ex.mul(_X1, _XI2)),
+        ex.mul(ex.exp(_X1), _X2) + _XI1],
+    # a * a: one operand read twice, written into once
+    "square": [ex.Mul([_X1 + _XI1, _X1 + _XI1]),
+               ex.Mul([_X2 + ex.I * _XI2, _X2 + ex.I * _XI2])],
+    # x1 xi1 is a root and a later step's operand: it is never written
+    "shared_root": [_MIXED, ex.mul(_MIXED, _XI2) + _X2],
+}
+_BUFFER_SAMPLES = {
+    # x on P = 3 points against xi on C = 4 directions: x-only, xi-only and
+    # mixed values have three sample shapes
+    "grid": (np.linspace(-2.0, 2.5, 6).reshape(2, 1, 3),
+             np.linspace(-1.0, 3.0, 8).reshape(2, 4, 1)),
+    "same_shape": (np.linspace(-2.0, 2.5, 10).reshape(2, 5),
+                   np.linspace(-1.0, 3.0, 10).reshape(2, 5)),
+}
+
+
+@pytest.mark.parametrize("samples", _BUFFER_SAMPLES)
+@pytest.mark.parametrize("case", _BUFFER_CASES)
+def test_later_array_calls_write_into_dying_operands_with_the_same_bits(
+        case, samples):
+    roots = _BUFFER_CASES[case]
+    x, xi = _BUFFER_SAMPLES[samples]
+    x0, xi0 = x.copy(), xi.copy()
+    prog = ex.Program(roots)
+    first = prog(x, xi)
+    kept = first.copy()
+    # the first array call runs out of place, the second builds the plan
+    assert prog._into is False
+    for _ in range(2):
+        assert prog(x, xi).tobytes() == kept.tobytes()
+        assert prog._into
+        assert any(step[-1] is not None for step in prog._steps)
+    # no input, and no array an earlier call returned, was written
+    assert first.tobytes() == kept.tobytes()
+    assert x.tobytes() == x0.tobytes() and xi.tobytes() == xi0.tobytes()
+    for r, row in zip(roots, kept):
+        np.testing.assert_array_equal(row, np.broadcast_to(
+            _reference(r, x, xi), row.shape))
+
+
+def test_a_program_with_a_value_table_writes_into_no_operand():
+    # a table's arrays start slots of unknown sample shape: such a program
+    # has no buffer plan, and every array its table records stays its own
+    x, xi = _BUFFER_SAMPLES["grid"]
+    roots = _BUFFER_CASES["real_complex"]
+    want = ex.Program(roots)(x, xi)
+    values = {}
+    prog = ex.Program(roots, values)
+    assert prog(x, xi).tobytes() == want.tobytes()
+    first = dict(values)
+    kept = {node: v.copy() for node, v in values.items()}
+    for _ in range(2):
+        assert prog(x, xi).tobytes() == want.tobytes()
+    assert prog._into is None
+    for node, v in first.items():
+        assert v.tobytes() == kept[node].tobytes()
+        assert values[node].tobytes() == v.tobytes()
+
+
 def test_a_rebuilt_root_adds_no_program_steps():
     e = _squaring_dag(ex.x(1), 1j).diff("x", 1)
     again = _squaring_dag(ex.x(1), 1j).diff("x", 1)
