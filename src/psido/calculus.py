@@ -8,7 +8,11 @@ All expansions are truncated: output terms below the certified order of
 either input are dropped.  Constructions that need a correction "one level
 at a time" (parametrix, square root) are driven by the residual of an
 actual composition, with the semantic zero test deciding which residual
-levels still need killing.
+levels still need killing.  Composition is bilinear, so the residual is
+composed once and then updated: `residual_of(Q, None)` is the residual of
+Q, and `residual_of(Q, q)` the change in it when the one-term symbol q,
+built with Q's leading order and truncation N, joins Q.  A residual level
+that tested zero is one node, and is not tested again.
 """
 
 from __future__ import annotations
@@ -173,20 +177,32 @@ def micro_elliptic_at(P: ClassicalSymbol, point) -> bool:
 def _kill_levels(first: HomogeneousTerm, lead: HomogeneousTerm,
                  factor: float, residual_of, N: int) -> ClassicalSymbol:
     """Shared driver for parametrix/sqrt: from Q = first, truncated at
-    order N, kill the highest level r of R = residual_of(Q) above degree
+    order N, kill the highest level r of the residual R above degree
     R.leading_order - N that fails the semantic zero test, by adding
-    factor * r / lead at degree r.degree - lead.degree, until none is
-    left.  Raises NonConvergent if one survives 4N + 4 corrections."""
-    q_terms = [first]
+    q = factor * r / lead at degree r.degree - lead.degree, until none is
+    left.  R = residual_of(Q, None) is composed once; each correction
+    adds its change residual_of(Q, q), q being the one-term symbol of Q's
+    leading order and truncation N.  The level nodes that tested zero are
+    kept in a set and skipped: nodes are interned, so a level that later
+    corrections leave as it was is the same node, with the same values.
+    Raises NonConvergent if a level survives 4N + 4 corrections."""
+    Q = ClassicalSymbol.from_terms([first], N)
+    R = residual_of(Q, None)
+    cutoff = R.leading_order - N    # each change has R's leading order
     values = {}     # node values shared by this construction's zero tests
+    passed = set()  # the level nodes that tested zero
     try:
         for it in range(4 * N + 5):
-            Q = ClassicalSymbol.from_terms(q_terms, N)
-            R = residual_of(Q)
-            cutoff = R.leading_order - N
-            target = next((t for t in R.terms
-                           if t.degree > cutoff + DEGREE_TOL
-                           and not is_zero(t, values=values)), None)
+            target = None
+            for t in R.terms:
+                if t.degree <= cutoff + DEGREE_TOL:
+                    break
+                if t.expr in passed:
+                    continue
+                if not is_zero(t, values=values):
+                    target = t
+                    break
+                passed.add(t.expr)
             if target is None:
                 return Q
             if it == 4 * N + 4:
@@ -195,10 +211,14 @@ def _kill_levels(first: HomogeneousTerm, lead: HomogeneousTerm,
                     f"{it} corrections (zero-test margin "
                     f"{zero_margin(target, values=values):.3g})")
             e = ex.mul(ex.Const(factor), ex.div(target.expr, lead.expr))
-            q_terms.append(HomogeneousTerm(e, target.degree - lead.degree,
-                                           lead.dimension))
+            q = ClassicalSymbol(Q.leading_order, (HomogeneousTerm(
+                e, target.degree - lead.degree, lead.dimension),), N,
+                Q.dimension)
+            R = R + residual_of(Q, q)
+            Q = Q + q
     finally:
         values.clear()      # a traceback keeps this frame, not the table
+        passed.clear()
 
 
 def parametrix(P: ClassicalSymbol, N: int) -> ClassicalSymbol:
@@ -216,7 +236,8 @@ def parametrix(P: ClassicalSymbol, N: int) -> ClassicalSymbol:
     ident = ClassicalSymbol.identity(n, N)
     return _kill_levels(HomogeneousTerm(ex.div(ex.ONE, p_m.expr), -m, n),
                         p_m, -1.0,
-                        lambda Q: compose(P, Q, truncation=N) - ident, N)
+                        lambda Q, q: compose(P, Q, truncation=N) - ident
+                        if q is None else compose(P, q, truncation=N), N)
 
 
 def sqrt_approx(P: ClassicalSymbol, N: int) -> ClassicalSymbol:
@@ -236,8 +257,12 @@ def sqrt_approx(P: ClassicalSymbol, N: int) -> ClassicalSymbol:
             else "principal symbol is not strictly positive")
     q0 = HomogeneousTerm(ex.sqrt(p_m.expr), P.leading_order / 2.0,
                          P.dimension)
+    # (Q + q)(Q + q) - QQ = Qq + q(Q + q)
     return _kill_levels(q0, q0, 0.5,
-                        lambda Q: P - compose(Q, Q, truncation=N), N)
+                        lambda Q, q: P - compose(Q, Q, truncation=N)
+                        if q is None else
+                        (compose(Q, q, truncation=N)
+                         + compose(q, Q + q, truncation=N)).scale(-1.0), N)
 
 
 def _minor(mat, i, j):

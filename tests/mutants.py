@@ -53,6 +53,16 @@ MUTANTS = [
      "c *= (-1.0) ** sum(alpha)",
      "c *= 1.0",
      ["tests/test_calculus.py::test_convert_left_right_x_xi", *CALCULUS]),
+    ("sqrt's residual change without q o q", "src/psido/calculus.py",
+     "compose(q, Q + q, truncation=N)",
+     "compose(q, Q, truncation=N)",
+     ["tests/test_calculus.py::test_sqrt_squares_back", *CALCULUS]),
+    ("parametrix's residual change composed as q o P",
+     "src/psido/calculus.py",
+     "if q is None else compose(P, q, truncation=N), N)",
+     "if q is None else compose(q, P, truncation=N), N)",
+     ["tests/test_calculus.py::test_parametrix_is_a_right_inverse",
+      *CALCULUS]),
     ("theta sweep resets its quiet count at each block",
      "src/psido/quantize.py",
      "        for j, aj in enumerate(a):\n",

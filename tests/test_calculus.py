@@ -210,17 +210,24 @@ def test_sqrt_approx_needs_a_real_positive_principal_symbol():
 
 
 def test_correction_loop_raises_when_a_level_survives():
-    # a correction of factor 0 adds nothing, so it never kills the degree
-    # -1 level of P o (1/p) - 1 for a variable-coefficient P
+    # a correction of factor 0 folds to ZERO: its one-term symbol q is
+    # empty, so is its change P o q, and the degree -1 level of
+    # P o (1/p) - 1 for a variable-coefficient P is never killed
     P = _sym(ex.mul(ex.ONE + ex.mul(ex.Const(0.5), ex.sin(ex.x(1))),
                     ex.xi_norm_sq(2)), 2.0, 2, trunc=3)
     p = ca.principal(P)
     ident = sy.ClassicalSymbol.identity(2, 3)
+
+    def residual_of(Q, q):
+        if q is None:
+            return ca.compose(P, Q, truncation=3) - ident
+        assert not q.terms
+        return ca.compose(P, q, truncation=3)
+
     with pytest.raises(NonConvergent, match=r"degree -1 survives 16 "
                        r"corrections \(zero-test margin \S+\)") as info:
         ca._kill_levels(sy.HomogeneousTerm(ex.div(ex.ONE, p.expr), -2.0, 2),
-                        p, 0.0,
-                        lambda Q: ca.compose(P, Q, truncation=3) - ident, 3)
+                        p, 0.0, residual_of, 3)
     # the margin named is the surviving level's, far from passing
     assert float(re.search(r"margin (\S+)\)", str(info.value))[1]) > 1e3
 
@@ -259,6 +266,27 @@ def test_zero_test_table_does_not_outlive_a_construction(monkeypatch):
     gc.collect()
     assert info.value.__traceback__ is not None
     assert refs and all(r() is None for r in refs)
+
+
+@pytest.mark.parametrize("construct", [ca.parametrix, ca.sqrt_approx])
+def test_each_residual_level_is_zero_tested_once(monkeypatch, construct):
+    # the residual is updated by each correction's composition, and a
+    # level that tested zero is not tested again: N - 1 levels below the
+    # top fail once and pass once, and the top passes at once
+    P = _sym(ex.mul(ex.ONE + ex.mul(ex.Const(0.5), ex.sin(ex.x(1))),
+                    ex.xi_norm_sq(2)), 2.0, 2, trunc=5)
+    tested = []
+    real = ca.is_zero
+
+    def spy(term, values):
+        tested.append(term.expr)
+        return real(term, values=values)
+
+    monkeypatch.setattr(ca, "is_zero", spy)
+    for N in (3, 4, 5):
+        tested.clear()
+        construct(P, N)
+        assert len(tested) == len(set(tested)) == 2 * N - 1
 
 
 def test_micro_elliptic_at():
@@ -459,3 +487,63 @@ def test_commutator_next_level_is_the_poisson_bracket_over_i(PQ):
     _assert_same_operator(sy.ClassicalSymbol.from_terms([level], 1),
                           sy.ClassicalSymbol.from_terms(
                               [bracket.scale(-1j)], 1))
+
+
+# -- construction laws on random elliptic symbols ---------------------------
+
+@st.composite
+def _elliptic_symbols(draw):
+    """(N, P) with N in 2..4 and P = (1 + a sin(x1 + phi)) xi1^2
+    [+ (1 + b cos x2) xi2^2] + c cos(x_n) xi1 on T^n, n = 1 or 2, truncated
+    at 4: a, b uniform in [0.1, 0.5] and phi in [0, 2 pi), drawn in the
+    benchmark's elliptic family's order from a drawn seed, so that the
+    principal part is positive, and c uniform in [-1, 1]."""
+    n = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = rng.uniform(0.1, 0.5), rng.uniform(0.1, 0.5)
+    phi, c = rng.uniform(0.0, 2 * np.pi), rng.uniform(-1.0, 1.0)
+    coef = [ex.ONE + ex.mul(ex.Const(a), ex.sin(ex.x(1) + ex.Const(phi))),
+            ex.ONE + ex.mul(ex.Const(b), ex.cos(ex.x(2)))]
+    top = ex.add(*(ex.mul(coef[j], ex.xi(j + 1), ex.xi(j + 1))
+                   for j in range(n)))
+    low = ex.mul(ex.Const(c), ex.cos(ex.x(n)), ex.xi(1))
+    P = sy.ClassicalSymbol(2.0, (sy.HomogeneousTerm(top, 2.0, n),
+                                 sy.HomogeneousTerm(low, 1.0, n)), 4, n)
+    return draw(st.integers(2, 4)), P
+
+
+def _assert_levels_vanish_above(R, degree):
+    margins = [sy.zero_margin(t) for t in R.terms
+               if t.degree > degree + sy.DEGREE_TOL]
+    assert margins and max(margins) <= 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(_elliptic_symbols())
+def test_parametrix_is_a_right_inverse(NP):
+    # kills a parametrix whose change is q o P in place of P o q
+    N, P = NP
+    Q = ca.parametrix(P, N)
+    ident = sy.ClassicalSymbol.identity(P.dimension, N)
+    _assert_levels_vanish_above(ca.compose(P, Q, truncation=N) - ident, -N)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_elliptic_symbols())
+def test_parametrix_is_a_left_inverse(NP):
+    # the construction only kills P o Q - 1; kills compose without its
+    # 1/alpha!, whose product is not associative
+    N, P = NP
+    Q = ca.parametrix(P, N)
+    ident = sy.ClassicalSymbol.identity(P.dimension, N)
+    _assert_levels_vanish_above(ca.compose(Q, P, truncation=N) - ident, -N)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_elliptic_symbols())
+def test_sqrt_squares_back_on_elliptic_symbols(NP):
+    # kills the square root's change without q o q
+    N, P = NP
+    S = ca.sqrt_approx(P, N)
+    _assert_levels_vanish_above(ca.compose(S, S, truncation=N) - P,
+                                P.leading_order - N)
