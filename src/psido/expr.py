@@ -21,9 +21,9 @@ key nodes themselves, and a key keeps its node alive.
 Evaluation has one implementation, `Program`, whose docstring states its
 contract: what a call computes and returns, in which dtype, how samples
 broadcast, the point function that a program called at one point again
-runs (its source compiled once per process), the buffer plan by which a
-program called on arrays again writes sums and products into dying
-operands' arrays, and the domain checks.
+runs (its source compiled once per process), the buffer plan, settled
+at compilation, by which a program without a value table writes sums and
+products into dying operands' arrays, and the domain checks.
 `e.ev(x, xi)` (alias `ev_cached`) and `evaluate(e, point)` call it.
 
 Each node kind lists its children once, as `args` in evaluation order,
@@ -468,8 +468,8 @@ _RENDER = {
 # node gets its child twice, a variable gets x or xi, as its kind says).
 # Every op is elementwise and returns a fresh array, so values of different
 # sample shapes broadcast and a sample's value does not depend on its
-# batch.  Only `Program`'s loop writes an array after its step: from a
-# program's second array call on, a sum or product is written into the
+# batch.  Only `Program`'s loop writes an array after its step: in a
+# program without a value table, a sum or product is written into the
 # array of an operand that dies at it (see `Program`).
 
 def _var(node, v, _):
@@ -538,53 +538,8 @@ def _power_at(node, b):
     return _power(node, np.array([b]), None).item()
 
 
-def _slot_types(steps, init):
-    """Two dicts over the slots of a program without a `values` table:
-    the variable kinds below each slot's node, as bits 1 (x) and 2 (xi),
-    and whether its value is real.  In the array loop the kinds fix a
-    value's sample shape and the realness its dtype, float64 or
-    complex128: a constant is real by its value, a variable is real, exp
-    is complex, a fractional power real, a real base's integer power
-    0 < |p| < 100 real and any other integer power complex (numpy's
-    complex power), and any other node is real when its operands are."""
-    kinds, real = {}, {}
-    for k, v in enumerate(init[2:], 2):
-        if v is not None:
-            kinds[k], real[k] = 0, v.dtype.kind == "f"
-    for op, node, k, a, b, *_ in steps:
-        if op is _var:                  # a is slot 0 (x) or 1 (xi)
-            kinds[k], real[k] = 1 << a, True
-            continue
-        kinds[k] = kinds[a] | kinds[b]
-        if op is _power:
-            p = node.expo
-            real[k] = not p.is_integer() or real[a] and 0 < abs(p) < 100
-        else:
-            real[k] = real[a] and real[b] and type(node) is not Exp
-    return kinds, real
-
-
 # a sum's or product's ufunc, which can write into a given array
 _INTO = {operator.add: np.add, operator.mul: np.multiply}
-
-
-def _buffer_plan(steps, init):
-    """The steps of a program without a `values` table, with the last
-    field of each sum and product set to the slot of an operand that dies
-    at it and has the same variable kinds and realness as its value, so
-    the same sample shape and dtype, where it has one: the array that the
-    step can write its value into.  Where both operands can be written,
-    the first is, so that a fold's partial result keeps one array: an
-    arbitrary choice between the two made the dense program of the
-    quantize benchmark fault about six times as many pages."""
-    kinds, real = _slot_types(steps, init)
-    plan = []
-    for op, node, k, a, b, dies, _ in steps:
-        into = [d for d in (a, b) if d in dies
-                and kinds[d] == kinds[k] and real[d] == real[k]]
-        plan.append((op, node, k, a, b, dies,
-                     into[0] if into and op in _INTO else None))
-    return plan
 
 
 def _point_power(node, k, a, real):
@@ -607,17 +562,16 @@ def _point_power(node, k, a, real):
     return [f"v{k} = power_at(n{k}, v{a})"]
 
 
-def _point_function(steps, init, roots):
+def _point_function(steps, init, roots, real):
     """The steps as one straight-line Python function of a point's lists
     of x and xi values, v0 and v1, that returns the roots' values in a
-    list, or None where a domain check fails (see `Program`).  Which
-    nodes are real is known here (`_slot_types`), so each step's op is
-    fixed.  Slot k is v{k}; a constant v{k}, a function f{k}, an exponent
-    e{k} or a node n{k} is bound in the function's namespace, never
-    written into its source."""
+    list, or None where a domain check fails (see `Program`).  real[k]
+    says whether slot k is real, so each step's op is fixed.  Slot k is
+    v{k}; a constant v{k}, a function f{k}, an exponent e{k} or a node
+    n{k} is bound in the function's namespace, never written into its
+    source."""
     ns = {"sqrt": math.sqrt, "power": np.power, "power_at": _power_at,
           "multiply": np.multiply, "_DIV_EPS": _DIV_EPS}
-    _, real = _slot_types(steps, init)
     for k, v in enumerate(init[2:], 2):
         if v is not None:
             ns[f"v{k}"] = v.item()
@@ -683,23 +637,27 @@ class Program:
     built once, in the slot list that a call starts from a copy of; each
     step knows the slots it reads and those that die after it; the call
     loop computes sums and products inline, as binary steps that fold
-    left, so a point's value does not depend on its batch.
+    left, so a point's value does not depend on its batch; and, without
+    a table, each slot's variable kinds (none, x-only, xi-only or mixed)
+    and whether it is real, so its sample shape and dtype: a constant is
+    real by its value, a variable real, exp complex, a fractional power
+    real, a real base's integer power 0 < |p| < 100 real and any other
+    integer power complex (numpy's complex power), and any other node
+    real when its operands are.
 
-    A program's first array call computes every step out of place.  The
-    second builds the buffer plan, which that call and every later one
-    run: a sum or product writes its value (np.add or np.multiply with
+    So compilation settles the buffer plan too, which every array call
+    runs: a sum or product writes its value (np.add or np.multiply with
     `out=`) into the array of an operand that dies at it and has the same
-    variable kinds (x-only, xi-only or mixed) and realness as the value,
-    so the same sample shape and dtype.  The ufunc, its operands and
-    their order are those of the out-of-place step, so the values are
-    the first call's bit for bit; on one sample, where numpy's complex
-    product rounds apart written into an operand, the step stays out of
-    place.  x, xi, the constants, the roots and the nodes a table records
-    never die, so no input, no returned array and no table entry is ever
-    written, and every other array is the call's own.  A symbolic check
-    that calls each of its programs once never builds a plan.  A program
-    given a table, whose slots start with arrays of sample shapes not
-    known at compilation, has none.
+    kinds and realness as the value.  The ufunc, its operands and their
+    order are those of the out-of-place step, so the values are those of
+    a program that runs every step out of place, bit for bit; on one
+    sample, where numpy's complex product rounds apart written into an
+    operand, the step stays out of place.  x, xi, the constants, the
+    roots and the nodes a table records never die, so no input, no
+    returned array and no table entry is ever written, and every other
+    array is the call's own.  A program given a table, whose slots start
+    with arrays of sample shapes not known at compilation, has no plan:
+    it runs every step out of place.
 
     When x and xi hold one sample each, as a flow's field or `evaluate`
     does, the first such call runs the array loop, and the second builds
@@ -710,23 +668,20 @@ class Program:
     `evaluate` never pays, and its compile, made once per distinct source
     and process: `_compiled` caches the code object, never the function,
     so programs of one structure bind their own constants, exponents and
-    nodes.  Which nodes are real is known when it
-    is built (a constant by its value, exp is complex, a fractional power
-    real, an integer power outside 0 < |p| < 100 complex, any other node
-    real when its operands are), so each step's op is fixed there, and
-    the values are the array loop's bit for bit: Python's float sums and
-    products, sums and real-by-complex products, sqrt and libm's sin, cos
-    and complex exp round as numpy's loops do; a product of two complex
-    numbers (numpy's complex multiply, fused on SIMD targets) and a real
-    base's fractional power other than sqrt (numpy's SIMD pow) are
-    numpy's ufuncs called on the scalars; any other power is `_power` on
-    a one-sample array.  Where a root is not finite, a domain check
-    fails, or Python's math raises where numpy returns inf or NaN, the
-    point is computed again on arrays, so values, errors and warnings
-    there are numpy's too.  One sample on more axes, (n, 1, ..., 1), runs
-    on (n, 1) rows on either path, as a batch's samples do: numpy
-    multiplies a (1, 1) complex array by a (1,) constant unfused, and a
-    batch fused.
+    nodes.  Which nodes are real is settled at compilation, so each
+    step's op is fixed there, and the values are the array loop's bit for
+    bit: Python's float sums and products, sums and real-by-complex
+    products, sqrt and libm's sin, cos and complex exp round as numpy's
+    loops do; a product of two complex numbers (numpy's complex
+    multiply, fused on SIMD targets) and a real base's fractional power
+    other than sqrt (numpy's SIMD pow) are numpy's ufuncs called on the
+    scalars; any other power is `_power` on a one-sample array.  Where a
+    root is not finite, a domain check fails, or Python's math raises
+    where numpy returns inf or NaN, the point is computed again on
+    arrays, so values, errors and warnings there are numpy's too.  One
+    sample on more axes, (n, 1, ..., 1), runs on (n, 1) rows on either
+    path, as a batch's samples do: numpy multiplies a (1, 1) complex
+    array by a (1,) constant unfused, and a batch fused.
 
     `values` is a table {node: array} of values on the samples of every
     call.  A node in it at compilation is a constant slot, as a constant
@@ -739,10 +694,21 @@ class Program:
         slot = {}               # node -> its slot
         init = [None, None]     # the slots at the start of a call
         steps = []              # (op, node, its slot, argument slots a, b)
+        # without a table, each slot's variable kinds, as bits 1 (x) and
+        # 2 (xi), and whether its value is real; slot 0 holds x, 1 xi
+        kinds, real = [1, 2], [True, True]
 
-        def emit(op, node, a=0, b=0):
+        def emit(op, node, a, b):
             init.append(None)
             steps.append((op, node, len(init) - 1, a, b))
+            if values is None:
+                kinds.append(kinds[a] | kinds[b])
+                if op is _power:
+                    p = node.expo
+                    real.append(not p.is_integer()
+                                or real[a] and 0 < abs(p) < 100)
+                else:
+                    real.append(real[a] and real[b] and type(node) is not Exp)
             return len(init) - 1
 
         def visit(node):
@@ -755,8 +721,12 @@ class Program:
                 if v is not None:           # a slot a call starts with
                     init.append(v)
                     k = len(init) - 1
-                elif type(node) is Var:         # slot 0 holds x, 1 xi
-                    k = emit(_var, node, int(node.kind == "xi"))
+                    if values is None:
+                        kinds.append(0)
+                        real.append(v.dtype.kind == "f")
+                elif type(node) is Var:     # reads slot 0 or 1 as a and b
+                    k = int(node.kind == "xi")
+                    k = emit(_var, node, k, k)
                 elif type(node) in (Add, Mul):
                     # an n-ary sum or product takes in each further term
                     # as soon as it is computed, so its terms are never
@@ -778,19 +748,33 @@ class Program:
         self._record = {} if values is None else {
             node: k for op, node, k, a, b in steps}
         # each step's dead slots: those it reads last, bar x, xi, the
-        # constants, the roots and the recorded nodes; and the slot it
-        # writes into, none until the buffer plan
+        # constants, the roots and the recorded nodes; and, without a
+        # table, the buffer plan: the slot of an operand that dies at a
+        # sum or product and has its value's kinds and realness, so its
+        # sample shape and dtype, which the step writes its value into.
+        # Where both operands qualify, the first is written, so that a
+        # fold's partial result keeps one array: an arbitrary choice
+        # between the two made the dense program of the quantize
+        # benchmark fault about six times as many pages.
         live = {0, 1, *roots, *self._record.values(),
                 *(k for k, v in enumerate(init) if v is not None)}
         for i in reversed(range(len(steps))):
-            dies = {steps[i][3], steps[i][4]} - live
+            op, node, k, a, b = steps[i]
+            dies = {a, b} - live
             live |= dies
-            steps[i] += (tuple(dies), None)
+            into = None
+            if dies and values is None and op in _INTO:
+                for d in (a, b):
+                    if d in dies and (
+                            kinds[d] == kinds[k] and real[d] == real[k]):
+                        into = d
+                        break
+            steps[i] += (tuple(dies), into)
         self._steps, self._init, self._roots = steps, init, roots
-        # the point function and the buffer plan: None before a first
-        # one-point or array call, False after it, built on the second
-        # (the plan in place of the steps, and True)
-        self._point = self._into = None
+        self._real = bytes(real)    # the point function's, a byte a slot
+        # the point function: None before a first one-point call, False
+        # after it, built on the second
+        self._point = None
 
     def __call__(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         if x.ndim == 1:
@@ -813,11 +797,6 @@ class Program:
 
     def _loop(self, x, xi, shape) -> np.ndarray:
         """The array loop on samples x, xi of broadcast shape `shape`."""
-        if self._into is False:         # the second array call
-            self._steps = _buffer_plan(self._steps, self._init)
-            self._into = True
-        elif self._into is None and self._table is None:
-            self._into = False
         vals = self._init.copy()
         vals[0], vals[1] = x, xi
         add, mul = operator.add, operator.mul
@@ -851,7 +830,7 @@ class Program:
             return None
         if self._point is False:
             self._point = _point_function(self._steps, self._init,
-                                          self._roots)
+                                          self._roots, self._real)
         try:
             roots = self._point(x, xi)
         except (ArithmeticError, ValueError):

@@ -60,8 +60,9 @@ class FormField:
 
     def __post_init__(self):
         n, j = self.dimension, self.degree
-        if not 0 <= j <= n <= 3:
-            raise GridMismatch("need 0 <= degree <= dimension <= 3")
+        if not (1 <= n <= 3 and 0 <= j <= n):
+            raise GridMismatch(f"need 1 <= dimension <= 3 and 0 <= degree "
+                               f"<= dimension, got n={n}, j={j}")
         if self.M < 1:
             raise GridMismatch("points-per-axis must be positive")
         want = basis_indices(n, j)
@@ -96,8 +97,9 @@ class FormField:
     def random_band_limited(cls, n: int, j: int, M: int, band: int = 4,
                             rng=None) -> "FormField":
         rng = rng or np.random.default_rng(0)
-        return cls(n, j, M, {alpha: band_limited_samples(n, M, band, rng)
-                             for alpha in basis_indices(n, j)})
+        # the zero form checks n, j and M before a sample is drawn
+        return cls.zero(n, j, M).map_coefficients(
+            lambda _: band_limited_samples(n, M, band, rng))
 
     def map_coefficients(self, f) -> "FormField":
         return FormField(self.dimension, self.degree, self.M,
@@ -140,7 +142,7 @@ class FormField:
         """The form `write_csv` wrote: its basis coefficients stacked, one
         (M,)^n block per basis index, as one array of the lattice format."""
         with open(path) as fh:
-            n, j, M = read_csv_header(fh, "form", ("n", "j", "M"), range(4))
+            n, j, M = read_csv_header(fh, "form", ("n", "j", "M"), range(1, 4))
             order = basis_indices(n, j)
             stacked = read_samples(fh, "form", (len(order),) + (M,) * n)
         return cls(n, j, M, dict(zip(order, stacked)))

@@ -143,19 +143,13 @@ class _ExprParser:
                 self.expect(")")
                 return {"sin": ex.sin, "cos": ex.cos,
                         "exp": ex.exp, "sqrt": ex.sqrt}[val](arg)
-            if val.startswith("xi"):
-                j = int(val[2:])
-                if j > self.n:
-                    raise SyntaxError(
-                        f"variable {val} exceeds dimension {self.n} "
-                        f"at position {pos}")
-                return ex.xi(j)
-            j = int(val[1:])
+            var = "xi" if val.startswith("xi") else "x"
+            j = int(val[len(var):])
             if j > self.n:
                 raise SyntaxError(
                     f"variable {val} exceeds dimension {self.n} "
                     f"at position {pos}")
-            return ex.x(j)
+            return ex.Var(var, j)
         if val == "(":
             e = self.sum_()
             self.expect(")")

@@ -78,12 +78,17 @@ MUTANTS = [
     ("buffer plan without its realness test", "src/psido/expr.py",
      "kinds[d] == kinds[k] and real[d] == real[k]",
      "kinds[d] == kinds[k]",
-     ["tests/test_expr.py::test_later_array_calls_write_into_dying_"
+     ["tests/test_expr.py::test_array_calls_write_into_dying_"
       "operands_with_the_same_bits", "tests/test_expr.py"]),
     ("buffer plan without its kinds test", "src/psido/expr.py",
      "kinds[d] == kinds[k] and real[d] == real[k]",
      "real[d] == real[k]",
-     ["tests/test_expr.py::test_later_array_calls_write_into_dying_"
+     ["tests/test_expr.py::test_array_calls_write_into_dying_"
+      "operands_with_the_same_bits", "tests/test_expr.py"]),
+    ("compile-time realness counts exp as real", "src/psido/expr.py",
+     "real[a] and real[b] and type(node) is not Exp",
+     "real[a] and real[b]",
+     ["tests/test_expr.py::test_array_calls_write_into_dying_"
       "operands_with_the_same_bits", "tests/test_expr.py"]),
     ("mode-by-mode phase table conjugated", "src/psido/quantize.py",
      "roots = np.exp(2j * np.pi * np.arange(M) / M)",

@@ -800,14 +800,15 @@ def test_one_program_serves_every_sample_shape(dag, axes):
 _X1, _X2, _XI1, _XI2 = ex.x(1), ex.x(2), ex.xi(1), ex.xi(2)
 _MIXED = ex.mul(_X1, _XI1)
 # the roots of each case; every one has a sum or product that writes into
-# a dying operand's array from the second array call on
+# a dying operand's array
 _BUFFER_CASES = {
     # real operands of complex steps and complex operands of complex ones:
-    # x1 x2 dies at a mixed sum, the real x1 x2 + xi1 at a complex product
+    # x1 x2 dies at a mixed sum, the real x1 x2 + xi1 at a complex product,
+    # and x2 x1, first, at a sum with the complex exp(x1) of its own kind
     "real_complex": [
         ex.mul(ex.add(ex.mul(_X1, _X2), _XI1), ex.Const(0.5 - 2j))
         + ex.sin(ex.mul(_X1, _XI2)),
-        ex.mul(ex.exp(_X1), _X2) + _XI1],
+        ex.mul(ex.exp(_X1), _X2) + _XI1, ex.mul(_X2, _X1) + ex.exp(_X1)],
     # a * a: one operand read twice, written into once
     "square": [ex.Mul([_X1 + _XI1, _X1 + _XI1]),
                ex.Mul([_X2 + ex.I * _XI2, _X2 + ex.I * _XI2])],
@@ -826,24 +827,23 @@ _BUFFER_SAMPLES = {
 
 @pytest.mark.parametrize("samples", _BUFFER_SAMPLES)
 @pytest.mark.parametrize("case", _BUFFER_CASES)
-def test_later_array_calls_write_into_dying_operands_with_the_same_bits(
+def test_array_calls_write_into_dying_operands_with_the_same_bits(
         case, samples):
     roots = _BUFFER_CASES[case]
     x, xi = _BUFFER_SAMPLES[samples]
     x0, xi0 = x.copy(), xi.copy()
+    # a program given a table runs every step out of place
+    want = ex.Program(roots, {})(x, xi).tobytes()
     prog = ex.Program(roots)
-    first = prog(x, xi)
-    kept = first.copy()
-    # the first array call runs out of place, the second builds the plan
-    assert prog._into is False
-    for _ in range(2):
-        assert prog(x, xi).tobytes() == kept.tobytes()
-        assert prog._into
-        assert any(step[-1] is not None for step in prog._steps)
+    assert any(step[-1] is not None for step in prog._steps)
+    returned = []
+    for _ in range(3):      # from the first call on
+        returned.append(prog(x, xi))
+        assert returned[-1].tobytes() == want
     # no input, and no array an earlier call returned, was written
-    assert first.tobytes() == kept.tobytes()
+    assert all(r.tobytes() == want for r in returned)
     assert x.tobytes() == x0.tobytes() and xi.tobytes() == xi0.tobytes()
-    for r, row in zip(roots, kept):
+    for r, row in zip(roots, returned[0]):
         np.testing.assert_array_equal(row, np.broadcast_to(
             _reference(r, x, xi), row.shape))
 
@@ -856,12 +856,12 @@ def test_a_program_with_a_value_table_writes_into_no_operand():
     want = ex.Program(roots)(x, xi)
     values = {}
     prog = ex.Program(roots, values)
+    assert all(step[-1] is None for step in prog._steps)
     assert prog(x, xi).tobytes() == want.tobytes()
     first = dict(values)
     kept = {node: v.copy() for node, v in values.items()}
     for _ in range(2):
         assert prog(x, xi).tobytes() == want.tobytes()
-    assert prog._into is None
     for node, v in first.items():
         assert v.tobytes() == kept[node].tobytes()
         assert values[node].tobytes() == v.tobytes()

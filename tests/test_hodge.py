@@ -145,6 +145,15 @@ def test_grid_mismatch_rejected():
         _ = a + b
 
 
+@pytest.mark.parametrize("n, j", [(0, 0), (4, 0), (2, 3), (2, -1)])
+def test_formfield_needs_a_dimension_from_1_to_3(n, j):
+    # n = 0 got in, and hodge.laplacian died on an IndexError
+    with pytest.raises(GridMismatch, match=f"got n={n}, j={j}"):
+        FormField.zero(n, j, 4)
+    with pytest.raises(GridMismatch, match=f"got n={n}, j={j}"):
+        FormField.random_band_limited(n, j, 4)
+
+
 def test_formfield_csv_round_trip(tmp_path):
     # every coefficient is written as a plain float, so it reads back exactly
     w = _rand(2, 1, M=4, seed=7)

@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -804,6 +805,26 @@ def test_cli_hodge_rejects_malformed_form(tmp_path, capsys, name):
     form = _write(tmp_path / "w.csv", _BAD_FORMS[name])
     assert main(["hodge", "laplacian", "--form", form]) == 1
     assert capsys.readouterr().err.startswith("error: form CSV ")
+
+
+_FORM_OF_DIMENSION_0 = "# formfield n=0 j=0 M=4 alphas=0\n0,1.0,0.0\n"
+
+
+@pytest.mark.parametrize("call", [
+    # an IndexError traceback from hodge.laplacian before
+    ["hodge", "laplacian", "--form"],
+    # numpy's "cannot reshape array of size 0" before
+    ["hodge", "decompose", "--form"],
+    ["hodge", "betti", "--n", "0", "--j", "0"],
+    ["hodge", "parametrix-check", "--n", "0", "--j", "0"],
+])
+def test_cli_hodge_rejects_forms_of_dimension_0(tmp_path, capsys, call):
+    if call[-1] == "--form":
+        call = [*call, _write(tmp_path / "w.csv", _FORM_OF_DIMENSION_0)]
+    assert main(call) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .*dimension.*n=0.*\n", captured.err)
 
 
 def test_cli_import_loads_no_scipy():
