@@ -135,9 +135,20 @@ MUTANTS = [
       "test_flow_fields_of_one_structure_compile_once_and_keep_their_values",
       *POINT]),
     ("flow stop skips the one-ray xi floor", "src/psido/hamilton.py",
-     "xi = (math.hypot(*z.tolist()[n:]) if shape[1] == 1 else",
-     "xi = (math.inf if shape[1] == 1 else",
+     "if math.hypot(*z[n:]) < XI_FLOOR:",
+     "if math.inf < XI_FLOOR:",
      ["tests/test_hamilton.py::test_flow_stops_when_xi_collapses",
+      "tests/test_hamilton.py"]),
+    ("flow plan rebuilt on every flow", "src/psido/hamilton.py",
+     "    plan = _PLANS.get(p)\n",
+     "    plan = None\n",
+     ["tests/test_hamilton.py::"
+      "test_a_repeat_flow_builds_no_program_and_compiles_no_step",
+      "tests/test_hamilton.py"]),
+    ("one-ray step reads E3 as E5", "src/psido/hamilton.py",
+     'f"u{i} = ({comb(_E5, i)}) / c",',
+     'f"u{i} = ({comb(_E3, i)}) / c",',
+     ["tests/test_hamilton.py::test_the_list_form_takes_the_array_forms_steps",
       "tests/test_hamilton.py"]),
     ("add folds its top-level constants before the spliced ones",
      "src/psido/expr.py",

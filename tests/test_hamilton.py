@@ -1,3 +1,7 @@
+import gc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
@@ -52,6 +56,9 @@ def _variable_laplacian():
 
 def test_field_at_one_point_is_its_column_of_a_batch_bit_for_bit(
         monkeypatch):
+    # a fresh flow plan: an equal symbol flowed earlier shares its plan,
+    # whose program has built its point function
+    monkeypatch.setattr(hamilton, "_PLANS", weakref.WeakKeyDictionary())
     f = hamiltonian_field(_speed_term())
     loops = []
     loop = ex.Program._loop
@@ -97,6 +104,23 @@ def test_a_flow_is_the_same_when_its_point_function_hands_back_each_point(
     want = flow(p, start, 10.0, tol=1e-10)
     # a point function that fails a domain check at every point: the array
     # loop computes every field call
+    monkeypatch.setattr(ex, "_point_function",
+                        lambda *args: lambda x, xi: None)
+    got = flow(p, start, 10.0, tol=1e-10)
+    for name in ("times", "points", "p_values"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("p, start", [
+    (_speed_term(), [0.3, -1.2, 0.7, 0.4]),
+    (_variable_laplacian(), [0.3, 0.2, 1.0, -0.5]),
+])
+def test_a_new_plan_whose_point_function_hands_back_each_point_flows_alike(
+        monkeypatch, p, start):
+    want = flow(p, start, 10.0, tol=1e-10)
+    # a fresh plan, whose point function fails a domain check at every
+    # point: the array loop computes every field call of the list form
+    monkeypatch.setattr(hamilton, "_PLANS", weakref.WeakKeyDictionary())
     monkeypatch.setattr(ex, "_point_function",
                         lambda *args: lambda x, xi: None)
     got = flow(p, start, 10.0, tol=1e-10)
@@ -211,6 +235,96 @@ def test_solve_ivp_takes_scipys_dop853_steps():
         assert np.array_equal(ours.t, ref.t)
         assert ours.nfev == ref.nfev
         assert np.allclose(ours.y[-1], ref.y[:, -1], rtol=1e-14, atol=0.0)
+
+
+def _list_and_array_systems():
+    # (list rhs, array rhs, T, start): one ray's field in both forms, and
+    # y' = y^2
+    cases = []
+    for p, T, start in [(_speed_symbol(), 10.0, [0.1, 0.2, 1.0, 0.5]),
+                        (_speed_symbol(), -3.0, [0.1, 0.2, 1.0, 0.5]),
+                        (_variable_laplacian(), 10.0, [0.3, 0.2, 1.0, -0.5])]:
+        listed = hamilton._list_field(hamilton._plan(p), p.dimension)
+        cases.append((listed, hamiltonian_field(p), T, start))
+    cases.append((lambda y: [y[0] * y[0]], lambda y: y * y, 0.5, [1.0]))
+    return cases
+
+
+@pytest.mark.parametrize("listed, arrayed, T, start",
+                         _list_and_array_systems(),
+                         ids=["speed", "speed_back", "laplacian", "square"])
+def test_the_list_form_takes_the_array_forms_steps(listed, arrayed, T, start):
+    ours = hamilton.solve_ivp(listed, T, list(start), 1e-10, 1e-13)
+    ref = hamilton.solve_ivp(arrayed, T, np.array(start), 1e-10, 1e-13)
+    assert ours.y.dtype == np.float64 and ours.y.shape == ref.y.shape
+    assert ours.nfev == ref.nfev
+    # the stage sums round apart (BLAS against Python's left-to-right sum),
+    # so the states and, through the error norm, the times move at
+    # round-off
+    assert np.allclose(ours.t, ref.t, rtol=1e-6, atol=0.0)
+    assert ours.t[-1] == T
+    scale = np.max(np.abs(ref.y[-1]))
+    assert np.max(np.abs(ours.y[-1] - ref.y[-1])) <= 1e-13 * scale
+
+
+def test_the_list_form_takes_scipys_dop853_steps():
+    integrate = pytest.importorskip("scipy.integrate")
+    for listed, arrayed, T, start in _list_and_array_systems():
+        ours = hamilton.solve_ivp(listed, T, list(start), 1e-10, 1e-13)
+        ref = integrate.solve_ivp(lambda t, y: arrayed(y), (0.0, T),
+                                  np.array(start), method="DOP853",
+                                  rtol=1e-10, atol=1e-13)
+        assert len(ours.t) == len(ref.t) and ours.nfev == ref.nfev
+        assert np.allclose(ours.t, ref.t, rtol=1e-6, atol=0.0)
+        assert np.allclose(ours.y[-1], ref.y[:, -1], rtol=1e-13, atol=0.0)
+
+
+def test_a_repeat_flow_builds_no_program_and_compiles_no_step(monkeypatch):
+    p, start = _speed_term(0.25, 0.9), [0.1, 0.2, 1.0, 0.5]
+    wave, starts = _wave_symbol(), _wave_starts(4)
+    first = flow(p, start, 10.0, tol=1e-10)
+    ends = propagate_wavefront(wave, starts, 0.5)
+    built = []
+    init = ex.Program.__init__
+    monkeypatch.setattr(ex.Program, "__init__", lambda *args, **kwargs: (
+        built.append(1), init(*args, **kwargs))[1])
+    steps = hamilton._list_attempt.cache_info().misses
+    again = flow(p, start, 10.0, tol=1e-10)
+    assert propagate_wavefront(wave, starts, 0.5) == ends
+    assert built == [] and hamilton._list_attempt.cache_info().misses == steps
+    # the first flow's first field call ran the array loop, the repeat's
+    # the point function, with the same bits
+    for name in ("times", "points", "p_values"):
+        assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
+
+
+def test_a_flow_plan_dies_with_its_symbol(monkeypatch):
+    monkeypatch.setattr(hamilton, "_PLANS", weakref.WeakKeyDictionary())
+    p = _speed_term(0.15, 2.1)
+    flow(p, [0.1, 0.2, 1.0, 0.5], 1.0)
+    assert len(hamilton._PLANS) == 1 and p in hamilton._PLANS
+    del p
+    gc.collect()
+    assert len(hamilton._PLANS) == 0
+
+
+def test_a_step_whose_error_is_exactly_zero_is_accepted():
+    # along p = xi1 the field is constant, so every error estimate is 0
+    # up to round-off; at t ~ 1e154 the third-order one was 1e-323, whose
+    # 0.01 s3 underflows, and the norm's 0/0 failed the flow
+    assert hamilton._error_norm(0.0, 1e-323, 1e154, 4) == 0.0
+    assert hamilton._error_norm(0.0, 0.0, 1.0, 4) == 0.0
+    p = sy.HomogeneousTerm(ex.xi(1), 1.0, 2)
+    start = [0.0, 0.0, 1.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        curve = flow(p, start, 1e300)
+        sol = hamilton.solve_ivp(hamiltonian_field(p), 1e300,
+                                 np.array(start), 1e-9, 1e-12)
+    assert curve.times[-1] == sol.t[-1] == 1e300
+    for end in (curve.points[-1], sol.y[-1]):
+        assert end[0] == pytest.approx(1e300, rel=1e-14)
+        assert end[1:].tolist() == [0.0, 1.0, 0.0]
 
 
 def test_flow_takes_few_steps_at_a_tight_tolerance():
@@ -365,6 +479,12 @@ def _wave_starts(count):
         starts.append([x1, x2, (1 if k % 4 < 2 else -1)
                        * (1 + 0.5 * np.sin(x1)) * s, s])
     return starts
+
+
+def test_a_wavefront_needs_a_point():
+    # numpy's "cannot reshape array of size 0" before
+    with pytest.raises(ValueError, match="no initial points"):
+        propagate_wavefront(_wave_symbol(), [], 1.0)
 
 
 def test_wavefront_is_one_integration(monkeypatch):

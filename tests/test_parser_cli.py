@@ -406,6 +406,17 @@ def test_cli_flow_from_a_zero_covector_exits_one(tmp_path, capsys, doc,
     assert out.err.startswith("error: start (0.3, 0.2, 0.0, 0.0) has |xi|")
 
 
+def test_cli_wavefront_without_points_exits_one(tmp_path, capsys):
+    # a numpy reshape error of a size-0 array, printed as its error line,
+    # before
+    p = _write(tmp_path / "p.sym", LAPLACIAN_DOC)
+    init = _write(tmp_path / "init.csv", "# x1, x2, xi1, xi2\n")
+    assert main(["wavefront", p, "--init", init, "--time", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: nothing to flow: no initial points\n"
+
+
 def test_cli_flow_writes_csv(tmp_path, capsys):
     p = _write(tmp_path / "p.sym", LAPLACIAN_DOC)
     out = tmp_path / "curve.csv"
